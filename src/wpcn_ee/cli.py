@@ -8,30 +8,28 @@ repeated runs with the same configuration are byte-identical.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import sys
 from pathlib import Path
 from typing import Sequence
 
 from .best_effort import solve_best_effort
-from .channels import generate_scenario
 from .experiments import (
     RAW_COLUMNS,
     ExperimentConfig,
-    _fmt,
+    _draw_scenario,
     default_geometry,
     default_system_params,
     load_config,
     report_convergence,
     report_to_row,
     run_sweep,
+    throughput_report,
     write_rows,
 )
-from .model import MODE_INFEASIBLE, Scenario, with_initial_energy
+from .model import MODE_INFEASIBLE
 from .oracle import GridSpec, grid_search_best_effort, grid_search_qos
 from .qos import solve_qos
-from .throughput_max import max_throughput
 
 _USAGE_EXIT = 1
 _INFEASIBLE_EXIT = 2
@@ -94,28 +92,9 @@ def _config_from(args) -> ExperimentConfig:
     return cfg
 
 
-def _scenario_from(cfg: ExperimentConfig) -> Scenario:
-    scen = generate_scenario(cfg.geometry, cfg.params)
-    energy = cfg.initial_energy
-    nonzero = any(e != 0.0 for e in energy) if isinstance(energy, tuple) else energy != 0.0
-    if nonzero:
-        scen = with_initial_energy(scen, energy)
-    return scen
-
-
-def _emit(out: Path | None, columns: Sequence[str], rows) -> None:
-    if out is None:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
-    else:
-        write_rows(out, columns, rows)
-
-
 def _cmd_single(args, use_floor: bool) -> int:
     cfg = _config_from(args)
-    scen = _scenario_from(cfg)
+    scen = _draw_scenario(cfg)
     if use_floor:
         if cfg.params.Rmin is None:
             print("solve-qos needs Rmin_bits in the configuration", file=sys.stderr)
@@ -125,7 +104,7 @@ def _cmd_single(args, use_floor: bool) -> int:
     else:
         rep = solve_best_effort(scen)
         scheme = "ee_optimal"
-    _emit(args.out, RAW_COLUMNS, [report_to_row(rep, "single", 0.0, 0, scheme)])
+    write_rows(args.out, RAW_COLUMNS, [report_to_row(rep, "single", 0.0, 0, scheme)])
     return _INFEASIBLE_EXIT if rep.mode == MODE_INFEASIBLE else 0
 
 
@@ -134,20 +113,19 @@ def _cmd_feasibility(args) -> int:
     if cfg.params.Rmin is None:
         print("feasibility needs Rmin_bits in the configuration", file=sys.stderr)
         return _USAGE_EXIT
-    scen = _scenario_from(cfg)
-    sol = max_throughput(scen)
-    ok = sol.R_star >= cfg.params.Rmin
-    _emit(
+    rep = throughput_report(_draw_scenario(cfg))
+    ok = rep.mode != MODE_INFEASIBLE
+    write_rows(
         args.out,
         ("R_star_bits", "Rmin_bits", "feasible"),
-        [(sol.R_star, cfg.params.Rmin, 1 if ok else 0)],
+        [(rep.throughput, cfg.params.Rmin, 1 if ok else 0)],
     )
     return 0 if ok else _INFEASIBLE_EXIT
 
 
 def _cmd_oracle_check(args) -> int:
     cfg = _config_from(args)
-    scen = _scenario_from(cfg)
+    scen = _draw_scenario(cfg)
     if cfg.params.Rmin is None:
         rep = solve_best_effort(scen)
         oracle = grid_search_best_effort(scen, cfg.grid)
@@ -181,7 +159,7 @@ def _cmd_oracle_check(args) -> int:
             agrees,
         ),
     ]
-    _emit(args.out, columns, rows)
+    write_rows(args.out, columns, rows)
     return 0
 
 
@@ -200,13 +178,13 @@ def _cmd_convergence(args) -> int:
     if cfg.params.Rmin is None:
         print("convergence needs Rmin_bits in the configuration", file=sys.stderr)
         return _USAGE_EXIT
-    scen = _scenario_from(cfg)
+    scen = _draw_scenario(cfg)
     try:
         trace = report_convergence(scen)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return _INFEASIBLE_EXIT
-    _emit(args.out, ("iteration", "q_bits_per_joule", "T_bits"), trace)
+    write_rows(args.out, ("iteration", "q_bits_per_joule", "T_bits"), trace)
     return 0
 
 

@@ -9,10 +9,12 @@ produces byte-identical CSV files.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -38,7 +40,7 @@ from .model import (
     zero_allocation,
 )
 from .oracle import GridSpec
-from .qos import solve_qos, solve_qos_detailed
+from .qos import _reaches_floor, solve_qos, solve_qos_detailed
 from .search import golden_section_max
 from .throughput_max import max_throughput
 
@@ -323,10 +325,18 @@ def baseline_fixed_proportion(scen: Scenario, rho: float) -> SolutionReport:
 
 
 def throughput_report(scen: Scenario) -> SolutionReport:
-    """Throughput-maximal allocation wrapped as a solution report."""
+    """Throughput-maximal allocation wrapped as a solution report.
+
+    When the scenario sets a floor above the ceiling R*, the report
+    keeps the allocation and R* but its mode is INFEASIBLE.
+    """
     ts = max_throughput(scen)
     alloc = ts.alloc
-    mode = MODE_PWPCN if alloc.tau0 > 0.0 else MODE_IELCN
+    rmin = scen.params.Rmin
+    if rmin is not None and not _reaches_floor(ts.R_star, rmin):
+        mode = MODE_INFEASIBLE
+    else:
+        mode = MODE_PWPCN if alloc.tau0 > 0.0 else MODE_IELCN
     return SolutionReport(
         alloc=alloc,
         ee=system_ee(alloc, scen),
@@ -378,7 +388,12 @@ def _apply_axis(cfg: ExperimentConfig, value: float, seed: int) -> Scenario:
     elif axis == "K":
         geometry = dataclasses.replace(geometry, K=int(value))
     geometry = dataclasses.replace(geometry, seed=seed)
-    scen = generate_scenario(geometry, params)
+    return _draw_scenario(dataclasses.replace(cfg, params=params, geometry=geometry))
+
+
+def _draw_scenario(cfg: ExperimentConfig) -> Scenario:
+    """Draw the configured channels and charge the configured batteries."""
+    scen = generate_scenario(cfg.geometry, cfg.params)
     energy = cfg.initial_energy
     nonzero = any(e != 0.0 for e in energy) if isinstance(energy, tuple) else energy != 0.0
     if nonzero:
@@ -392,10 +407,16 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def write_rows(path: str | Path, columns: Sequence[str], rows: Iterable[Sequence]) -> Path:
-    """Write one CSV with formatted floats; returns the path."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
+def write_rows(
+    path: str | Path | None, columns: Sequence[str], rows: Iterable[Sequence]
+) -> Path | None:
+    """Write one CSV with formatted floats; returns the path.
+
+    A path of None writes to standard output instead.
+    """
+    if path is not None:
+        path = Path(path)
+    with contextlib.nullcontext(sys.stdout) if path is None else path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         for row in rows:

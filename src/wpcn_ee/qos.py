@@ -20,9 +20,12 @@ The inner maximizer is assembled from whichever regime the gates pick:
 batteries only (delta = 0, no charging), charging with the block fully
 used, or no charging with the block fully used.  B as a function of
 vartheta is discontinuous exactly where a gate flips; at such a root
-the optimal face has a free coordinate (the charging time, or a
-threshold user's slot) and the solver fills it linearly to land on the
-floor exactly.
+the optimal face is a segment between the two bracketing maximizers,
+and the solver mixes them to land on the floor exactly.
+
+At q = vartheta = 0 the inner maximum is the largest block throughput
+R*, the rate ceiling; `throughput_max` and every feasibility test read
+it from here.
 """
 
 from __future__ import annotations
@@ -184,9 +187,8 @@ class _Point:
     E: float
     delta: float
     mu: tuple[float, ...]
-    tight: tuple[int, ...]  # users pinned to exact energy exhaustion
-    free: tuple[int, ...]  # threshold users with mu = 0 and a filled slot
-    f0: float  # WET gate value at this point's duals
+    # energy-tight users plus threshold users (mu = 0) with a filled slot
+    members: frozenset[int]
 
 
 class _Level:
@@ -197,15 +199,12 @@ class _Level:
         self.scen = scen
         self.par = par
         self.q = q
-        self.vartheta = vartheta
-        self.W = par.W
         self.W1 = par.W * (1.0 + vartheta)
         self.cln = self.W1 * par.varsigma / LN2
         self.vs = par.varsigma
         self.pc = par.pc
         self.K = scen.K
         self.gammas = [u.gamma for u in scen.users]
-        self.h = [u.h for u in scen.users]
         self.Q = [u.Q for u in scen.users]
         self.harvest = [par.eta * par.Pmax * u.h for u in scen.users]
         self.wet_cost = par.Pmax * scen.wet_deficit + par.Pc
@@ -242,9 +241,6 @@ class _Level:
     def D_of_s(self, k: int, s: float) -> float:
         return self.p_of_s(k, s) / self.vs + self.pc
 
-    def rate_of_s(self, k: int, s: float) -> float:
-        return self.W * math.log2(self.gammas[k] * self.cln / s)
-
     def _tight_at(self, delta: float) -> list[int]:
         return [k for k in range(self.K) if self.heads[k] > delta]
 
@@ -264,6 +260,37 @@ class _Level:
 
     def point(self) -> _Point:
         """Pick the delta regime and assemble the inner maximizer."""
+        if self._f0_at(0.0) <= 0.0:
+            return self.uncharged_point()
+
+        # Charging pays at delta = 0: find where its gate closes.
+        Tmax = self.par.Tmax
+        hi = 1.0
+        for _ in range(120):
+            if self._f0_at(hi) <= 0.0:
+                break
+            hi *= 2.0
+            if hi > _DELTA_CAP:
+                raise RuntimeError("delta bracket overflow in the WET gate solve")
+        delta_w = float(brentq(self._f0_at, 0.0, hi, rtol=1e-15, maxiter=200))
+        tight_w = self._tight_at(delta_w)
+        s_w = self._duals_at(delta_w, tight_w)
+        D_w = {k: self.D_of_s(k, s_w[k]) for k in tight_w}
+        base_w = math.fsum(self.Q[k] / D_w[k] for k in tight_w)
+        if base_w <= Tmax:
+            # Charging on; block exactly filled by the tau0 scale.
+            slope = 1.0 + math.fsum(self.harvest[k] / D_w[k] for k in tight_w)
+            tau0 = (Tmax - base_w) / slope
+            tau = {k: (self.harvest[k] * tau0 + self.Q[k]) / D_w[k] for k in tight_w}
+            return self._assemble(delta_w, tau0, tight_w, s_w, tau, free={})
+        return self._solve_time_bound(delta_w, Tmax)
+
+    def uncharged_point(self) -> _Point:
+        """The maximizer with the charging slot held off.
+
+        Batteries alone while their drains fit the block (delta = 0),
+        otherwise the time-bound regime.
+        """
         Tmax = self.par.Tmax
         tight0 = self._tight_at(0.0)
         if not tight0:
@@ -274,45 +301,13 @@ class _Level:
                 E=0.0,
                 delta=0.0,
                 mu=(0.0,) * self.K,
-                tight=(),
-                free=(),
-                f0=-self.q * self.wet_cost,
+                members=frozenset(),
             )
-
         s0 = self._duals_at(0.0, tight0)
-        base0 = math.fsum(self.Q[k] / self.D_of_s(k, s0[k]) for k in tight0)
-        f00 = math.fsum((s0[k] - self.q) * self.harvest[k] for k in tight0) - self.q * self.wet_cost
-
-        if f00 <= 0.0 and base0 <= Tmax:
-            # Batteries alone, time to spare: delta = 0, no charging.
-            tau = {k: self.Q[k] / self.D_of_s(k, s0[k]) for k in tight0}
+        tau = {k: self.Q[k] / self.D_of_s(k, s0[k]) for k in tight0}
+        if math.fsum(tau.values()) <= Tmax:
             return self._assemble(0.0, 0.0, tight0, s0, tau, free={})
-
-        if f00 > 0.0:
-            # Charging pays at delta = 0: find where its gate closes.
-            hi = 1.0
-            for _ in range(120):
-                if self._f0_at(hi) <= 0.0:
-                    break
-                hi *= 2.0
-                if hi > _DELTA_CAP:
-                    raise RuntimeError("delta bracket overflow in the WET gate solve")
-            delta_w = float(brentq(self._f0_at, 0.0, hi, rtol=1e-15, maxiter=200))
-            tight_w = self._tight_at(delta_w)
-            s_w = self._duals_at(delta_w, tight_w)
-            D_w = {k: self.D_of_s(k, s_w[k]) for k in tight_w}
-            base_w = math.fsum(self.Q[k] / D_w[k] for k in tight_w)
-            if base_w <= Tmax:
-                # Charging on; block exactly filled by the tau0 scale.
-                slope = 1.0 + math.fsum(self.harvest[k] / D_w[k] for k in tight_w)
-                tau0 = (Tmax - base_w) / slope
-                tau = {k: (self.harvest[k] * tau0 + self.Q[k]) / D_w[k] for k in tight_w}
-                return self._assemble(delta_w, tau0, tight_w, s_w, tau, free={})
-            delta_lo = delta_w
-        else:
-            delta_lo = 0.0
-
-        return self._solve_time_bound(delta_lo, Tmax)
+        return self._solve_time_bound(0.0, Tmax)
 
     def _solve_time_bound(self, delta_lo: float, Tmax: float) -> _Point:
         """No charging; raise delta until battery drains fit the block.
@@ -397,98 +392,54 @@ class _Level:
         alloc = Allocation(
             P0=self.par.Pmax, tau0=tau0, p=tuple(p_vec), tau=tuple(tau_vec)
         )
-        B = throughput(alloc, self.scen)
-        E = energy_total(alloc, self.scen)
-        f0 = (
-            math.fsum(mu_vec[k] * self.harvest[k] for k in tight)
-            - self.q * self.wet_cost
-            - delta
-        )
         return _Point(
             alloc=alloc,
-            B=B,
-            E=E,
+            B=throughput(alloc, self.scen),
+            E=energy_total(alloc, self.scen),
             delta=delta,
             mu=tuple(mu_vec),
-            tight=tuple(tight),
-            free=tuple(free.keys()),
-            f0=f0,
+            members=frozenset(tight) | frozenset(free),
         )
 
 
-def _fill_to_floor(lvl: _Level, lo_pt: _Point, hi_pt: _Point, rmin: float) -> _Point:
+def _fill_to_floor(scen: Scenario, lo: _Point, hi: _Point, rmin: float) -> _Point:
     """Construct the floor-exact point on the optimal face at a gate flip.
 
-    lo_pt falls short of the floor, hi_pt overshoots; their structures
-    differ in exactly the flipped gate(s): entering threshold users
-    and/or an activating charging slot.  Both kinds leave a coordinate
-    with zero reduced cost, along which B is linear.
+    lo falls short of the floor and hi overshoots, at adjacent floor
+    multipliers.  Both maximize the same concave Lagrangian, so every
+    convex mix of their (tau0, tau_k, user energy) does too, and B is
+    linear along that segment: the mix at theta = (rmin - B_lo)/(B_hi - B_lo)
+    lands on the floor.  Users that join or leave the schedule across
+    the flip sit at the threshold, so their energy multiplier is zero.
     """
-    par = lvl.par
-    Tmax = par.Tmax
-    delta = lo_pt.delta
-    tight = list(lo_pt.tight)
-    hi_members = set(hi_pt.tight) | set(hi_pt.free)
-    entering = [m for m in sorted(hi_members) if m not in tight]
-    tau0_frees = hi_pt.alloc.tau0 > 0.0 and lo_pt.alloc.tau0 == 0.0
+    par = scen.params
+    theta = (rmin - lo.B) / (hi.B - lo.B)
 
-    s = {k: lvl.s_of(k, delta) for k in tight}
-    D = {k: lvl.D_of_s(k, s[k]) for k in tight}
-    rate = {k: lvl.rate_of_s(k, s[k]) for k in tight}
-    base_T = math.fsum(lvl.Q[k] / D[k] for k in tight)
-    slope_T = 1.0 + math.fsum(lvl.harvest[k] / D[k] for k in tight)
-    B0 = math.fsum(rate[k] * lvl.Q[k] / D[k] for k in tight)
-    Bslope = math.fsum(rate[k] * lvl.harvest[k] / D[k] for k in tight)
+    def mix(a: float, b: float) -> float:
+        return (1.0 - theta) * a + theta * b
 
-    ent_p = {m: lvl.p_of_s(m, lvl.q) for m in entering}
-    ent_D = {m: ent_p[m] / lvl.vs + lvl.pc for m in entering}
-    ent_rate = {m: lvl.rate_of_s(m, lvl.q) for m in entering}
+    def energy(alloc: Allocation, k: int) -> float:
+        return (alloc.p[k] / par.varsigma + par.pc) * alloc.tau[k]
 
-    fills: dict[int, float] = {}
-
-    if delta > 0.0:
-        # Block stays exactly full: tau0 trades against the entering slots.
-        tau0_of = lambda used: (Tmax - base_T - used) / slope_T
-        used = 0.0
-        B_cur = B0 + Bslope * tau0_of(0.0)
-        for m in entering:
-            coef = ent_rate[m] - Bslope / slope_T
-            if coef <= 0.0:
-                continue
-            want = (rmin - B_cur) / coef
-            # Energy cap grows the slot only as far as its own budget allows.
-            cap_num = lvl.harvest[m] * tau0_of(used) + lvl.Q[m]
-            cap = cap_num / (ent_D[m] + lvl.harvest[m] / slope_T)
-            take = min(max(want, 0.0), cap, Tmax - base_T - used)
-            fills[m] = take
-            used += take
-            B_cur += coef * take
-            if B_cur >= rmin * (1.0 - _REL_B):
-                break
-        tau0 = max(0.0, tau0_of(used))
-        tau = {k: (lvl.harvest[k] * tau0 + lvl.Q[k]) / D[k] for k in tight}
-        return lvl._assemble(delta, tau0, tight, s, tau, free=fills)
-
-    # delta = 0: time is not exchanged; entering slots first, then charging.
-    tau = {k: lvl.Q[k] / D[k] for k in tight}
-    time_used = math.fsum(tau.values())
-    B_cur = B0
-    for m in entering:
-        cap = lvl.Q[m] / ent_D[m]
-        want = (rmin - B_cur) / ent_rate[m] if ent_rate[m] > 0.0 else 0.0
-        take = min(max(want, 0.0), cap, Tmax - time_used)
-        fills[m] = take
-        time_used += take
-        B_cur += ent_rate[m] * take
-        if B_cur >= rmin * (1.0 - _REL_B):
-            break
-    tau0 = 0.0
-    if B_cur < rmin * (1.0 - _REL_B) and tau0_frees and Bslope > 0.0:
-        tau0_want = (rmin - B_cur) / Bslope
-        tau0_time = (Tmax - math.fsum(fills.values()) - base_T) / slope_T
-        tau0 = min(max(tau0_want, 0.0), max(tau0_time, 0.0))
-        tau = {k: (lvl.harvest[k] * tau0 + lvl.Q[k]) / D[k] for k in tight}
-    return lvl._assemble(0.0, tau0, tight, s, tau, free=fills)
+    tau = [mix(t_lo, t_hi) for t_lo, t_hi in zip(lo.alloc.tau, hi.alloc.tau)]
+    p = [
+        max(0.0, par.varsigma * (mix(energy(lo.alloc, k), energy(hi.alloc, k)) / t - par.pc))
+        if t > 0.0
+        else 0.0
+        for k, t in enumerate(tau)
+    ]
+    alloc = Allocation(
+        P0=par.Pmax, tau0=mix(lo.alloc.tau0, hi.alloc.tau0), p=tuple(p), tau=tuple(tau)
+    )
+    flipped = lo.members ^ hi.members
+    return _Point(
+        alloc=alloc,
+        B=throughput(alloc, scen),
+        E=energy_total(alloc, scen),
+        delta=hi.delta,
+        mu=tuple(0.0 if k in flipped else m for k, m in enumerate(hi.mu)),
+        members=lo.members | hi.members,
+    )
 
 
 def _solve_q(
@@ -500,15 +451,14 @@ def _solve_q(
     subgradient selection of a convex dual function), so a bisection
     invariant B(lo) < Rmin <= B(hi) is safe even across jumps.
     """
-    lvl0 = _Level(scen, q, 0.0)
-    p0 = lvl0.point()
-    if rmin is None or p0.B >= rmin * (1.0 - _REL_B):
+    p0 = _Level(scen, q, 0.0).point()
+    if rmin is None or _reaches_floor(p0.B, rmin):
         return p0, 0.0, 0
 
     lo_t, lo_pt = 0.0, p0
     hi_t = 1.0
     hi_pt = _Level(scen, q, hi_t).point()
-    while hi_pt.B < rmin * (1.0 - _REL_B):
+    while not _reaches_floor(hi_pt.B, rmin):
         lo_t, lo_pt = hi_t, hi_pt
         hi_t *= 2.0
         if hi_t > _THETA_CAP:
@@ -537,10 +487,8 @@ def _solve_q(
     # Discontinuity at the root: B jumps over the floor where a KKT
     # gate flips.  Recover the tightest evaluated pair on either side
     # of the floor, then bisect it down to float adjacency.
-    below = max(t for t, pt in cache.items() if pt.B < rmin * (1.0 - _REL_B))
-    above = min(
-        t for t, pt in cache.items() if pt.B >= rmin * (1.0 - _REL_B) and t >= below
-    )
+    below = max(t for t, pt in cache.items() if not _reaches_floor(pt.B, rmin))
+    above = min(t for t, pt in cache.items() if _reaches_floor(pt.B, rmin) and t >= below)
     for _ in range(200):
         mid = 0.5 * (below + above)
         if not below < mid < above:
@@ -549,17 +497,23 @@ def _solve_q(
             below = mid
         else:
             above = mid
-    lo_br, hi_br = cache[below], cache[above]
-    lvl = _Level(scen, q, above)
-    filled = _fill_to_floor(lvl, lo_br, hi_br, rmin)
+    filled = _fill_to_floor(scen, cache[below], cache[above], rmin)
     return filled, above, 1
 
 
+def _rate_ceiling(scen: Scenario) -> _Point:
+    """The q = 0 inner maximizer: the most bits the block can carry."""
+    return _Level(scen, 0.0, 0.0).point()
+
+
+def _reaches_floor(B: float, rmin: float) -> bool:
+    """Whether throughput B meets the floor rmin, up to the slack _REL_B."""
+    return B >= rmin * (1.0 - _REL_B)
+
+
 def _floor_reachable(scen: Scenario, rmin: float) -> bool:
-    """The q = 0 inner maximum is the rate ceiling, so it decides
-    feasibility without invoking the full throughput solver."""
-    pt, _, _ = _solve_q(scen, 0.0, None)
-    return pt.B >= rmin * (1.0 - _REL_B)
+    """Feasibility of a floor: the rate ceiling reaches it."""
+    return _reaches_floor(_rate_ceiling(scen).B, rmin)
 
 
 def dinkelbach_T(q: float, scen: Scenario) -> tuple[float, Allocation]:

@@ -1,28 +1,30 @@
 """Block-throughput maximization, and the feasibility test built on it.
 
-For a fixed charging time tau0 every user k owns a fixed energy stock
-A_k = eta*Pmax*tau0*h_k + Q_k.  Spending it over a slot of length tau_k
-at exactly the causality limit gives the rate term
+The rate ceiling R* is the q = 0 case of the concave inner problem that
+`qos` solves by KKT: with no energy price every user is scheduled and
+spends its whole energy stock, and the charging slot stays on until
+its marginal value meets the time multiplier.  The maximum is
+global, and the power, energy and time constraints all end up tight.
 
-    r_k(tau_k) = tau_k * W * log2(1 + A_k*vs*gamma_k/tau_k - pc*vs*gamma_k),
+For a fixed charging time tau0 the same solve with the charging slot
+held off gives the best uplink split: user k owns the stock
+A_k = eta*Pmax*tau0*h_k + Q_k over a block of Tmax - tau0.  R(tau0) is
+the partial maximum of a jointly concave program, hence concave.
 
-a concave function of tau_k, so splitting the remaining block time is a
-classic concave allocation: all active users share a common marginal
-rate lambda.  The marginal diverges as tau_k -> 0+, which means every
-user holding energy gets a slice.  The outer problem over tau0 is
-unimodal and handled by golden-section search.
-
-The maximum R* decides feasibility of a throughput floor: Rmin is
-attainable iff Rmin <= R*.
+R* decides feasibility of a throughput floor: Rmin is attainable iff
+Rmin <= R*, up to the slack that `solve_qos` applies to the same test.
 """
 
 from __future__ import annotations
 
-import math
+import dataclasses
 from dataclasses import dataclass
 
-from .model import LN2, Allocation, Scenario, throughput
-from .search import golden_section_max, newton_bisect
+from .model import Allocation, Scenario, with_initial_energy
+from .qos import _floor_reachable, _Level, _rate_ceiling
+
+# Unused here: bound only for the layer spans in perfbench/spans.py.
+from .search import golden_section_max, newton_bisect  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -33,172 +35,34 @@ class ThroughputSolution:
     alloc: Allocation
 
 
-class _InnerSolver:
-    """Time split for a fixed tau0, with warm starts across calls.
-
-    Holds per-call scratch so the outer search reuses previous roots.
-    """
-
-    def __init__(self, scen: Scenario):
-        par = scen.params
-        self.scen = scen
-        self.W = par.W
-        self.pc = par.pc
-        self.vs = par.varsigma
-        self.harvest = [par.eta * par.Pmax * u.h for u in scen.users]
-        self.Q = [u.Q for u in scen.users]
-        self.gamma = [u.gamma for u in scen.users]
-        self.Tmax = par.Tmax
-        self.K = scen.K
-        self._warm_u = [1.0] * scen.K
-
-    def _phi(self, u: float, b: float) -> float:
-        # Marginal rate in u-space, divided by W: log2(1+u) - (u+b)/((1+u)ln2).
-        s = 1.0 + u
-        return math.log2(s) - (u + b) / (s * LN2)
-
-    def _phi_prime(self, u: float, b: float) -> float:
-        s = 1.0 + u
-        return (u + b) / (s * s * LN2)
-
-    def _tau_of_lambda(self, lam: float, a: list[float], b: list[float], active: list[int]) -> list[float]:
-        """Per-user times at common marginal lam; capped at full energy drain."""
-        tau = [0.0] * self.K
-        for k in active:
-            target = lam / self.W
-            floor = -b[k] / LN2  # marginal at the p=0 endpoint
-            if target <= floor:
-                tau[k] = a[k] / b[k]  # full drain at zero power: A_k/pc
-                continue
-            bk = b[k]
-            f = lambda u: self._phi(u, bk) - target
-            fp = lambda u: self._phi_prime(u, bk)
-            hi = max(1.0, self._warm_u[k])
-            for _ in range(1100):
-                if self._phi(hi, bk) >= target:
-                    break
-                hi *= 2.0
-            root = newton_bisect(f, fp, 0.0, hi, self._warm_u[k], rtol=1e-14)
-            self._warm_u[k] = root
-            tau[k] = a[k] / (root + bk)
-        return tau
-
-    def solve(self, tau0: float) -> tuple[list[float], float]:
-        """Maximize total rate over the time simplex of size Tmax - tau0."""
-        t_ul = self.Tmax - tau0
-        if t_ul <= 0.0:
-            return [0.0] * self.K, 0.0
-        A = [self.harvest[k] * tau0 + self.Q[k] for k in range(self.K)]
-        a = [A[k] * self.vs * self.gamma[k] for k in range(self.K)]
-        b = [self.pc * self.vs * self.gamma[k] for k in range(self.K)]
-        active = [k for k in range(self.K) if A[k] > 0.0]
-        if not active:
-            return [0.0] * self.K, 0.0
-
-        def total(lam: float) -> tuple[list[float], float]:
-            tau = self._tau_of_lambda(lam, a, b, active)
-            return tau, math.fsum(tau[k] for k in active)
-
-        tau, s0 = total(0.0)
-        if s0 > t_ul:
-            # Time binds: push lambda up until the demand fits.
-            lo, hi = 0.0, 1.0
-            _, s_hi = total(hi)
-            for _ in range(200):
-                if s_hi < t_ul:
-                    break
-                hi *= 2.0
-                _, s_hi = total(hi)
-            for _ in range(200):
-                if hi - lo <= 1e-12 * max(hi, 1e-300):
-                    break
-                mid = 0.5 * (lo + hi)
-                _, s_mid = total(mid)
-                if s_mid > t_ul:
-                    lo = mid
-                else:
-                    hi = mid
-            tau, s_fin = total(hi)
-            if s_fin > 0.0:
-                scale = t_ul / s_fin
-                tau = [t * scale for t in tau]
-        else:
-            caps = math.fsum(A[k] / self.pc for k in active)
-            if caps > t_ul:
-                # Equality reachable with lambda < 0: full drains oversubscribe
-                # the block, so a common negative marginal picks the split.
-                lo = -self.W * max(b[k] for k in active) / LN2
-                hi = 0.0
-                for _ in range(200):
-                    if hi - lo <= 1e-12 * max(abs(lo), 1e-300):
-                        break
-                    mid = 0.5 * (lo + hi)
-                    _, s_mid = total(mid)
-                    if s_mid > t_ul:
-                        lo = mid
-                    else:
-                        hi = mid
-                tau, s_fin = total(0.5 * (lo + hi))
-                if s_fin > 0.0:
-                    scale = t_ul / s_fin
-                    tau = [t * scale for t in tau]
-            # else: even total battery drain cannot fill the block; keep the
-            # lambda = 0 split and leave the remaining time idle.  The outer
-            # tau0 search never lands here at its optimum.
-
-        rate = 0.0
-        for k in active:
-            if tau[k] > 0.0:
-                u = a[k] / tau[k] - b[k]
-                if u > 0.0:
-                    rate += tau[k] * self.W * math.log2(1.0 + u)
-        return tau, rate
-
-
 def inner_time_allocation(tau0: float, scen: Scenario) -> tuple[tuple[float, ...], float]:
     """Optimal uplink time split for a given charging time.
 
     Returns (tau, R(tau0)).  tau0 at or beyond Tmax leaves no uplink
-    time and yields R = 0.
+    time and yields R = 0.  Time the users cannot use profitably stays
+    idle rather than being forced on them.
     """
     if tau0 < 0.0:
         raise ValueError("tau0 must be nonnegative")
-    tau, rate = _InnerSolver(scen).solve(tau0)
-    return tuple(tau), rate
+    par = scen.params
+    if tau0 >= par.Tmax:
+        return (0.0,) * scen.K, 0.0
+    stocked = with_initial_energy(
+        dataclasses.replace(scen, params=dataclasses.replace(par, Tmax=par.Tmax - tau0)),
+        [par.eta * par.Pmax * tau0 * u.h + u.Q for u in scen.users],
+    )
+    pt = _Level(stocked, 0.0, 0.0).uncharged_point()
+    return pt.alloc.tau, pt.B
 
 
 def max_throughput(scen: Scenario) -> ThroughputSolution:
-    """Maximize block throughput over (tau0, tau, p) jointly.
-
-    Golden-section on tau0 over the unimodal value function, then the
-    allocation is assembled with every user's energy fully drained
-    (p_k from the causality equality) and leftover time folded into
-    tau0, so the power, energy, and time constraints all end up tight.
-    """
-    par = scen.params
-    inner = _InnerSolver(scen)
-
-    def value(tau0: float) -> float:
-        return inner.solve(tau0)[1]
-
-    tau0, _, n_eval = golden_section_max(value, 0.0, par.Tmax, tol=1e-9 * par.Tmax)
-    tau_list, _ = inner.solve(tau0)
-
-    slack = par.Tmax - tau0 - math.fsum(tau_list)
-    if slack > 0.0:
-        tau0 += slack  # extra charging never hurts the fixed time split
-
-    p = [0.0] * scen.K
-    for k in range(scen.K):
-        if tau_list[k] > 0.0:
-            A_k = par.eta * par.Pmax * tau0 * scen.users[k].h + scen.users[k].Q
-            p[k] = max(0.0, par.varsigma * (A_k / tau_list[k] - par.pc))
-    alloc = Allocation(P0=par.Pmax, tau0=tau0, p=tuple(p), tau=tuple(tau_list))
-    return ThroughputSolution(R_star=throughput(alloc, scen), alloc=alloc)
+    """Maximize block throughput over (tau0, tau, p) jointly."""
+    pt = _rate_ceiling(scen)
+    return ThroughputSolution(R_star=pt.B, alloc=pt.alloc)
 
 
 def is_feasible(scen: Scenario) -> bool:
     """Whether the required throughput Rmin is attainable at all."""
     if scen.params.Rmin is None:
         raise ValueError("is_feasible needs Rmin set in the system parameters")
-    return max_throughput(scen).R_star >= scen.params.Rmin
+    return _floor_reachable(scen, scen.params.Rmin)

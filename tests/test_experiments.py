@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 from wpcn_ee import (
     MEAN_COLUMNS,
+    MODE_INFEASIBLE,
     MODE_PWPCN,
     MODE_QOS,
     RAW_COLUMNS,
@@ -125,6 +127,12 @@ def test_throughput_report_wraps_the_rate_solver():
     assert rep.throughput == pytest.approx(max_throughput(scen).R_star, rel=1e-12)
     assert rep.ee == pytest.approx(system_ee(rep.alloc, scen), rel=1e-12)
     assert (rep.mode == MODE_PWPCN) == (rep.alloc.tau0 > 0.0)
+
+    r_star = rep.throughput
+    assert throughput_report(with_floor(scen, r_star)).mode == rep.mode
+    short = throughput_report(with_floor(scen, 1.01 * r_star))
+    assert short.mode == MODE_INFEASIBLE
+    assert short.throughput == r_star
 
 
 def test_scheme_expansion_and_dispatch():
@@ -246,3 +254,22 @@ def test_initial_energy_list_parses(tmp_path):
         write_cfg(tmp_path, {"geometry": {"K": 2}, "initial_energy_J": [0.1, 0.2]})
     )
     assert cfg.initial_energy == (0.1, 0.2)
+
+
+def test_readme_config_example_runs(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+    assert len(blocks) == 1
+    path = tmp_path / "readme.json"
+    path.write_text(blocks[0])
+    cfg = load_config(path)
+    cfg = dataclasses.replace(
+        cfg,
+        sweep=dataclasses.replace(cfg.sweep, trials=1),
+        output=str(tmp_path / "readme.csv"),
+    )
+    raw_path, _ = run_sweep(cfg)
+    with open(raw_path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    schemes = expand_schemes(cfg.schemes, cfg.rho_list)
+    assert len(rows) == len(cfg.sweep.values) * len(schemes)

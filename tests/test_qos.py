@@ -10,6 +10,9 @@ from wpcn_ee import (
     MODE_INFEASIBLE,
     MODE_QOS,
     check_constraints,
+    default_geometry,
+    default_system_params,
+    generate_scenario,
     dinkelbach_T,
     f0_wet_gate,
     grid_search_qos,
@@ -301,3 +304,20 @@ def test_floor_sweep_hits_target_through_regimes():
         else:
             assert rep.throughput >= rmin * (1.0 - 1e-9)
         assert rep.ee <= be.ee * (1.0 + 1e-9)
+
+
+def test_boundary_fills_meet_the_floor():
+    # K=10 draws where a schedule member leaves at the gate flip that
+    # brackets the floor; the fill must still land on the floor
+    floors = (50e3, 120e3, 190e3, 220e3, 245e3, 255e3)
+    for seed in (196, 327, 369, 523, 570):
+        base = generate_scenario(default_geometry(K=10, seed=seed), default_system_params())
+        prev_ee = math.inf
+        for rmin in floors:
+            scen = with_floor(base, rmin)
+            rep = solve_qos(scen)
+            assert check_constraints(rep.alloc, scen).feasible, (seed, rmin)
+            if rep.mode != MODE_INFEASIBLE:
+                assert rep.throughput >= rmin * (1.0 - 1e-12)
+            assert rep.ee <= prev_ee * (1.0 + 1e-12)
+            prev_ee = rep.ee

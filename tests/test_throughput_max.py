@@ -1,4 +1,5 @@
-"""Throughput maximization: grid oracles, tightness, unimodality."""
+"""Throughput maximization: grid oracles, tightness, unimodality,
+and perturbation checks of the ceiling."""
 
 import dataclasses
 import math
@@ -8,6 +9,10 @@ import pytest
 
 from wpcn_ee import (
     check_constraints,
+    dbm_to_watts,
+    default_geometry,
+    default_system_params,
+    generate_scenario,
     inner_time_allocation,
     is_feasible,
     max_throughput,
@@ -172,3 +177,55 @@ def test_feasibility_thresholds():
         dataclasses.replace(scen.params, Rmin=0.0), scen.h, scen.gamma
     )
     assert is_feasible(zero)
+
+
+def pinned_20dbm_scenario():
+    # A K=5 draw on which a golden-section search over tau0 lands on the
+    # wrong side of a jump in R(tau0) and reports 31815.39.
+    par = dataclasses.replace(default_system_params(), Pmax=dbm_to_watts(20.0))
+    return generate_scenario(default_geometry(K=5, seed=8704), par)
+
+
+def test_pinned_ceiling_regression():
+    scen = pinned_20dbm_scenario()
+    sol = max_throughput(scen)
+    assert sol.R_star >= 31822.43
+    assert check_constraints(sol.alloc, scen).feasible
+
+
+def test_inner_rate_continuous_and_concave_on_pinned_scenario():
+    scen = pinned_20dbm_scenario()
+    taus = np.linspace(0.84, 0.86, 201)
+    rates = np.array([inner_time_allocation(t, scen)[1] for t in taus])
+    # one step of 1e-4 s moves R by a few bits here; a jump moves it by 1e4
+    assert np.abs(np.diff(rates)).max() <= 1e-3 * rates.max()
+    assert np.diff(rates, 2).max() <= 1e-9 * rates.max()
+
+
+def drained_rate(scen, tau0, tau):
+    """Block throughput when every user spends its whole stock; a slot
+    longer than its stock can power at zero transmit power is cut back."""
+    par = scen.params
+    total = 0.0
+    for k, t in enumerate(tau):
+        stock = par.eta * par.Pmax * tau0 * scen.h[k] + scen.Q[k]
+        t = min(t, stock / par.pc)
+        if t > 0.0:
+            p = par.varsigma * (stock / t - par.pc)
+            total += t * par.W * math.log2(1.0 + p * scen.gamma[k])
+    return total
+
+
+def test_no_perturbation_beats_the_ceiling():
+    rng = np.random.default_rng(8704)
+    for K in range(3, 9):
+        scen = random_scenario(rng, K, q_mode="mixed")
+        par = scen.params
+        sol = max_throughput(scen)
+        x = np.array((sol.alloc.tau0,) + sol.alloc.tau)
+        assert drained_rate(scen, x[0], x[1:]) == pytest.approx(sol.R_star, rel=1e-12)
+        for scale in (1e-1, 1e-3, 1e-5, 1e-7):
+            for _ in range(50):
+                y = np.maximum(0.0, x + scale * par.Tmax * rng.standard_normal(K + 1))
+                y *= min(1.0, par.Tmax / y.sum())
+                assert drained_rate(scen, y[0], y[1:]) <= sol.R_star * (1.0 + 1e-12)
