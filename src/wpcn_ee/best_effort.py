@@ -24,6 +24,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .model import (
     MODE_IELCN,
     MODE_INFEASIBLE,
@@ -36,7 +38,10 @@ from .model import (
     throughput,
     zero_allocation,
 )
-from .user_ee import max_user_ee
+from .user_ee import user_ee_peaks
+
+# Unused here: bound only for the layer spans in perfbench/spans.py.
+from .user_ee import max_user_ee  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -122,21 +127,22 @@ def solve_pwpcn(scen: Scenario) -> SolutionReport:
         )
 
     const = pwpcn_constant(scen)
-    opts = {k: max_user_ee(scen.users[k].gamma, par) for k in cand_users}
-    candidates = [(scen.users[k].h, opts[k].ee_star) for k in cand_users]
+    p_arr, ee_arr = user_ee_peaks([scen.users[k].gamma for k in cand_users], par)
+    p_star = dict(zip(cand_users, p_arr.tolist()))
+    candidates = [(scen.users[k].h, ee) for k, ee in zip(cand_users, ee_arr.tolist())]
     chosen = select_pwpcn_set(candidates, const)
     sched = tuple(cand_users[i] for i in chosen)
     ee_closed = _pwpcn_set_ee(candidates, chosen, const.C)
 
     # Energy-exhausting times: tau_k * (p_star/vs + pc) = eta*Pmax*tau0*h_k,
     # scaled so tau0 + sum tau_k = Tmax.
-    D = {k: opts[k].p_star / par.varsigma + par.pc for k in sched}
+    D = {k: p_star[k] / par.varsigma + par.pc for k in sched}
     ratio = math.fsum(par.eta * par.Pmax * scen.users[k].h / D[k] for k in sched)
     tau0 = par.Tmax / (1.0 + ratio)
     p = [0.0] * scen.K
     tau = [0.0] * scen.K
     for k in sched:
-        p[k] = opts[k].p_star
+        p[k] = p_star[k]
         tau[k] = par.eta * par.Pmax * tau0 * scen.users[k].h / D[k]
     alloc = Allocation(P0=par.Pmax, tau0=tau0, p=tuple(p), tau=tuple(tau))
 
@@ -173,14 +179,16 @@ def solve_ielcn(scen: Scenario) -> SolutionReport:
             iterations={"outer": 0, "candidates": 0},
         )
 
-    opts = {k: max_user_ee(scen.users[k].gamma, par) for k in cand}
-    best = min(cand, key=lambda k: (-opts[k].ee_star, k))
-    pt = opts[best]
-    D = pt.p_star / par.varsigma + par.pc
+    p_arr, ee_arr = user_ee_peaks([scen.users[k].gamma for k in cand], par)
+    # argmax takes the first maximum: ties go to the lower user index
+    i = int(np.argmax(ee_arr))
+    best = cand[i]
+    p_best = float(p_arr[i])
+    D = p_best / par.varsigma + par.pc
     t = min(scen.users[best].Q / D, par.Tmax)
     p = [0.0] * scen.K
     tau = [0.0] * scen.K
-    p[best] = pt.p_star
+    p[best] = p_best
     tau[best] = t
     alloc = Allocation(P0=0.0, tau0=0.0, p=tuple(p), tau=tuple(tau))
     return SolutionReport(

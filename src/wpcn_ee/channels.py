@@ -11,7 +11,7 @@ so ref_gain * d^-alpha is the mean path gain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -42,6 +42,9 @@ class GeometryConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if self.K < 1:
             raise ValueError("K must be at least 1")
         if not 0.0 < self.d_min_m <= self.d_max_m:

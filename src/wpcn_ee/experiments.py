@@ -282,7 +282,9 @@ def baseline_fixed_proportion(scen: Scenario, rho: float) -> SolutionReport:
     harvested energy, and the charging time itself is tuned by a scalar
     golden-section search on the resulting EE.  If the common power
     falls to zero the slots shrink so circuit energy stays within
-    budget.  Defined for fully wireless-powered users only.
+    budget.  Defined for fully wireless-powered users only.  The policy
+    ignores a throughput floor; when its allocation falls short of one,
+    the report's mode is INFEASIBLE.
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0, 1]")
@@ -312,11 +314,15 @@ def baseline_fixed_proportion(scen: Scenario, rho: float) -> SolutionReport:
 
     tau0, _, n_evals = golden_section_max(ee_of, 0.0, par.Tmax, tol=1e-9 * par.Tmax)
     alloc = build(tau0)
-    mode = MODE_PWPCN if alloc.tau0 > 0.0 else MODE_IELCN
+    bits = throughput(alloc, scen)
+    if par.Rmin is not None and not _reaches_floor(bits, par.Rmin):
+        mode = MODE_INFEASIBLE
+    else:
+        mode = MODE_PWPCN if alloc.tau0 > 0.0 else MODE_IELCN
     return SolutionReport(
         alloc=alloc,
         ee=system_ee(alloc, scen),
-        throughput=throughput(alloc, scen),
+        throughput=bits,
         energy=energy_total(alloc, scen),
         scheduled=scheduled_set(alloc),
         mode=mode,

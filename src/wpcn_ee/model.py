@@ -14,7 +14,7 @@ are converted once at configuration time and never enter the solvers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterable
 
 LN2 = math.log(2.0)
@@ -66,6 +66,10 @@ class SystemParams:
     Rmin: float | None = None
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if v is not None and not math.isfinite(v):
+                raise ValueError(f"{f.name} must be finite")
         if self.W <= 0.0:
             raise ValueError("bandwidth must be positive")
         if self.sigma2 <= 0.0:
@@ -104,6 +108,13 @@ class UserChannel:
     gamma: float
 
     def __post_init__(self) -> None:
+        if not (
+            math.isfinite(self.h)
+            and math.isfinite(self.g)
+            and math.isfinite(self.Q)
+            and math.isfinite(self.gamma)
+        ):
+            raise ValueError("channel gains, gamma and initial energy must be finite")
         if self.h <= 0.0 or self.g <= 0.0:
             raise ValueError("channel gains must be positive")
         if self.Q < 0.0:

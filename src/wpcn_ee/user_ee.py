@@ -7,9 +7,17 @@ W*log2(1 + p*gamma) bits/s, so
     ee(p) = W * log2(1 + p*gamma) / (p/varsigma + pc).
 
 ee is strictly quasiconcave on p >= 0 with ee(0) = 0, a unique interior
-maximizer p_star, and decay to zero as p grows.  The maximizer is found
-by bisection on the sign of the stationarity expression, which starts
-positive at p = 0 and is strictly decreasing.
+maximizer p_star, and decay to zero as p grows.  The maximizer has a
+closed form.  With s = 1 + p*gamma and x = gamma*pc*varsigma, setting
+d(ee)/dp = 0 gives
+
+    s * (ln s - 1) = x - 1,
+
+so ln s = 1 + W0((x - 1)/e) on the principal Lambert-W branch (s > 1
+means W > -1), and p_star = expm1(ln s) / gamma.  Near the branch point
+(x -> 0, s -> 1) the argument (x - 1)/e loses x to rounding and W0 has
+a square-root singularity, so there ln s comes from the branch-point
+series in t = sqrt(2x) instead.
 """
 
 from __future__ import annotations
@@ -17,7 +25,29 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import SystemParams
+import numpy as np
+from numpy.typing import ArrayLike
+from scipy.special import lambertw
+
+from .model import LN2, SystemParams
+
+# 1 + W0(z) = sum_n c_n t^n with t = sqrt(2*(1 + e*z)) = sqrt(2x), highest
+# power first for np.polyval (the constant term is zero).  Below
+# _SERIES_BELOW the truncated series is accurate to ~3e-15 relative, where
+# W0 of the rounded argument is off by more.
+_BRANCH_SERIES = (
+    226287557 / 37623398400,
+    -1963 / 204120,
+    680863 / 43545600,
+    -221 / 8505,
+    769 / 17280,
+    -43 / 540,
+    11 / 72,
+    -1 / 3,
+    1.0,
+    0.0,
+)
+_SERIES_BELOW = 1e-3
 
 
 @dataclass(frozen=True)
@@ -38,40 +68,27 @@ def user_ee_at(p: float, gamma: float, params: SystemParams) -> float:
     return rate / (p / params.varsigma + params.pc)
 
 
-def _stationarity(p: float, gamma: float, vs: float, pc: float) -> float:
-    # Proportional to d(ee)/dp: positive left of p_star, negative right of it.
-    s = 1.0 + p * gamma
-    return gamma * (p / vs + pc) / s - math.log(s) / vs
+def user_ee_peaks(gamma: ArrayLike, params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
+    """EE-optimal powers and peak efficiencies for a vector of gammas.
 
-
-def max_user_ee(gamma: float, params: SystemParams, p_tol: float = 1e-12, max_iter: int = 200) -> UserEEPoint:
-    """Locate the unique maximizer of ee by bisection on its derivative sign.
-
-    The bracket upper end doubles from 1 W until the derivative goes
-    negative; the sign function is strictly decreasing so the root is
-    unique.  p_tol is absolute in watts.
+    Returns (p_star, ee_star) as 1-D float arrays, one entry per gamma.
+    Every gamma must be positive and finite.
     """
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
-    vs = params.varsigma
-    pc = params.pc
+    g = np.array(gamma, dtype=float, ndmin=1)
+    if not np.all(np.isfinite(g) & (g > 0.0)):
+        raise ValueError("gamma must be positive and finite")
+    x = g * (params.pc * params.varsigma)
+    log_s = 1.0 + lambertw((x - 1.0) / math.e, 0).real
+    small = x < _SERIES_BELOW
+    if small.any():
+        t = np.sqrt(2.0 * x[small])
+        log_s[small] = np.polyval(_BRANCH_SERIES, t)
+    p = np.expm1(log_s) / g
+    ee = params.W * log_s / (LN2 * (p / params.varsigma + params.pc))
+    return p, ee
 
-    hi = 1.0
-    for _ in range(1100):
-        if _stationarity(hi, gamma, vs, pc) < 0.0:
-            break
-        hi *= 2.0
-    else:  # pragma: no cover - the sign function always goes negative
-        raise RuntimeError("failed to bracket the per-user EE maximizer")
 
-    lo = 0.0
-    for _ in range(max_iter):
-        if hi - lo <= p_tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if _stationarity(mid, gamma, vs, pc) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    p_star = 0.5 * (lo + hi)
-    return UserEEPoint(p_star=p_star, ee_star=user_ee_at(p_star, gamma, params))
+def max_user_ee(gamma: float, params: SystemParams) -> UserEEPoint:
+    """The unique maximizer of ee and its value; see user_ee_peaks."""
+    p, ee = user_ee_peaks((gamma,), params)
+    return UserEEPoint(p_star=float(p[0]), ee_star=float(ee[0]))

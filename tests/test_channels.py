@@ -95,3 +95,7 @@ def test_geometry_validation():
         GeometryConfig(K=2, d_max_m=400.0, d_rx_m=300.0)
     with pytest.raises(ValueError):
         GeometryConfig(K=2, ref_gain=0.0)
+    for name in ("d_min_m", "d_max_m", "d_rx_m", "alpha", "rician_K_dB", "ref_gain"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=name):
+                GeometryConfig(K=2, **{name: bad})

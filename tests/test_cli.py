@@ -72,6 +72,9 @@ def test_config_errors_exit_one(tmp_path, capsys):
     assert main(["solve-best-effort", "--config", bad]) == 1
     assert "configuration error" in capsys.readouterr().err
     assert main(["solve-best-effort", "--config", str(tmp_path / "missing.json")]) == 1
+    not_a_power = cfg_file(tmp_path, {"system": {"Pmax_dBm": "nan"}}, "nan.json")
+    assert main(["solve-best-effort", "--config", not_a_power]) == 1
+    assert "Pmax must be finite" in capsys.readouterr().err
 
 
 def test_output_files_are_reproducible(tmp_path):

@@ -120,6 +120,34 @@ def test_fixed_proportion_edge_cases():
         baseline_fixed_proportion(charged, 1.0)
 
 
+def test_fixed_proportion_reports_a_missed_floor_as_infeasible(tmp_path):
+    rng = np.random.default_rng(229)
+    scen = random_scenario(rng, 3, q_mode="zero")
+    free = baseline_fixed_proportion(scen, 0.5)
+    met = baseline_fixed_proportion(with_floor(scen, free.throughput), 0.5)
+    assert met.mode == free.mode and met.alloc == free.alloc
+    missed = baseline_fixed_proportion(with_floor(scen, 2.0 * free.throughput), 0.5)
+    assert missed.mode == MODE_INFEASIBLE
+    assert missed.alloc == free.alloc and missed.throughput == free.throughput
+
+    # a floor above every scheme's reach: the sweep runs to the end
+    # with every row infeasible instead of aborting on the baseline
+    payload = {
+        "system": {"Pmax_dBm": 30, "Rmin_bits": 5e6},
+        "geometry": {"K": 3},
+        "sweep": {"axis": "Pmax_dBm", "values": [30], "trials": 2, "base_seed": 0},
+        "schemes": ["ee_optimal", "fixed_proportion"],
+        "rho_list": [0.5],
+        "output": str(tmp_path / "floor.csv"),
+    }
+    raw_path, mean_path = run_sweep(load_config(write_cfg(tmp_path, payload)))
+    _, rows = read_csv(raw_path)
+    assert len(rows) == 4
+    assert all(r[4] == MODE_INFEASIBLE and r[11] == "0" for r in rows)
+    _, m_rows = read_csv(mean_path)
+    assert [r[4] for r in m_rows] == ["2", "2"]
+
+
 def test_throughput_report_wraps_the_rate_solver():
     rng = np.random.default_rng(227)
     scen = random_scenario(rng, 3, q_mode="mixed")
@@ -273,3 +301,16 @@ def test_readme_config_example_runs(tmp_path):
         rows = list(csv.DictReader(fh))
     schemes = expand_schemes(cfg.schemes, cfg.rho_list)
     assert len(rows) == len(cfg.sweep.values) * len(schemes)
+
+
+def test_readme_quick_start_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    namespace: dict = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    best, qos, ceiling = namespace["best"], namespace["qos"], namespace["ceiling"]
+    assert qos.mode == MODE_QOS
+    assert qos.throughput >= 0.8 * ceiling * (1.0 - 1e-9)
+    assert qos.ee <= best.ee * (1.0 + 1e-9)
+    assert len(capsys.readouterr().out.strip().splitlines()) == 2

@@ -48,6 +48,26 @@ def test_params_validation():
     with pytest.raises(ValueError):
         stock_params(Rmin=-1.0)
     assert stock_params(Rmin=0.0).Rmin == 0.0
+    for name in ("W", "sigma2", "eta", "Pc", "pc", "Pmax", "Tmax", "Rmin"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=name):
+                stock_params(**{name: bad})
+
+
+def test_non_finite_channels_and_batteries_rejected():
+    par = stock_params()
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            scenario_from_values(par, [0.01, bad], [1.0, 2.0])
+        with pytest.raises(ValueError):
+            scenario_from_values(par, [0.01, 0.02], [bad, 2.0])
+        with pytest.raises(ValueError):
+            UserChannel(h=0.01, g=bad, Q=0.0, gamma=1.0)
+        scen = scenario_from_values(par, [0.01, 0.02], [1.0, 2.0])
+        with pytest.raises(ValueError):
+            with_initial_energy(scen, [0.1, bad])
+        with pytest.raises(ValueError):
+            with_initial_energy(scen, bad)
 
 
 def test_gamma_consistency_enforced():
