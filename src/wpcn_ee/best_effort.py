@@ -15,13 +15,15 @@ harvest is spent, the system EE of a set S is
 
 where C bundles the fixed overheads (circuit power, amplifier loss,
 re-harvested fraction) and ee_k is the user's standalone optimum.  The
-best S is found greedily on descending ee_k.
+best S is found greedily on descending ee_k.  The closed form only
+decides admission: like every report, the branch's reported EE is the
+bits over the joules of its allocation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -33,9 +35,7 @@ from .model import (
     Allocation,
     Scenario,
     SolutionReport,
-    energy_total,
-    system_ee,
-    throughput,
+    _report,
     zero_allocation,
 )
 from .user_ee import user_ee_peaks
@@ -96,14 +96,6 @@ def select_pwpcn_set(
     return tuple(sorted(taken))
 
 
-def _pwpcn_set_ee(
-    candidates: Sequence[tuple[float, float]], idx: Sequence[int], c_val: float
-) -> float:
-    num = math.fsum(candidates[i][0] * candidates[i][1] for i in idx)
-    den = c_val + math.fsum(candidates[i][0] for i in idx)
-    return num / den
-
-
 def solve_pwpcn(scen: Scenario) -> SolutionReport:
     """Closed-form optimum over the zero-battery users.
 
@@ -116,15 +108,7 @@ def solve_pwpcn(scen: Scenario) -> SolutionReport:
     par = scen.params
     cand_users = [k for k in range(scen.K) if scen.users[k].Q == 0.0]
     if not cand_users:
-        return SolutionReport(
-            alloc=zero_allocation(scen.K),
-            ee=0.0,
-            throughput=0.0,
-            energy=0.0,
-            scheduled=(),
-            mode=MODE_INFEASIBLE,
-            iterations={"outer": 0, "candidates": 0},
-        )
+        return _report(zero_allocation(scen.K), scen, MODE_INFEASIBLE, {"outer": 0, "candidates": 0})
 
     const = pwpcn_constant(scen)
     p_arr, ee_arr = user_ee_peaks([scen.users[k].gamma for k in cand_users], par)
@@ -132,7 +116,6 @@ def solve_pwpcn(scen: Scenario) -> SolutionReport:
     candidates = [(scen.users[k].h, ee) for k, ee in zip(cand_users, ee_arr.tolist())]
     chosen = select_pwpcn_set(candidates, const)
     sched = tuple(cand_users[i] for i in chosen)
-    ee_closed = _pwpcn_set_ee(candidates, chosen, const.C)
 
     # Energy-exhausting times: tau_k * (p_star/vs + pc) = eta*Pmax*tau0*h_k,
     # scaled so tau0 + sum tau_k = Tmax.
@@ -145,16 +128,8 @@ def solve_pwpcn(scen: Scenario) -> SolutionReport:
         p[k] = p_star[k]
         tau[k] = par.eta * par.Pmax * tau0 * scen.users[k].h / D[k]
     alloc = Allocation(P0=par.Pmax, tau0=tau0, p=tuple(p), tau=tuple(tau))
-
-    return SolutionReport(
-        alloc=alloc,
-        ee=ee_closed,
-        throughput=throughput(alloc, scen),
-        energy=energy_total(alloc, scen),
-        scheduled=sched,
-        mode=MODE_PWPCN,
-        iterations={"outer": 1, "candidates": len(cand_users), "scheduled": len(sched)},
-    )
+    iterations = {"outer": 1, "candidates": len(cand_users), "scheduled": len(sched)}
+    return _report(alloc, scen, MODE_PWPCN, iterations)
 
 
 def solve_ielcn(scen: Scenario) -> SolutionReport:
@@ -169,15 +144,7 @@ def solve_ielcn(scen: Scenario) -> SolutionReport:
     par = scen.params
     cand = [k for k in range(scen.K) if scen.users[k].Q > 0.0]
     if not cand:
-        return SolutionReport(
-            alloc=zero_allocation(scen.K),
-            ee=0.0,
-            throughput=0.0,
-            energy=0.0,
-            scheduled=(),
-            mode=MODE_INFEASIBLE,
-            iterations={"outer": 0, "candidates": 0},
-        )
+        return _report(zero_allocation(scen.K), scen, MODE_INFEASIBLE, {"outer": 0, "candidates": 0})
 
     p_arr, ee_arr = user_ee_peaks([scen.users[k].gamma for k in cand], par)
     # argmax takes the first maximum: ties go to the lower user index
@@ -191,15 +158,7 @@ def solve_ielcn(scen: Scenario) -> SolutionReport:
     p[best] = p_best
     tau[best] = t
     alloc = Allocation(P0=0.0, tau0=0.0, p=tuple(p), tau=tuple(tau))
-    return SolutionReport(
-        alloc=alloc,
-        ee=system_ee(alloc, scen),
-        throughput=throughput(alloc, scen),
-        energy=energy_total(alloc, scen),
-        scheduled=(best,),
-        mode=MODE_IELCN,
-        iterations={"outer": 1, "candidates": len(cand)},
-    )
+    return _report(alloc, scen, MODE_IELCN, {"outer": 1, "candidates": len(cand)})
 
 
 def solve_best_effort(scen: Scenario) -> SolutionReport:
@@ -209,15 +168,7 @@ def solve_best_effort(scen: Scenario) -> SolutionReport:
     if a.mode == MODE_INFEASIBLE and b.mode == MODE_INFEASIBLE:
         raise AssertionError("unreachable: every user is in exactly one branch")
     winner = a if a.ee >= b.ee and a.mode != MODE_INFEASIBLE else b
-    extra = dict(winner.iterations)
-    extra["pwpcn_branch_ee"] = a.ee
-    extra["ielcn_branch_ee"] = b.ee
-    return SolutionReport(
-        alloc=winner.alloc,
-        ee=winner.ee,
-        throughput=winner.throughput,
-        energy=winner.energy,
-        scheduled=winner.scheduled,
-        mode=winner.mode,
-        iterations=extra,
+    return replace(
+        winner,
+        iterations={**winner.iterations, "pwpcn_branch_ee": a.ee, "ielcn_branch_ee": b.ee},
     )

@@ -18,8 +18,7 @@ from .experiments import (
     RAW_COLUMNS,
     ExperimentConfig,
     _draw_scenario,
-    default_geometry,
-    default_system_params,
+    _parse_config,
     load_config,
     report_convergence,
     report_to_row,
@@ -28,7 +27,7 @@ from .experiments import (
     write_rows,
 )
 from .model import MODE_INFEASIBLE
-from .oracle import GridSpec, grid_search_best_effort, grid_search_qos
+from .oracle import grid_search_best_effort, grid_search_qos
 from .qos import solve_qos
 
 _USAGE_EXIT = 1
@@ -72,19 +71,7 @@ def _build_parser() -> _Parser:
 
 
 def _config_from(args) -> ExperimentConfig:
-    if args.config is not None:
-        cfg = load_config(args.config)
-    else:
-        cfg = ExperimentConfig(
-            params=default_system_params(),
-            geometry=default_geometry(),
-            initial_energy=0.0,
-            sweep=None,
-            schemes=("ee_optimal",),
-            rho_list=(1.0,),
-            grid=GridSpec(),
-            output="results.csv",
-        )
+    cfg = _parse_config({}) if args.config is None else load_config(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(
             cfg, geometry=dataclasses.replace(cfg.geometry, seed=args.seed)

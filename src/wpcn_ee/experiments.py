@@ -29,13 +29,11 @@ from .model import (
     Scenario,
     SolutionReport,
     SystemParams,
+    _report,
     check_constraints,
     db_to_linear,
     dbm_to_watts,
-    scheduled_set,
     system_ee,
-    throughput,
-    energy_total,
     with_initial_energy,
     zero_allocation,
 )
@@ -96,16 +94,7 @@ def default_system_params(Rmin: float | None = None) -> SystemParams:
 def default_geometry(K: int = 5, seed: int = 0) -> GeometryConfig:
     """Stock deployment: users on 2-15 m from the station, receiver at
     300 m, pathloss exponent 2.8, 7 dB Rician downlink."""
-    return GeometryConfig(
-        K=K,
-        d_min_m=2.0,
-        d_max_m=15.0,
-        d_rx_m=300.0,
-        alpha=2.8,
-        rician_K_dB=7.0,
-        ref_gain=1.0,
-        seed=seed,
-    )
+    return GeometryConfig(K=K, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -148,24 +137,67 @@ class ExperimentConfig:
                 raise ValueError("rho values must lie in [0, 1]")
 
 
-def _take(block: dict, key: str, default):
-    return block[key] if key in block else default
+def _optional_float(v) -> float | None:
+    return None if v is None else float(v)
 
 
-def _check_keys(block: dict, allowed: set[str], where: str) -> None:
-    extra = set(block) - allowed
+# JSON key -> (dataclass field, conversion), one table per block.  The
+# dB/dBm fields are converted to linear units here and nowhere else.
+_SYSTEM_KEYS = {
+    "bandwidth_Hz": ("W", float),
+    "noise_dBm": ("sigma2", lambda v: dbm_to_watts(float(v))),
+    "snr_gap_dB": ("Gamma", lambda v: db_to_linear(float(v))),
+    "eta": ("eta", float),
+    "xi": ("xi", float),
+    "varsigma": ("varsigma", float),
+    "Pc_W": ("Pc", float),
+    "pc_W": ("pc", float),
+    "Pmax_dBm": ("Pmax", lambda v: dbm_to_watts(float(v))),
+    "Tmax_s": ("Tmax", float),
+    "Rmin_bits": ("Rmin", _optional_float),
+}
+_GEOMETRY_KEYS = {
+    "K": ("K", int),
+    "d_min_m": ("d_min_m", float),
+    "d_max_m": ("d_max_m", float),
+    "d_rx_m": ("d_rx_m", float),
+    "alpha": ("alpha", float),
+    "rician_K_dB": ("rician_K_dB", float),
+    "ref_gain": ("ref_gain", float),
+    "seed": ("seed", int),
+}
+_GRID_KEYS = {
+    "n_tau": ("n_tau", int),
+    "n_p": ("n_p", int),
+    "p_max_search": ("p_max_search", _optional_float),
+}
+
+
+def _check_keys(block: dict, allowed: Iterable[str], where: str) -> None:
+    extra = set(block).difference(allowed)
     if extra:
         raise ValueError(f"unknown keys {sorted(extra)} in {where!r} block")
+
+
+def _overrides(raw: dict, where: str, table: dict) -> dict:
+    """Dataclass field overrides from one JSON block, through its key table."""
+    block = raw.get(where, {})
+    _check_keys(block, table, where)
+    return {table[key][0]: table[key][1](value) for key, value in block.items()}
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse a JSON experiment configuration.
 
-    dBm/dB fields (noise_dBm, snr_gap_dB, Pmax_dBm) are converted to
-    linear units here and nowhere else.  Unknown keys are rejected so
-    misspelled fields fail loudly instead of silently using defaults.
+    Every key is optional and overrides a stock default.  Unknown keys
+    are rejected so misspelled fields fail loudly instead of silently
+    using defaults.
     """
-    raw = json.loads(Path(path).read_text())
+    return _parse_config(json.loads(Path(path).read_text()))
+
+
+def _parse_config(raw) -> ExperimentConfig:
+    """Resolve a decoded JSON configuration against the stock defaults."""
     if not isinstance(raw, dict):
         raise ValueError("configuration must be a JSON object")
     _check_keys(
@@ -173,56 +205,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
         {"system", "geometry", "initial_energy_J", "sweep", "schemes", "rho_list", "grid", "output"},
         "top-level",
     )
-
-    sys_blk = raw.get("system", {})
-    _check_keys(
-        sys_blk,
-        {
-            "bandwidth_Hz",
-            "noise_dBm",
-            "snr_gap_dB",
-            "eta",
-            "xi",
-            "varsigma",
-            "Pc_W",
-            "pc_W",
-            "Pmax_dBm",
-            "Tmax_s",
-            "Rmin_bits",
-        },
-        "system",
-    )
-    rmin = _take(sys_blk, "Rmin_bits", None)
-    params = SystemParams(
-        W=float(_take(sys_blk, "bandwidth_Hz", 20e3)),
-        sigma2=dbm_to_watts(float(_take(sys_blk, "noise_dBm", -110.0))),
-        Gamma=db_to_linear(float(_take(sys_blk, "snr_gap_dB", 0.0))),
-        eta=float(_take(sys_blk, "eta", 0.9)),
-        xi=float(_take(sys_blk, "xi", 1.0)),
-        varsigma=float(_take(sys_blk, "varsigma", 1.0)),
-        Pc=float(_take(sys_blk, "Pc_W", 0.5)),
-        pc=float(_take(sys_blk, "pc_W", 5e-3)),
-        Pmax=dbm_to_watts(float(_take(sys_blk, "Pmax_dBm", 43.0))),
-        Tmax=float(_take(sys_blk, "Tmax_s", 1.0)),
-        Rmin=None if rmin is None else float(rmin),
-    )
-
-    geo_blk = raw.get("geometry", {})
-    _check_keys(
-        geo_blk,
-        {"K", "d_min_m", "d_max_m", "d_rx_m", "alpha", "rician_K_dB", "ref_gain", "seed"},
-        "geometry",
-    )
-    geometry = GeometryConfig(
-        K=int(_take(geo_blk, "K", 5)),
-        d_min_m=float(_take(geo_blk, "d_min_m", 2.0)),
-        d_max_m=float(_take(geo_blk, "d_max_m", 15.0)),
-        d_rx_m=float(_take(geo_blk, "d_rx_m", 300.0)),
-        alpha=float(_take(geo_blk, "alpha", 2.8)),
-        rician_K_dB=float(_take(geo_blk, "rician_K_dB", 7.0)),
-        ref_gain=float(_take(geo_blk, "ref_gain", 1.0)),
-        seed=int(_take(geo_blk, "seed", 0)),
-    )
+    params = dataclasses.replace(default_system_params(), **_overrides(raw, "system", _SYSTEM_KEYS))
+    geometry = dataclasses.replace(default_geometry(), **_overrides(raw, "geometry", _GEOMETRY_KEYS))
 
     energy = raw.get("initial_energy_J", 0.0)
     if isinstance(energy, list):
@@ -242,7 +226,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
             values = tuple(float(v) for v in blk["values"])
         else:
             start, stop = float(blk["start"]), float(blk["stop"])
-            step = float(_take(blk, "step", 1.0))
+            step = float(blk.get("step", 1.0))
             if step <= 0.0:
                 raise ValueError("sweep step must be positive")
             n = int(math.floor((stop - start) / step + 1e-9)) + 1
@@ -250,17 +234,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
         sweep = SweepSpec(
             axis=str(blk["axis"]),
             values=values,
-            trials=int(_take(blk, "trials", 1)),
-            base_seed=int(_take(blk, "base_seed", 0)),
+            trials=int(blk.get("trials", 1)),
+            base_seed=int(blk.get("base_seed", 0)),
         )
-
-    grid_blk = raw.get("grid", {})
-    _check_keys(grid_blk, {"n_tau", "n_p", "p_max_search"}, "grid")
-    grid = GridSpec(
-        n_tau=int(_take(grid_blk, "n_tau", 40)),
-        n_p=int(_take(grid_blk, "n_p", 25)),
-        p_max_search=grid_blk.get("p_max_search"),
-    )
 
     return ExperimentConfig(
         params=params,
@@ -269,7 +245,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         sweep=sweep,
         schemes=tuple(raw.get("schemes", ["ee_optimal"])),
         rho_list=tuple(float(r) for r in raw.get("rho_list", [1.0])),
-        grid=grid,
+        grid=GridSpec(**_overrides(raw, "grid", _GRID_KEYS)),
         output=str(raw.get("output", "results.csv")),
     )
 
@@ -313,21 +289,7 @@ def baseline_fixed_proportion(scen: Scenario, rho: float) -> SolutionReport:
         return system_ee(build(tau0), scen)
 
     tau0, _, n_evals = golden_section_max(ee_of, 0.0, par.Tmax, tol=1e-9 * par.Tmax)
-    alloc = build(tau0)
-    bits = throughput(alloc, scen)
-    if par.Rmin is not None and not _reaches_floor(bits, par.Rmin):
-        mode = MODE_INFEASIBLE
-    else:
-        mode = MODE_PWPCN if alloc.tau0 > 0.0 else MODE_IELCN
-    return SolutionReport(
-        alloc=alloc,
-        ee=system_ee(alloc, scen),
-        throughput=bits,
-        energy=energy_total(alloc, scen),
-        scheduled=scheduled_set(alloc),
-        mode=mode,
-        iterations={"outer": n_evals},
-    )
+    return _floor_blind_report(build(tau0), scen, {"outer": n_evals})
 
 
 def throughput_report(scen: Scenario) -> SolutionReport:
@@ -336,22 +298,17 @@ def throughput_report(scen: Scenario) -> SolutionReport:
     When the scenario sets a floor above the ceiling R*, the report
     keeps the allocation and R* but its mode is INFEASIBLE.
     """
-    ts = max_throughput(scen)
-    alloc = ts.alloc
+    return _floor_blind_report(max_throughput(scen).alloc, scen, {"outer": 1})
+
+
+def _floor_blind_report(alloc: Allocation, scen: Scenario, iterations: dict) -> SolutionReport:
+    """Report an allocation chosen without regard to the floor: PWPCN or
+    IELCN by its charging slot, INFEASIBLE when it misses the floor."""
+    rep = _report(alloc, scen, MODE_PWPCN if alloc.tau0 > 0.0 else MODE_IELCN, iterations)
     rmin = scen.params.Rmin
-    if rmin is not None and not _reaches_floor(ts.R_star, rmin):
-        mode = MODE_INFEASIBLE
-    else:
-        mode = MODE_PWPCN if alloc.tau0 > 0.0 else MODE_IELCN
-    return SolutionReport(
-        alloc=alloc,
-        ee=system_ee(alloc, scen),
-        throughput=ts.R_star,
-        energy=energy_total(alloc, scen),
-        scheduled=scheduled_set(alloc),
-        mode=mode,
-        iterations={"outer": 1},
-    )
+    if rmin is not None and not _reaches_floor(rep.throughput, rmin):
+        return dataclasses.replace(rep, mode=MODE_INFEASIBLE)
+    return rep
 
 
 def expand_schemes(schemes: Sequence[str], rho_list: Sequence[float]) -> tuple[str, ...]:

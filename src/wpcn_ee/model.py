@@ -178,6 +178,16 @@ class Scenario:
         return 1.0 / self.params.xi - self.harvest_sum
 
 
+def _battery_vector(Q: Iterable[float] | float, K: int) -> tuple[float, ...]:
+    """One initial charge per user from a scalar (shared) or a length-K sequence."""
+    if isinstance(Q, (int, float)):
+        return (float(Q),) * K
+    qs = tuple(float(x) for x in Q)
+    if len(qs) != K:
+        raise ValueError("Q must be scalar or match the user count")
+    return qs
+
+
 def scenario_from_values(
     params: SystemParams,
     h: Iterable[float],
@@ -194,12 +204,7 @@ def scenario_from_values(
     gs = tuple(float(x) for x in gamma)
     if len(hs) != len(gs):
         raise ValueError("h and gamma must have equal length")
-    if isinstance(Q, (int, float)):
-        qs = (float(Q),) * len(hs)
-    else:
-        qs = tuple(float(x) for x in Q)
-        if len(qs) != len(hs):
-            raise ValueError("Q must be scalar or match the user count")
+    qs = _battery_vector(Q, len(hs))
     denom = params.Gamma * params.sigma2
     users = tuple(
         UserChannel(h=hi, g=gi * denom, Q=qi, gamma=gi) for hi, gi, qi in zip(hs, gs, qs)
@@ -209,12 +214,7 @@ def scenario_from_values(
 
 def with_initial_energy(scen: Scenario, Q: Iterable[float] | float) -> Scenario:
     """Return a copy of the scenario with the battery vector replaced."""
-    if isinstance(Q, (int, float)):
-        qs = (float(Q),) * scen.K
-    else:
-        qs = tuple(float(x) for x in Q)
-        if len(qs) != scen.K:
-            raise ValueError("Q must be scalar or match the user count")
+    qs = _battery_vector(Q, scen.K)
     users = tuple(replace(u, Q=q) for u, q in zip(scen.users, qs))
     return Scenario(params=scen.params, users=users)
 
@@ -325,6 +325,22 @@ def system_ee(alloc: Allocation, scen: Scenario) -> float:
     if b == 0.0:
         return 0.0
     return b / energy_total(alloc, scen)
+
+
+def _report(alloc: Allocation, scen: Scenario, mode: str, iterations: dict) -> SolutionReport:
+    """The report of an allocation: bits, joules, EE and schedule all come
+    from the accounting above, so every solver's figures mean the same."""
+    bits = throughput(alloc, scen)
+    joules = energy_total(alloc, scen)
+    return SolutionReport(
+        alloc=alloc,
+        ee=bits / joules if bits != 0.0 else 0.0,
+        throughput=bits,
+        energy=joules,
+        scheduled=scheduled_set(alloc),
+        mode=mode,
+        iterations=iterations,
+    )
 
 
 @dataclass(frozen=True)

@@ -25,9 +25,7 @@ from .model import (
     Allocation,
     Scenario,
     SolutionReport,
-    energy_total,
-    scheduled_set,
-    throughput,
+    _report,
     zero_allocation,
 )
 from .user_ee import max_user_ee
@@ -196,15 +194,8 @@ def _assemble(
     t_axis, p_axes, best_ee, best_idx = _sweep(scen, grid, P0, rmin)
 
     if best_idx is None:
-        return SolutionReport(
-            alloc=zero_allocation(scen.K),
-            ee=0.0,
-            throughput=0.0,
-            energy=0.0,
-            scheduled=(),
-            mode=MODE_INFEASIBLE,
-            iterations={"outer": 1, "grid_points": n_points},
-        )
+        iterations = {"outer": 1, "grid_points": n_points}
+        return _report(zero_allocation(scen.K), scen, MODE_INFEASIBLE, iterations)
 
     K = scen.K
     tau0 = float(t_axis[best_idx[0]])
@@ -219,19 +210,8 @@ def _assemble(
         mode = MODE_PWPCN if tau0 > 0.0 else MODE_IELCN
     else:
         mode = mode_hint
-    return SolutionReport(
-        alloc=alloc,
-        ee=best_ee,
-        throughput=throughput(alloc, scen),
-        energy=energy_total(alloc, scen),
-        scheduled=scheduled_set(alloc),
-        mode=mode,
-        iterations={
-            "outer": 1,
-            "grid_points": n_points,
-            "resolution_bound_ee": bound,
-        },
-    )
+    iterations = {"outer": 1, "grid_points": n_points, "resolution_bound_ee": bound}
+    return _report(alloc, scen, mode, iterations)
 
 
 def grid_search_best_effort(

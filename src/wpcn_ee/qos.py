@@ -44,8 +44,8 @@ from .model import (
     Scenario,
     SolutionReport,
     SystemParams,
+    _report,
     energy_total,
-    scheduled_set,
     throughput,
     zero_allocation,
 )
@@ -467,6 +467,10 @@ def _solve_q(
                 f"q={q!r} delta={hi_pt.delta!r} mu={hi_pt.mu!r}"
             )
         hi_pt = _Level(scen, q, hi_t).point()
+    if hi_pt.B < rmin:
+        # A floor within the slack of the rate ceiling: hi meets it only
+        # up to _REL_B, so there is no sign change for brentq to bracket.
+        return hi_pt, hi_t, 0
 
     cache: dict[float, _Point] = {lo_t: lo_pt, hi_t: hi_pt}
 
@@ -536,15 +540,7 @@ def solve_qos_detailed(
     if rmin is None:
         raise ValueError("solve_qos needs Rmin; use solve_best_effort without a floor")
     if not _floor_reachable(scen, rmin):
-        report = SolutionReport(
-            alloc=zero_allocation(scen.K),
-            ee=0.0,
-            throughput=0.0,
-            energy=0.0,
-            scheduled=(),
-            mode=MODE_INFEASIBLE,
-            iterations={"outer": 0},
-        )
+        report = _report(zero_allocation(scen.K), scen, MODE_INFEASIBLE, {"outer": 0})
         return report, DualState(q=0.0, vartheta=0.0, delta=0.0, mu=(0.0,) * scen.K), []
 
     q = 0.0
@@ -568,16 +564,7 @@ def solve_qos_detailed(
         # T exactly 0; the previous iterate is the supporting maximizer and
         # its ratio equals the converged q.
         pt, theta = prev
-    ee = pt.B / pt.E if pt.E > 0.0 else 0.0
-    report = SolutionReport(
-        alloc=pt.alloc,
-        ee=ee,
-        throughput=pt.B,
-        energy=pt.E,
-        scheduled=scheduled_set(pt.alloc),
-        mode=MODE_QOS,
-        iterations={"outer": len(trace), "fills": fills_total},
-    )
+    report = _report(pt.alloc, scen, MODE_QOS, {"outer": len(trace), "fills": fills_total})
     duals = DualState(q=q, vartheta=theta, delta=pt.delta, mu=pt.mu)
     return report, duals, trace
 

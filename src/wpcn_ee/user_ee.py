@@ -60,10 +60,10 @@ class UserEEPoint:
 
 def user_ee_at(p: float, gamma: float, params: SystemParams) -> float:
     """Energy efficiency in bits/J at transmit power p >= 0."""
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
-    if p < 0.0:
-        raise ValueError("p must be nonnegative")
+    if not (math.isfinite(gamma) and gamma > 0.0):
+        raise ValueError("gamma must be positive and finite")
+    if not (math.isfinite(p) and p >= 0.0):
+        raise ValueError("p must be nonnegative and finite")
     rate = params.W * math.log2(1.0 + p * gamma)
     return rate / (p / params.varsigma + params.pc)
 

@@ -195,6 +195,19 @@ def test_binding_floor_lands_on_it():
     assert hits >= 5
 
 
+def test_floor_at_the_rate_ceiling_is_met():
+    # once q > 0 the floor multiplier's bracket only reaches R* within
+    # the 1e-12 slack, so the floor search has no sign change to find
+    rng = np.random.default_rng(109)
+    scens = [scenario_from_values(stock_params(Pmax=0.1), [1.0], [1.0])]
+    scens += [random_scenario(rng, 3, q_mode=m) for m in ("zero", "mixed", "positive")]
+    for scen in scens:
+        tight = with_floor(scen, max_throughput(scen).R_star)
+        rep = solve_qos(tight)
+        assert rep.mode == MODE_QOS
+        assert check_constraints(rep.alloc, tight).feasible
+
+
 def test_dinkelbach_trace_monotone():
     rng = np.random.default_rng(101)
     for _ in range(8):

@@ -128,6 +128,11 @@ def test_edge_cases():
         user_ee_at(-1.0, 5.0, par)
     with pytest.raises(ValueError):
         user_ee_at(1.0, 0.0, par)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            user_ee_at(bad, 5.0, par)
+        with pytest.raises(ValueError):
+            user_ee_at(1.0, bad, par)
     for bad in (-2.0, 0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             max_user_ee(bad, par)
