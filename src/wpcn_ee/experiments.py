@@ -29,6 +29,7 @@ from .model import (
     Scenario,
     SolutionReport,
     SystemParams,
+    _battery_vector,
     _report,
     check_constraints,
     db_to_linear,
@@ -179,9 +180,25 @@ def _check_keys(block: dict, allowed: Iterable[str], where: str) -> None:
         raise ValueError(f"unknown keys {sorted(extra)} in {where!r} block")
 
 
+def _block(raw: dict, where: str) -> dict:
+    """One nested JSON block; a block of another JSON type is an error."""
+    block = raw.get(where, {})
+    if not isinstance(block, dict):
+        raise ValueError(f"{where!r} block must be a JSON object")
+    return block
+
+
+def _list(block: dict, key: str, default: list) -> list:
+    """One JSON list entry; a scalar or an object in its place is an error."""
+    value = block.get(key, default)
+    if not isinstance(value, list):
+        raise ValueError(f"{key!r} must be a JSON list")
+    return value
+
+
 def _overrides(raw: dict, where: str, table: dict) -> dict:
     """Dataclass field overrides from one JSON block, through its key table."""
-    block = raw.get(where, {})
+    block = _block(raw, where)
     _check_keys(block, table, where)
     return {table[key][0]: table[key][1](value) for key, value in block.items()}
 
@@ -191,9 +208,14 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
     Every key is optional and overrides a stock default.  Unknown keys
     are rejected so misspelled fields fail loudly instead of silently
-    using defaults.
+    using defaults, and a value of the wrong JSON type, such as null for
+    a number, raises ValueError as a bad value does.
     """
-    return _parse_config(json.loads(Path(path).read_text()))
+    raw = json.loads(Path(path).read_text())
+    try:
+        return _parse_config(raw)
+    except TypeError as exc:
+        raise ValueError(f"wrong JSON type in configuration: {exc}") from exc
 
 
 def _parse_config(raw) -> ExperimentConfig:
@@ -216,14 +238,14 @@ def _parse_config(raw) -> ExperimentConfig:
 
     sweep = None
     if "sweep" in raw:
-        blk = raw["sweep"]
+        blk = _block(raw, "sweep")
         _check_keys(
             blk,
             {"axis", "values", "start", "stop", "step", "trials", "base_seed"},
             "sweep",
         )
         if "values" in blk:
-            values = tuple(float(v) for v in blk["values"])
+            values = tuple(float(v) for v in _list(blk, "values", []))
         else:
             start, stop = float(blk["start"]), float(blk["stop"])
             step = float(blk.get("step", 1.0))
@@ -243,8 +265,8 @@ def _parse_config(raw) -> ExperimentConfig:
         geometry=geometry,
         initial_energy=energy,
         sweep=sweep,
-        schemes=tuple(raw.get("schemes", ["ee_optimal"])),
-        rho_list=tuple(float(r) for r in raw.get("rho_list", [1.0])),
+        schemes=tuple(_list(raw, "schemes", ["ee_optimal"])),
+        rho_list=tuple(float(r) for r in _list(raw, "rho_list", [1.0])),
         grid=GridSpec(**_overrides(raw, "grid", _GRID_KEYS)),
         output=str(raw.get("output", "results.csv")),
     )
@@ -357,9 +379,8 @@ def _apply_axis(cfg: ExperimentConfig, value: float, seed: int) -> Scenario:
 def _draw_scenario(cfg: ExperimentConfig) -> Scenario:
     """Draw the configured channels and charge the configured batteries."""
     scen = generate_scenario(cfg.geometry, cfg.params)
-    energy = cfg.initial_energy
-    nonzero = any(e != 0.0 for e in energy) if isinstance(energy, tuple) else energy != 0.0
-    if nonzero:
+    energy = _battery_vector(cfg.initial_energy, scen.K)
+    if any(e != 0.0 for e in energy):
         scen = with_initial_energy(scen, energy)
     return scen
 

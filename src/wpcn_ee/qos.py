@@ -49,7 +49,8 @@ from .model import (
     throughput,
     zero_allocation,
 )
-from .search import newton_bisect
+# Unused here: bound only for the layer spans in perfbench/spans.py.
+from .search import newton_bisect  # noqa: F401
 
 _REL_B = 1e-12  # slack applied to the throughput floor in comparisons
 _FILL_TOL = 1e-9  # relative B residual beyond which a boundary fill engages
@@ -73,6 +74,8 @@ def _stationarity(s: float, gamma: float, cln: float, W1: float, vs: float, pc: 
 
 
 def _stationarity_prime(s: float, gamma: float, cln: float, W1: float, vs: float, pc: float) -> float:
+    # F'(s).  `_s_root` evaluates it inline; the tests check that root
+    # against newton_bisect run on this function and `_stationarity`.
     return -W1 / (s * LN2) + 1.0 / (gamma * vs) - pc
 
 
@@ -150,32 +153,53 @@ def _s_root(
     warm: float,
 ) -> float | None:
     """Unique s in (q, cln*gamma) with F(s) = delta, or None if the user's
-    score is at or below delta (no tight-energy solution)."""
+    score is at or below delta (no tight-energy solution).
+
+    The root is `search.newton_bisect` (rtol 1e-14) on F(s) - delta with
+    F and F' written out inline: the same operations in the same order,
+    so the same doubles, without two Python calls per iteration.
+    """
+    log2 = math.log2
     hi = gamma * cln
     if q > 0.0:
         if hi <= q:
             return None
         lo = q
-        if _stationarity(lo, gamma, cln, W1, vs, pc) <= delta:
+        if not W1 * log2(hi / lo) - (cln - lo / gamma) / vs - lo * pc > delta:
             return None
     else:
         lo = hi * 1e-20
         for _ in range(60):
-            if _stationarity(lo, gamma, cln, W1, vs, pc) > delta:
+            if W1 * log2(hi / lo) - (cln - lo / gamma) / vs - lo * pc > delta:
                 break
             lo *= 1e-6
         else:  # pragma: no cover - F blows up as s -> 0+
             raise RuntimeError("failed to bracket the stationarity root")
 
-    x0 = warm if lo < warm < hi else math.sqrt(lo * hi)
-    return newton_bisect(
-        lambda s: _stationarity(s, gamma, cln, W1, vs, pc) - delta,
-        lambda s: _stationarity_prime(s, gamma, cln, W1, vs, pc),
-        lo,
-        hi,
-        x0,
-        rtol=1e-14,
-    )
+    # F(lo) > delta, so the bracket's left end is its positive side; and
+    # 0 < lo <= a <= b <= hi throughout, so newton_bisect's tolerance
+    # scale max(|a|, |b|, 1e-300) is max(b, 1e-300).
+    a, b = lo, hi
+    x = warm if lo < warm < hi else min(max(math.sqrt(lo * hi), lo), hi)
+    neg_W1, ln2, inv_gvs = -W1, LN2, 1.0 / (gamma * vs)
+    for _ in range(100):
+        fx = W1 * log2(hi / x) - (cln - x / gamma) / vs - x * pc - delta
+        if fx == 0.0:
+            return x
+        if fx > 0.0:
+            a = x
+        else:
+            b = x
+        if b - a <= 1e-14 * (b if b > 1e-300 else 1e-300):
+            return 0.5 * (a + b)
+        d = neg_W1 / (x * ln2) + inv_gvs - pc
+        if d != 0.0:
+            xn = x - fx / d
+            if a < xn < b:
+                x = xn
+                continue
+        x = 0.5 * (a + b)
+    return 0.5 * (a + b)
 
 
 @dataclass
@@ -451,13 +475,29 @@ def _solve_q(
     subgradient selection of a convex dual function), so a bisection
     invariant B(lo) < Rmin <= B(hi) is safe even across jumps.
     """
-    p0 = _Level(scen, q, 0.0).point()
+    # A level sees the floor multiplier t only through W1 = W*(1 + t),
+    # and below t ~ 1e-16 distinct t round to one or two W1.  The
+    # degenerate searches of a loose floor (brentq down to xtol 2e-12,
+    # the bisection down to float adjacency) would otherwise rebuild the
+    # same few levels ~100 times, so each W1 is solved once.  A fresh
+    # level has no warm starts, so reusing its point changes no bit.
+    W = scen.params.W
+    levels: dict[float, _Point] = {}
+
+    def level(t: float) -> _Point:
+        W1 = W * (1.0 + t)
+        pt = levels.get(W1)
+        if pt is None:
+            pt = levels[W1] = _Level(scen, q, t).point()
+        return pt
+
+    p0 = level(0.0)
     if rmin is None or _reaches_floor(p0.B, rmin):
         return p0, 0.0, 0
 
     lo_t, lo_pt = 0.0, p0
     hi_t = 1.0
-    hi_pt = _Level(scen, q, hi_t).point()
+    hi_pt = level(hi_t)
     while not _reaches_floor(hi_pt.B, rmin):
         lo_t, lo_pt = hi_t, hi_pt
         hi_t *= 2.0
@@ -466,19 +506,20 @@ def _solve_q(
                 "throughput multiplier bracket overflow; duals "
                 f"q={q!r} delta={hi_pt.delta!r} mu={hi_pt.mu!r}"
             )
-        hi_pt = _Level(scen, q, hi_t).point()
+        hi_pt = level(hi_t)
     if hi_pt.B < rmin:
         # A floor within the slack of the rate ceiling: hi meets it only
         # up to _REL_B, so there is no sign change for brentq to bracket.
         return hi_pt, hi_t, 0
 
+    # Keyed by t: the evaluated multipliers pick the fill's bracketing
+    # pair and the reported vartheta.
     cache: dict[float, _Point] = {lo_t: lo_pt, hi_t: hi_pt}
 
     def miss(t: float) -> float:
         pt = cache.get(t)
         if pt is None:
-            pt = _Level(scen, q, t).point()
-            cache[t] = pt
+            pt = cache[t] = level(t)
         return pt.B - rmin
 
     t_hat = float(brentq(miss, lo_t, hi_t, rtol=1e-15, maxiter=300))
@@ -539,7 +580,8 @@ def solve_qos_detailed(
     rmin = scen.params.Rmin
     if rmin is None:
         raise ValueError("solve_qos needs Rmin; use solve_best_effort without a floor")
-    if not _floor_reachable(scen, rmin):
+    ceiling = _rate_ceiling(scen)
+    if not _reaches_floor(ceiling.B, rmin):
         report = _report(zero_allocation(scen.K), scen, MODE_INFEASIBLE, {"outer": 0})
         return report, DualState(q=0.0, vartheta=0.0, delta=0.0, mu=(0.0,) * scen.K), []
 
@@ -549,7 +591,11 @@ def solve_qos_detailed(
     pt, theta = None, 0.0
     prev: tuple[_Point, float] | None = None
     for it in range(1, max_outer + 1):
-        pt, theta, fills = _solve_q(scen, q, rmin)
+        if q == 0.0:
+            # The q = 0 maximizer is the ceiling, and it meets the floor.
+            pt, theta, fills = ceiling, 0.0, 0
+        else:
+            pt, theta, fills = _solve_q(scen, q, rmin)
         fills_total += fills
         T = pt.B - q * pt.E
         trace.append((it, q, T))

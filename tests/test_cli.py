@@ -75,6 +75,36 @@ def test_config_errors_exit_one(tmp_path, capsys):
     not_a_power = cfg_file(tmp_path, {"system": {"Pmax_dBm": "nan"}}, "nan.json")
     assert main(["solve-best-effort", "--config", not_a_power]) == 1
     assert "Pmax must be finite" in capsys.readouterr().err
+    # blocks and lists of the wrong JSON type, and null for a number, are
+    # configuration errors, not TypeError tracebacks
+    wrong_types = [
+        ({"system": None}, "'system' block must be a JSON object"),
+        ({"geometry": [5]}, "'geometry' block must be a JSON object"),
+        ({"grid": 3}, "'grid' block must be a JSON object"),
+        ({"sweep": "K"}, "'sweep' block must be a JSON object"),
+        ({"sweep": {"axis": "K", "values": 3}}, "'values' must be a JSON list"),
+        ({"schemes": "ee_optimal"}, "'schemes' must be a JSON list"),
+        ({"rho_list": 0.5}, "'rho_list' must be a JSON list"),
+        ({"system": {"eta": None}}, "wrong JSON type"),
+        ({"initial_energy_J": None}, "wrong JSON type"),
+    ]
+    for i, (payload, message) in enumerate(wrong_types):
+        cfg = cfg_file(tmp_path, payload, f"type{i}.json")
+        assert main(["solve-best-effort", "--config", cfg]) == 1, payload
+        err = capsys.readouterr().err
+        assert f"configuration error: {message}" in err, payload
+        assert "Traceback" not in err
+
+
+def test_zero_battery_list_must_match_the_user_count(tmp_path, capsys):
+    # the all-zero shortcut of the scenario draw must not skip the
+    # length check that a charged list of the same length fails
+    for energy in ([0, 0], [1, 1]):
+        cfg = cfg_file(tmp_path, {"initial_energy_J": energy})
+        assert main(["solve-best-effort", "--config", cfg]) == 1
+        assert "Q must be scalar or match the user count" in capsys.readouterr().err
+    ok = cfg_file(tmp_path, {"initial_energy_J": [0] * 5}, "ok.json")
+    assert main(["solve-best-effort", "--config", ok]) == 0
 
 
 def test_output_files_are_reproducible(tmp_path):

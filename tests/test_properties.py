@@ -16,6 +16,7 @@ from wpcn_ee import (
     check_constraints,
     dbm_to_watts,
     energy_total,
+    max_throughput,
     scenario_from_values,
     scheduled_set,
     solve_best_effort,
@@ -23,6 +24,7 @@ from wpcn_ee import (
     system_ee,
     throughput,
     throughput_report,
+    with_initial_energy,
 )
 
 from conftest import stock_params
@@ -30,6 +32,7 @@ from conftest import stock_params
 # derandomized: the suite is a gate, so it explores the same examples on
 # every run; raise max_examples locally to search wider
 PROPERTY_SETTINGS = settings(max_examples=120, deadline=None, derandomize=True)
+MONOTONE_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
 
 @st.composite
@@ -47,8 +50,8 @@ def scenarios(draw):
     return scenario_from_values(par, h, [10.0**x for x in log_gamma], Q)
 
 
-def with_floor(scen, rmin):
-    return dataclasses.replace(scen, params=dataclasses.replace(scen.params, Rmin=rmin))
+def with_params(scen, **changes):
+    return dataclasses.replace(scen, params=dataclasses.replace(scen.params, **changes))
 
 
 def assert_derived_from_allocation(rep, scen):
@@ -71,7 +74,7 @@ def test_reports_are_their_allocations(scen, frac):
     ceiling = throughput_report(scen)
     assert_derived_from_allocation(ceiling, scen)
 
-    floored = scen if frac is None else with_floor(scen, frac * ceiling.throughput)
+    floored = scen if frac is None else with_params(scen, Rmin=frac * ceiling.throughput)
     reports = [throughput_report(floored)]
     if frac is not None:
         reports.append(solve_qos(floored))
@@ -87,8 +90,41 @@ def test_floor_solver_against_best_effort(scen, frac):
     """A floor never raises EE above best effort, and a floor at or
     below the best-effort throughput leaves the best-effort EE."""
     best = solve_best_effort(scen)
-    qos = solve_qos(with_floor(scen, frac * best.throughput))
+    qos = solve_qos(with_params(scen, Rmin=frac * best.throughput))
     if qos.mode != MODE_INFEASIBLE:
         assert qos.ee <= best.ee * (1.0 + 1e-9)
     if frac <= 1.0:
         assert abs(qos.ee - best.ee) <= 1e-9 * best.ee
+
+
+@MONOTONE_SETTINGS
+@given(
+    scen=scenarios(),
+    up=st.floats(1.0, 10.0),
+    user=st.integers(0, 3),
+    charge=st.floats(1e-4, 1.0),
+)
+def test_rate_ceiling_is_monotone(scen, up, user, charge):
+    """More station power, a longer block or a fuller battery never
+    lowers the rate ceiling R*: each keeps every old allocation
+    feasible (a shorter charging slot delivers the same energy)."""
+    par = scen.params
+    r_star = max_throughput(scen).R_star
+    k = user % scen.K
+    richer = [
+        with_params(scen, Pmax=par.Pmax * up),
+        with_params(scen, Tmax=par.Tmax * up),
+        with_initial_energy(scen, [q + charge if i == k else q for i, q in enumerate(scen.Q)]),
+    ]
+    for bigger in richer:
+        assert max_throughput(bigger).R_star >= r_star * (1.0 - 1e-12)
+
+
+@MONOTONE_SETTINGS
+@given(scen=scenarios(), up=st.floats(1.0, 10.0))
+def test_best_effort_ee_is_monotone_in_station_power(scen, up):
+    """Scaling the charging slot by Pmax/Pmax' keeps the harvest and
+    saves station circuit energy, so best-effort EE never falls with
+    Pmax."""
+    stronger = with_params(scen, Pmax=scen.params.Pmax * up)
+    assert solve_best_effort(stronger).ee >= solve_best_effort(scen).ee * (1.0 - 1e-12)

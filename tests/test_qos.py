@@ -27,7 +27,10 @@ from wpcn_ee import (
     solve_qos,
     solve_qos_detailed,
 )
+from wpcn_ee import qos
 from wpcn_ee.model import LN2
+from wpcn_ee.qos import _s_root, _stationarity, _stationarity_prime
+from wpcn_ee.search import newton_bisect
 
 from conftest import random_scenario, stock_params
 
@@ -337,3 +340,85 @@ def test_boundary_fills_meet_the_floor():
                 assert rep.throughput >= rmin * (1.0 - 1e-12)
             assert rep.ee <= prev_ee * (1.0 + 1e-12)
             prev_ee = rep.ee
+
+
+def reference_s_root(gamma, q, delta, cln, W1, vs, pc, warm):
+    # the KKT root as it was before it ran inline: the same bracket, then
+    # search.newton_bisect on the stationarity function and its slope
+    hi = gamma * cln
+    if q > 0.0:
+        if hi <= q:
+            return None
+        lo = q
+        if _stationarity(lo, gamma, cln, W1, vs, pc) <= delta:
+            return None
+    else:
+        lo = hi * 1e-20
+        while _stationarity(lo, gamma, cln, W1, vs, pc) <= delta:
+            lo *= 1e-6
+    x0 = warm if lo < warm < hi else math.sqrt(lo * hi)
+    return newton_bisect(
+        lambda s: _stationarity(s, gamma, cln, W1, vs, pc) - delta,
+        lambda s: _stationarity_prime(s, gamma, cln, W1, vs, pc),
+        lo,
+        hi,
+        x0,
+        rtol=1e-14,
+    )
+
+
+def test_inline_root_matches_the_newton_bisect_reference():
+    # bit for bit, over gamma 1e-3..1e8, q = 0 and q > 0, deltas inside
+    # the tight region, at its edge and beyond it, and warm starts inside
+    # and outside the bracket
+    par = stock_params()
+    vs, pc = par.varsigma, par.pc
+    roots = nones = 0
+    for vartheta in (0.0, 1e-17, 0.7, 4.0):
+        W1 = par.W * (1.0 + vartheta)
+        cln = W1 * vs / LN2
+        for gamma in map(float, np.logspace(-3.0, 8.0, 23)):
+            hi = gamma * cln
+            for q in (0.0, 1e3, 4e4, 2.5e6):
+                if q > 0.0 and hi > q:
+                    head = _stationarity(q, gamma, cln, W1, vs, pc)
+                    deltas = [head, math.nextafter(head, -math.inf), head + 1.0]
+                    deltas += [f * head for f in (0.999, 0.5, 1e-3) if head > 0.0]
+                else:
+                    deltas = [0.0, 1.0, 1e3, 1e5]
+                for delta in deltas + [0.0]:
+                    for warm in (0.0, 0.5 * (q + hi), math.sqrt(max(q, 1.0) * hi), 2.0 * hi):
+                        got = _s_root(gamma, q, delta, cln, W1, vs, pc, warm)
+                        want = reference_s_root(gamma, q, delta, cln, W1, vs, pc, warm)
+                        assert got == want, (gamma, q, delta, vartheta, warm, got, want)
+                        if got is None:
+                            nones += 1
+                        else:
+                            roots += 1
+                            assert q < got < hi or got == q
+    assert roots > 1000 and nones > 100
+
+
+def test_loose_floor_builds_each_level_once(monkeypatch):
+    # seed 8700, K = 10, empty batteries, Rmin = 50 kbit: far below the
+    # best-effort throughput, and this draw lands exactly on the floor.
+    # Its floor searches shrink the multiplier below 1e-16, where 1 + t
+    # rounds to one of two values, so many multipliers share one level;
+    # and the gate's q = 0 ceiling is also the first Dinkelbach iterate.
+    base = generate_scenario(default_geometry(K=10, seed=8700), default_system_params())
+    scen = dataclasses.replace(base, params=dataclasses.replace(base.params, Rmin=50e3))
+    built = []
+    point = qos._Level.point
+
+    def recording_point(self):
+        built.append((self.q, self.W1))
+        return point(self)
+
+    monkeypatch.setattr(qos._Level, "point", recording_point)
+    rep = solve_qos(scen)
+    assert len(built) == len(set(built))
+    assert (0.0, base.params.W) in built
+    # the answer of the solver that rebuilt levels (94 builds, 40 distinct)
+    assert rep.ee == 2550733.306713835
+    assert rep.throughput == 50000.00000000001
+    assert rep.iterations == {"outer": 7, "fills": 1}
