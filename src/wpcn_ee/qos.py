@@ -79,6 +79,13 @@ def _stationarity_prime(s: float, gamma: float, cln: float, W1: float, vs: float
     return -W1 / (s * LN2) + 1.0 / (gamma * vs) - pc
 
 
+def _require_finite(**values: float) -> None:
+    """Reject NaN and inf arguments of the public dual helpers."""
+    for name, v in values.items():
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v!r}")
+
+
 def kkt_threshold_x(q: float, vartheta: float, delta: float, params: SystemParams) -> float:
     """Scheduling threshold in SNR-coefficient space.
 
@@ -86,6 +93,7 @@ def kkt_threshold_x(q: float, vartheta: float, delta: float, params: SystemParam
     above it transmit.  Defined for q > 0 (at q = 0 every user's score
     is +inf and no finite threshold exists).
     """
+    _require_finite(q=q, vartheta=vartheta, delta=delta)
     if q <= 0.0:
         raise ValueError("threshold needs q > 0")
     W1 = params.W * (1.0 + vartheta)
@@ -111,6 +119,7 @@ def kkt_threshold_x(q: float, vartheta: float, delta: float, params: SystemParam
 
 def multiplier_mu(gamma_k: float, q: float, vartheta: float, delta: float, params: SystemParams) -> float:
     """Energy multiplier of a scheduled user with tight energy."""
+    _require_finite(gamma_k=gamma_k, q=q, vartheta=vartheta, delta=delta)
     W1 = params.W * (1.0 + vartheta)
     cln = W1 * params.varsigma / LN2
     s = _s_root(gamma_k, q, delta, cln, W1, params.varsigma, params.pc, warm=0.0)
@@ -121,6 +130,7 @@ def multiplier_mu(gamma_k: float, q: float, vartheta: float, delta: float, param
 
 def power_from_duals(gamma_k: float, mu_k: float, q: float, vartheta: float, params: SystemParams) -> float:
     """Uplink power from the dual variables, clamped at zero."""
+    _require_finite(gamma_k=gamma_k, mu_k=mu_k, q=q, vartheta=vartheta)
     s = q + mu_k
     if s <= 0.0:
         raise ValueError("q + mu must be positive")
@@ -138,6 +148,7 @@ def f0_wet_gate(mu: Sequence[float], q: float, delta: float, scen: Scenario) -> 
     par = scen.params
     if len(mu) != scen.K:
         raise ValueError("mu must have one entry per user")
+    _require_finite(q=q, delta=delta, **{f"mu[{k}]": m for k, m in enumerate(mu)})
     gain = par.eta * par.Pmax * math.fsum(m * u.h for m, u in zip(mu, scen.users))
     return gain - q * (par.Pmax * scen.wet_deficit + par.Pc) - delta
 
@@ -473,14 +484,17 @@ def _solve_q(
 
     B as a function of the floor multiplier is nondecreasing (it is a
     subgradient selection of a convex dual function), so a bisection
-    invariant B(lo) < Rmin <= B(hi) is safe even across jumps.
+    invariant B(lo) < Rmin <= B(hi) is safe even across jumps.  In
+    floating point B can dip within a few ulps of W1 where the WET gate
+    f0 rounds about 0; the fill pair then depends on the search path,
+    which moves the answer by at most a few ulps.
     """
     # A level sees the floor multiplier t only through W1 = W*(1 + t),
-    # and below t ~ 1e-16 distinct t round to one or two W1.  The
-    # degenerate searches of a loose floor (brentq down to xtol 2e-12,
-    # the bisection down to float adjacency) would otherwise rebuild the
-    # same few levels ~100 times, so each W1 is solved once.  A fresh
-    # level has no warm starts, so reusing its point changes no bit.
+    # and near t = 0 distinct t round to one or two W1: the bisection
+    # of a fill halves its pair down to float adjacency, where
+    # neighbouring multipliers share a W1, so each W1 is solved once.
+    # A fresh level has no warm starts, so reusing its point changes no
+    # bit.
     W = scen.params.W
     levels: dict[float, _Point] = {}
 
@@ -496,7 +510,11 @@ def _solve_q(
         return p0, 0.0, 0
 
     lo_t, lo_pt = 0.0, p0
-    hi_t = 1.0
+    # At the zero point (no bits: empty batteries, q at the best-effort
+    # EE, charging gate shut) the floor is crossed within a few ulps of
+    # W1 = W, so the doubling starts at 2**-52, the smallest power of two
+    # that moves W1 off W, rather than halving down from 1.
+    hi_t = 2.0**-52 if p0.B == 0.0 else 1.0
     hi_pt = level(hi_t)
     while not _reaches_floor(hi_pt.B, rmin):
         lo_t, lo_pt = hi_t, hi_pt
@@ -563,6 +581,7 @@ def _floor_reachable(scen: Scenario, rmin: float) -> bool:
 
 def dinkelbach_T(q: float, scen: Scenario) -> tuple[float, Allocation]:
     """Value and maximizer of the subtractive inner problem at this q."""
+    _require_finite(q=q)
     if q < 0.0:
         raise ValueError("q must be nonnegative")
     rmin = scen.params.Rmin

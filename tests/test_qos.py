@@ -399,14 +399,8 @@ def test_inline_root_matches_the_newton_bisect_reference():
     assert roots > 1000 and nones > 100
 
 
-def test_loose_floor_builds_each_level_once(monkeypatch):
-    # seed 8700, K = 10, empty batteries, Rmin = 50 kbit: far below the
-    # best-effort throughput, and this draw lands exactly on the floor.
-    # Its floor searches shrink the multiplier below 1e-16, where 1 + t
-    # rounds to one of two values, so many multipliers share one level;
-    # and the gate's q = 0 ceiling is also the first Dinkelbach iterate.
-    base = generate_scenario(default_geometry(K=10, seed=8700), default_system_params())
-    scen = dataclasses.replace(base, params=dataclasses.replace(base.params, Rmin=50e3))
+def record_levels(monkeypatch):
+    # the (q, W1) key of every KKT level the solver builds, in order
     built = []
     point = qos._Level.point
 
@@ -415,6 +409,19 @@ def test_loose_floor_builds_each_level_once(monkeypatch):
         return point(self)
 
     monkeypatch.setattr(qos._Level, "point", recording_point)
+    return built
+
+
+def test_loose_floor_builds_each_level_once(monkeypatch):
+    # seed 8700, K = 10, empty batteries, Rmin = 50 kbit: far below the
+    # best-effort throughput, and this draw lands exactly on the floor.
+    # Its last floor search brackets the multiplier in [0, 2**-52], where
+    # 1 + t rounds to one of two values, so many multipliers share one
+    # level; and the gate's q = 0 ceiling is also the first Dinkelbach
+    # iterate.
+    base = generate_scenario(default_geometry(K=10, seed=8700), default_system_params())
+    scen = dataclasses.replace(base, params=dataclasses.replace(base.params, Rmin=50e3))
+    built = record_levels(monkeypatch)
     rep = solve_qos(scen)
     assert len(built) == len(set(built))
     assert (0.0, base.params.W) in built
@@ -422,3 +429,73 @@ def test_loose_floor_builds_each_level_once(monkeypatch):
     assert rep.ee == 2550733.306713835
     assert rep.throughput == 50000.00000000001
     assert rep.iterations == {"outer": 7, "fills": 1}
+
+
+def test_zero_point_floor_search_brackets_from_the_smallest_multiplier(monkeypatch):
+    # seed 8700, K = 10, empty batteries, Rmin = 120 kbit: a loose floor
+    # whose last Dinkelbach step starts at the zero point and crosses the
+    # floor within a few ulps of W1 = W.  The bracket doubles up from
+    # 2**-52, so the solve builds 8 levels (60 when it halved down from 1)
+    # and keeps the answer to the bit.
+    built = record_levels(monkeypatch)
+    base = generate_scenario(default_geometry(K=10, seed=8700), default_system_params())
+    rep = solve_qos(with_floor(base, 120e3))
+    assert len(built) <= 10
+    assert rep.ee == 2550733.3067138335
+    assert rep.throughput == 119999.99999999997
+    assert rep.iterations == {"outer": 7, "fills": 1}
+
+
+def test_k2_probe_fill_keeps_its_multiplier(monkeypatch):
+    # the K = 2 layer probe of the benchmark: seed 8700, Rmin = 0.8 R*.
+    # Its one boundary fill lies a few ulps above W1 = W: the solve
+    # builds 10 levels (60 when the bracket halved down from 1) and
+    # reports the same vartheta.
+    built = record_levels(monkeypatch)
+    base = generate_scenario(default_geometry(K=2, seed=8700), default_system_params())
+    scen = with_floor(base, 0.8 * max_throughput(base).R_star)
+    built.clear()
+    rep, duals, _ = solve_qos_detailed(scen)
+    assert len(built) <= 10
+    assert duals.vartheta == 5.551115123125784e-16
+    assert rep.iterations["fills"] == 1
+    assert rep.throughput >= scen.params.Rmin * (1.0 - 1e-12)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p, s: multiplier_mu(1e6, 0.0, 0.0, math.nan, p),
+        lambda p, s: multiplier_mu(1e6, math.nan, 0.0, 0.0, p),
+        lambda p, s: multiplier_mu(math.inf, 2e4, 0.0, 0.0, p),
+        lambda p, s: multiplier_mu(1e6, 2e4, math.inf, 0.0, p),
+        lambda p, s: power_from_duals(1e6, math.nan, 2e4, 0.0, p),
+        lambda p, s: power_from_duals(1e6, 0.0, 2e4, math.nan, p),
+        lambda p, s: kkt_threshold_x(math.nan, 0.0, 0.0, p),
+        lambda p, s: kkt_threshold_x(2e4, 0.0, -math.inf, p),
+        lambda p, s: f0_wet_gate([1e4, math.nan, 0.0], 3e4, 7.0, s),
+        lambda p, s: f0_wet_gate([1e4, 2e4, 0.0], math.inf, 7.0, s),
+        lambda p, s: dinkelbach_T(math.nan, s),
+        lambda p, s: dinkelbach_T(math.inf, s),
+    ],
+    ids=[
+        "mu-nan-delta-at-q0",
+        "mu-nan-q",
+        "mu-inf-gamma",
+        "mu-inf-vartheta",
+        "power-nan-mu",
+        "power-nan-vartheta",
+        "threshold-nan-q",
+        "threshold-inf-delta",
+        "gate-nan-mu",
+        "gate-inf-q",
+        "dinkelbach-nan-q",
+        "dinkelbach-inf-q",
+    ],
+)
+def test_dual_helpers_reject_non_finite_inputs(call):
+    # each used to raise ZeroDivisionError or RuntimeError, or to return
+    # nan, 0.0 or a (nan, zero allocation) pair
+    scen = random_scenario(np.random.default_rng(83), 3, q_mode="zero")
+    with pytest.raises(ValueError, match="must be finite"):
+        call(scen.params, scen)
