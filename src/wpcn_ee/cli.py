@@ -61,12 +61,13 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", type=Path, default=None, help="JSON configuration file")
         p.add_argument("--seed", type=int, default=None, help="override the geometry seed")
         p.add_argument("--out", type=Path, default=None, help="output CSV path (default stdout)")
-        p.add_argument(
-            "--tolerance",
-            type=float,
-            default=0.0,
-            help="extra slack for oracle agreement checks",
-        )
+        if name == "oracle-check":
+            p.add_argument(
+                "--tolerance",
+                type=float,
+                default=0.0,
+                help="extra slack for oracle agreement checks",
+            )
     return parser
 
 

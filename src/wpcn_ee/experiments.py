@@ -142,6 +142,16 @@ def _optional_float(v) -> float | None:
     return None if v is None else float(v)
 
 
+def _integer(key: str, v) -> int:
+    """An integer entry: integral numbers such as 5 and 5.0 pass; 2.9,
+    inf, true and "5" are errors rather than silently truncated."""
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    raise ValueError(f"{key!r} must be an integer, got {v!r}")
+
+
 # JSON key -> (dataclass field, conversion), one table per block.  The
 # dB/dBm fields are converted to linear units here and nowhere else.
 _SYSTEM_KEYS = {
@@ -158,18 +168,18 @@ _SYSTEM_KEYS = {
     "Rmin_bits": ("Rmin", _optional_float),
 }
 _GEOMETRY_KEYS = {
-    "K": ("K", int),
+    "K": ("K", lambda v: _integer("K", v)),
     "d_min_m": ("d_min_m", float),
     "d_max_m": ("d_max_m", float),
     "d_rx_m": ("d_rx_m", float),
     "alpha": ("alpha", float),
     "rician_K_dB": ("rician_K_dB", float),
     "ref_gain": ("ref_gain", float),
-    "seed": ("seed", int),
+    "seed": ("seed", lambda v: _integer("seed", v)),
 }
 _GRID_KEYS = {
-    "n_tau": ("n_tau", int),
-    "n_p": ("n_p", int),
+    "n_tau": ("n_tau", lambda v: _integer("n_tau", v)),
+    "n_p": ("n_p", lambda v: _integer("n_p", v)),
     "p_max_search": ("p_max_search", _optional_float),
 }
 
@@ -249,6 +259,9 @@ def _parse_config(raw) -> ExperimentConfig:
         else:
             start, stop = float(blk["start"]), float(blk["stop"])
             step = float(blk.get("step", 1.0))
+            for key, v in (("start", start), ("stop", stop), ("step", step)):
+                if not math.isfinite(v):
+                    raise ValueError(f"sweep {key!r} must be finite, got {v!r}")
             if step <= 0.0:
                 raise ValueError("sweep step must be positive")
             n = int(math.floor((stop - start) / step + 1e-9)) + 1
@@ -256,8 +269,8 @@ def _parse_config(raw) -> ExperimentConfig:
         sweep = SweepSpec(
             axis=str(blk["axis"]),
             values=values,
-            trials=int(blk.get("trials", 1)),
-            base_seed=int(blk.get("base_seed", 0)),
+            trials=_integer("trials", blk.get("trials", 1)),
+            base_seed=_integer("base_seed", blk.get("base_seed", 0)),
         )
 
     return ExperimentConfig(
@@ -371,7 +384,7 @@ def _apply_axis(cfg: ExperimentConfig, value: float, seed: int) -> Scenario:
     elif axis == "alpha":
         geometry = dataclasses.replace(geometry, alpha=value)
     elif axis == "K":
-        geometry = dataclasses.replace(geometry, K=int(value))
+        geometry = dataclasses.replace(geometry, K=_integer("K", value))
     geometry = dataclasses.replace(geometry, seed=seed)
     return _draw_scenario(dataclasses.replace(cfg, params=params, geometry=geometry))
 

@@ -79,6 +79,15 @@ def _stationarity_prime(s: float, gamma: float, cln: float, W1: float, vs: float
     return -W1 / (s * LN2) + 1.0 / (gamma * vs) - pc
 
 
+def _score(gamma: float, q: float, cln: float, W1: float, vs: float, pc: float) -> float:
+    # Scheduling score F(q): the user transmits where it exceeds delta.
+    if q <= 0.0:
+        return math.inf
+    if gamma * cln <= q:
+        return -q * pc
+    return _stationarity(q, gamma, cln, W1, vs, pc)
+
+
 def _require_finite(**values: float) -> None:
     """Reject NaN and inf arguments of the public dual helpers."""
     for name, v in values.items():
@@ -100,21 +109,17 @@ def kkt_threshold_x(q: float, vartheta: float, delta: float, params: SystemParam
     cln = W1 * params.varsigma / LN2
     vs = params.varsigma
     pc = params.pc
-
-    def score(gamma: float) -> float:
-        if gamma * cln <= q:
-            return -q * pc - delta
-        return _stationarity(q, gamma, cln, W1, vs, pc) - delta
-
     lo = q / cln  # branch boundary: score = -q*pc - delta < 0
     hi = 2.0 * lo
     for _ in range(1100):
-        if score(hi) > 0.0:
+        if _score(hi, q, cln, W1, vs, pc) > delta:
             break
         hi *= 2.0
     else:  # pragma: no cover - score grows without bound in gamma
         raise RuntimeError("failed to bracket the scheduling threshold")
-    return float(brentq(score, lo, hi, rtol=1e-15, maxiter=200))
+    return float(
+        brentq(lambda g: _score(g, q, cln, W1, vs, pc) - delta, lo, hi, rtol=1e-15, maxiter=200)
+    )
 
 
 def multiplier_mu(gamma_k: float, q: float, vartheta: float, delta: float, params: SystemParams) -> float:
@@ -243,32 +248,11 @@ class _Level:
         self.Q = [u.Q for u in scen.users]
         self.harvest = [par.eta * par.Pmax * u.h for u in scen.users]
         self.wet_cost = par.Pmax * scen.wet_deficit + par.Pc
-        self.heads = [self._head(g) for g in self.gammas]
+        self.heads = [_score(g, q, self.cln, self.W1, self.vs, self.pc) for g in self.gammas]
         self._warm = [0.0] * scen.K
-        # root memo keyed on (user, delta): repeat evaluations at one
+        # dual record memo keyed on delta: repeat evaluations at one
         # delta must agree bit for bit or boundary sign tests can flip
-        self._s_memo: dict[tuple[int, float], float] = {}
-
-    def _head(self, gamma: float) -> float:
-        if self.q <= 0.0:
-            return math.inf
-        if gamma * self.cln <= self.q:
-            return -self.q * self.pc
-        return _stationarity(self.q, gamma, self.cln, self.W1, self.vs, self.pc)
-
-    def s_of(self, k: int, delta: float) -> float:
-        key = (k, delta)
-        cached = self._s_memo.get(key)
-        if cached is not None:
-            return cached
-        s = _s_root(
-            self.gammas[k], self.q, delta, self.cln, self.W1, self.vs, self.pc, self._warm[k]
-        )
-        if s is None:  # pragma: no cover - callers pre-filter by head > delta
-            raise RuntimeError("stationarity root requested outside the tight region")
-        self._warm[k] = s
-        self._s_memo[key] = s
-        return s
+        self._duals: dict[float, tuple[list[int], list[float], list[float]]] = {}
 
     def p_of_s(self, k: int, s: float) -> float:
         return self.cln / s - 1.0 / self.gammas[k]
@@ -276,22 +260,33 @@ class _Level:
     def D_of_s(self, k: int, s: float) -> float:
         return self.p_of_s(k, s) / self.vs + self.pc
 
-    def _tight_at(self, delta: float) -> list[int]:
-        return [k for k in range(self.K) if self.heads[k] > delta]
-
-    def _duals_at(self, delta: float, tight: list[int]) -> dict[int, float]:
-        return {k: self.s_of(k, delta) for k in tight}
+    def duals(self, delta: float) -> tuple[list[int], list[float], list[float]]:
+        """(tight, s, D) at delta: the users whose score exceeds delta, in
+        ascending order, with their roots s_k and energy drains D_k."""
+        rec = self._duals.get(delta)
+        if rec is not None:
+            return rec
+        tight = [k for k in range(self.K) if self.heads[k] > delta]
+        s = []
+        for k in tight:
+            sk = _s_root(
+                self.gammas[k], self.q, delta, self.cln, self.W1, self.vs, self.pc, self._warm[k]
+            )
+            if sk is None:  # pragma: no cover - tight users have head > delta
+                raise RuntimeError("stationarity root requested outside the tight region")
+            self._warm[k] = sk
+            s.append(sk)
+        rec = self._duals[delta] = (tight, s, [self.D_of_s(k, sk) for k, sk in zip(tight, s)])
+        return rec
 
     def _f0_at(self, delta: float) -> float:
-        tight = self._tight_at(delta)
-        s = self._duals_at(delta, tight)
-        gain = math.fsum((s[k] - self.q) * self.harvest[k] for k in tight)
+        tight, s, _ = self.duals(delta)
+        gain = math.fsum((sk - self.q) * self.harvest[k] for k, sk in zip(tight, s))
         return gain - self.q * self.wet_cost - delta
 
     def _base_at(self, delta: float) -> float:
-        tight = self._tight_at(delta)
-        s = self._duals_at(delta, tight)
-        return math.fsum(self.Q[k] / self.D_of_s(k, s[k]) for k in tight)
+        tight, _, D = self.duals(delta)
+        return math.fsum(self.Q[k] / Dk for k, Dk in zip(tight, D))
 
     def point(self) -> _Point:
         """Pick the delta regime and assemble the inner maximizer."""
@@ -308,16 +303,12 @@ class _Level:
             if hi > _DELTA_CAP:
                 raise RuntimeError("delta bracket overflow in the WET gate solve")
         delta_w = float(brentq(self._f0_at, 0.0, hi, rtol=1e-15, maxiter=200))
-        tight_w = self._tight_at(delta_w)
-        s_w = self._duals_at(delta_w, tight_w)
-        D_w = {k: self.D_of_s(k, s_w[k]) for k in tight_w}
-        base_w = math.fsum(self.Q[k] / D_w[k] for k in tight_w)
+        base_w = self._base_at(delta_w)
         if base_w <= Tmax:
             # Charging on; block exactly filled by the tau0 scale.
-            slope = 1.0 + math.fsum(self.harvest[k] / D_w[k] for k in tight_w)
-            tau0 = (Tmax - base_w) / slope
-            tau = {k: (self.harvest[k] * tau0 + self.Q[k]) / D_w[k] for k in tight_w}
-            return self._assemble(delta_w, tau0, tight_w, s_w, tau, free={})
+            tight_w, _, D_w = self.duals(delta_w)
+            slope = 1.0 + math.fsum(self.harvest[k] / Dk for k, Dk in zip(tight_w, D_w))
+            return self._assemble(delta_w, (Tmax - base_w) / slope, free={})
         return self._solve_time_bound(delta_w, Tmax)
 
     def uncharged_point(self) -> _Point:
@@ -327,8 +318,7 @@ class _Level:
         otherwise the time-bound regime.
         """
         Tmax = self.par.Tmax
-        tight0 = self._tight_at(0.0)
-        if not tight0:
+        if not self.duals(0.0)[0]:
             # Nobody worth scheduling at this q: the zero allocation.
             return _Point(
                 alloc=zero_allocation(self.K),
@@ -338,10 +328,8 @@ class _Level:
                 mu=(0.0,) * self.K,
                 members=frozenset(),
             )
-        s0 = self._duals_at(0.0, tight0)
-        tau = {k: self.Q[k] / self.D_of_s(k, s0[k]) for k in tight0}
-        if math.fsum(tau.values()) <= Tmax:
-            return self._assemble(0.0, 0.0, tight0, s0, tau, free={})
+        if self._base_at(0.0) <= Tmax:
+            return self._assemble(0.0, 0.0, free={})
         return self._solve_time_bound(0.0, Tmax)
 
     def _solve_time_bound(self, delta_lo: float, Tmax: float) -> _Point:
@@ -360,38 +348,29 @@ class _Level:
             }
         )
 
-        def crossing_inside(lo: float, hi: float) -> _Point | None:
-            d_star = float(
-                brentq(lambda d: self._base_at(d) - Tmax, lo, hi, rtol=1e-15, maxiter=200)
-            )
-            tight = self._tight_at(d_star)
-            s = self._duals_at(d_star, tight)
-            tau = {k: self.Q[k] / self.D_of_s(k, s[k]) for k in tight}
-            return self._assemble(d_star, 0.0, tight, s, tau, free={})
+        def crossing_inside(lo: float, hi: float) -> _Point:
+            d_star = brentq(lambda d: self._base_at(d) - Tmax, lo, hi, rtol=1e-15, maxiter=200)
+            return self._assemble(float(d_star), 0.0, free={})
 
         cur = delta_lo
         for j in jumps:
-            tight_r = self._tight_at(j)
-            s_r = self._duals_at(j, tight_r)
-            base_r = math.fsum(self.Q[k] / self.D_of_s(k, s_r[k]) for k in tight_r)
+            base_r = self._base_at(j)
             droppers = [
                 m for m in range(self.K) if self.heads[m] == j and self.Q[m] > 0.0
             ]
             drop_cap = {m: self.Q[m] / self.D_of_s(m, self.q) for m in droppers}
-            base_l = base_r + math.fsum(drop_cap.values())
-            if base_l <= Tmax:
+            if base_r + math.fsum(drop_cap.values()) <= Tmax:
                 return crossing_inside(cur, j)
             if base_r <= Tmax:
                 # Land in the gap: threshold users fill the remaining time.
                 remaining = Tmax - base_r
-                tau = {k: self.Q[k] / self.D_of_s(k, s_r[k]) for k in tight_r}
                 free = {}
                 for m in droppers:
                     take = min(drop_cap[m], remaining)
                     if take > 0.0:
                         free[m] = take
                         remaining -= take
-                return self._assemble(j, 0.0, tight_r, s_r, tau, free=free)
+                return self._assemble(j, 0.0, free=free)
             cur = j
 
         hi = max(cur, 1.0)
@@ -403,23 +382,17 @@ class _Level:
                 raise RuntimeError("delta bracket overflow in the time solve")
         return crossing_inside(cur, hi)
 
-    def _assemble(
-        self,
-        delta: float,
-        tau0: float,
-        tight: list[int],
-        s: dict[int, float],
-        tau: dict[int, float],
-        free: dict[int, float],
-    ) -> _Point:
+    def _assemble(self, delta: float, tau0: float, free: dict[int, float]) -> _Point:
+        """The point of the dual record at delta, plus free threshold users."""
+        tight, s, D = self.duals(delta)
         p_vec = [0.0] * self.K
         tau_vec = [0.0] * self.K
         mu_vec = [0.0] * self.K
-        for k in tight:
-            tau_vec[k] = tau[k]
-            mu_vec[k] = s[k] - self.q
-            if tau[k] > 0.0:
-                p_vec[k] = max(0.0, self.p_of_s(k, s[k]))
+        for k, sk, Dk in zip(tight, s, D):
+            tau_vec[k] = (self.harvest[k] * tau0 + self.Q[k]) / Dk
+            mu_vec[k] = sk - self.q
+            if tau_vec[k] > 0.0:
+                p_vec[k] = max(0.0, self.p_of_s(k, sk))
         for m, t in free.items():
             tau_vec[m] = t
             if t > 0.0:

@@ -1,6 +1,7 @@
 """Exit codes, CSV emission, and determinism of the command line tool."""
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from wpcn_ee import MODE_IELCN, MODE_PWPCN, MODE_QOS, RAW_COLUMNS
-from wpcn_ee.cli import main
+from wpcn_ee.cli import _build_parser, main
 
 
 def cfg_file(tmp_path: Path, payload: dict, name: str = "cfg.json") -> str:
@@ -65,6 +66,13 @@ def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 1
+    # only oracle-check reads --tolerance; elsewhere it is not a flag
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--tolerance", "1"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
+    assert _build_parser().parse_args(["oracle-check", "--tolerance", "1"]).tolerance == 1.0
 
 
 def test_config_errors_exit_one(tmp_path, capsys):
@@ -87,6 +95,28 @@ def test_config_errors_exit_one(tmp_path, capsys):
         ({"rho_list": 0.5}, "'rho_list' must be a JSON list"),
         ({"system": {"eta": None}}, "wrong JSON type"),
         ({"initial_energy_J": None}, "wrong JSON type"),
+        # non-finite sweep ranges used to end in OverflowError tracebacks
+        # or in a message about converting NaN to an integer
+        (
+            {"sweep": {"axis": "eta", "start": 0.5, "stop": math.inf, "step": 0.1}},
+            "sweep 'stop' must be finite, got inf",
+        ),
+        (
+            {"sweep": {"axis": "eta", "start": 0.5, "stop": 0.9, "step": math.nan}},
+            "sweep 'step' must be finite, got nan",
+        ),
+        # integer fields used to truncate: K 2.9 solved K = 2
+        ({"geometry": {"K": 2.9}}, "'K' must be an integer, got 2.9"),
+        ({"geometry": {"seed": "3"}}, "'seed' must be an integer, got '3'"),
+        ({"grid": {"n_tau": 40.5}}, "'n_tau' must be an integer, got 40.5"),
+        (
+            {"sweep": {"axis": "eta", "values": [0.5], "trials": 1.5}},
+            "'trials' must be an integer, got 1.5",
+        ),
+        (
+            {"sweep": {"axis": "eta", "values": [0.5], "base_seed": True}},
+            "'base_seed' must be an integer, got True",
+        ),
     ]
     for i, (payload, message) in enumerate(wrong_types):
         cfg = cfg_file(tmp_path, payload, f"type{i}.json")
@@ -94,6 +124,12 @@ def test_config_errors_exit_one(tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"configuration error: {message}" in err, payload
         assert "Traceback" not in err
+    # a K sweep value is an integer field too; integral floats pass
+    k_sweep = {"sweep": {"axis": "K", "values": [2, 2.5]}, "output": str(tmp_path / "k.csv")}
+    assert main(["sweep", "--config", cfg_file(tmp_path, k_sweep, "k.json")]) == 1
+    assert "configuration error: 'K' must be an integer, got 2.5" in capsys.readouterr().err
+    integral = cfg_file(tmp_path, {"geometry": {"K": 2.0, "seed": 4.0}}, "integral.json")
+    assert main(["solve-best-effort", "--config", integral]) == 0
 
 
 def test_zero_battery_list_must_match_the_user_count(tmp_path, capsys):

@@ -462,6 +462,50 @@ def test_k2_probe_fill_keeps_its_multiplier(monkeypatch):
     assert rep.throughput >= scen.params.Rmin * (1.0 - 1e-12)
 
 
+def test_level_solves_each_root_once_per_delta(monkeypatch):
+    # every read of a user's dual at one delta (charging gate, block fit,
+    # assembly) must reuse one root, or boundary sign tests can flip
+    roots, time_bound = [], []
+    s_root, solve_time_bound = qos._s_root, qos._Level._solve_time_bound
+
+    def recording_s_root(gamma, q, delta, *rest):
+        roots.append((gamma, delta))
+        return s_root(gamma, q, delta, *rest)
+
+    def recording_time_bound(self, *args):
+        time_bound.append(args)
+        return solve_time_bound(self, *args)
+
+    monkeypatch.setattr(qos, "_s_root", recording_s_root)
+    monkeypatch.setattr(qos._Level, "_solve_time_bound", recording_time_bound)
+
+    # empty batteries, q at half the best-effort EE: the charging slot is on
+    zero = random_scenario(np.random.default_rng(0), 6, q_mode="zero")
+    pt = qos._Level(zero, 0.5 * solve_best_effort(zero).ee, 0.0).point()
+    assert pt.alloc.tau0 > 0.0 and not time_bound
+    assert roots and len(roots) == len(set(roots))
+
+    # mixed batteries at a low q: the drains overfill the block
+    roots.clear()
+    mixed = random_scenario(np.random.default_rng(0), 6, q_mode="mixed")
+    pt = qos._Level(mixed, 2e4, 0.0).point()
+    assert pt.alloc.tau0 == 0.0 and time_bound and pt.delta > 0.0
+    assert roots and len(roots) == len(set(roots))
+
+
+def test_threshold_gap_solve_is_pinned():
+    # mixed batteries, Rmin = 0.7 R*: 15 of the solve's 17 KKT levels
+    # land in the gap of the time-bound regime, and so does the answer:
+    # user 3 sits at the threshold (mu = 0) with a free slot, no fill
+    base = random_scenario(np.random.default_rng(0), 6, q_mode="mixed")
+    scen = with_floor(base, 0.7 * max_throughput(base).R_star)
+    rep, duals, _ = solve_qos_detailed(scen)
+    assert rep.alloc.tau[3] > 0.0 and duals.mu[3] == 0.0
+    assert rep.ee == 302666.99567325483
+    assert rep.throughput == 71113.11594700714
+    assert rep.iterations == {"outer": 4, "fills": 0}
+
+
 @pytest.mark.parametrize(
     "call",
     [
