@@ -136,6 +136,11 @@ class ExperimentConfig:
         for r in self.rho_list:
             if not 0.0 <= r <= 1.0:
                 raise ValueError("rho values must lie in [0, 1]")
+        if len(set(self.rho_list)) != len(self.rho_list):
+            raise ValueError("rho values must be distinct")
+
+
+_MAX_SWEEP_POINTS = 10**6  # a start/stop/step range may expand to this many values
 
 
 def _optional_float(v) -> float | None:
@@ -264,7 +269,10 @@ def _parse_config(raw) -> ExperimentConfig:
                     raise ValueError(f"sweep {key!r} must be finite, got {v!r}")
             if step <= 0.0:
                 raise ValueError("sweep step must be positive")
-            n = int(math.floor((stop - start) / step + 1e-9)) + 1
+            span = (stop - start) / step
+            n = int(math.floor(span + 1e-9)) + 1 if math.isfinite(span) else math.inf
+            if n > _MAX_SWEEP_POINTS:
+                raise ValueError(f"sweep range gives {n} points, more than {_MAX_SWEEP_POINTS}")
             values = tuple(start + i * step for i in range(max(n, 1)))
         sweep = SweepSpec(
             axis=str(blk["axis"]),
@@ -346,12 +354,19 @@ def _floor_blind_report(alloc: Allocation, scen: Scenario, iterations: dict) -> 
     return rep
 
 
+def _rho_label(rho: float) -> str:
+    """The %g form of rho when it reads back as rho, else its repr, so
+    run_scheme always runs the configured value."""
+    short = format(rho, "g")
+    return short if float(short) == rho else repr(rho)
+
+
 def expand_schemes(schemes: Sequence[str], rho_list: Sequence[float]) -> tuple[str, ...]:
     """Replace the fixed_proportion selector by one entry per rho."""
     out: list[str] = []
     for s in schemes:
         if s == "fixed_proportion":
-            out.extend(f"fixed_proportion_rho{format(r, 'g')}" for r in rho_list)
+            out.extend(f"fixed_proportion_rho{_rho_label(r)}" for r in rho_list)
         else:
             out.append(s)
     return tuple(out)

@@ -73,125 +73,78 @@ def _check_size(scen: Scenario, grid: GridSpec) -> int:
     return n
 
 
-def _ee_scalar(scen: Scenario, P0: float, tau0: float, tau: list[float], p: list[float]) -> float | None:
-    """EE of one grid point, None if infeasible.  Mirrors the array masks."""
+def _evaluator(scen: Scenario, t_axis, p_axes, P0: float):
+    """Masked EE of one charging-time slice of the grid.
+
+    The uplink arrays do not depend on tau0, so they are built once,
+    broadcast over the 2K axes (tau_1..tau_K, p_1..p_K).  ee_at(i, rmin)
+    is the EE over those axes at tau0 = t_axis[i], -1 where a constraint
+    fails.
+    """
     par = scen.params
-    if tau0 + sum(tau) > par.Tmax * (1.0 + _REL_EPS):
-        return None
-    b = 0.0
-    e = P0 * tau0 * scen.wet_deficit + par.Pc * tau0
-    for k, u in enumerate(scen.users):
-        budget = par.eta * P0 * tau0 * u.h + u.Q
-        spend = (p[k] / par.varsigma + par.pc) * tau[k]
-        if spend > budget * (1.0 + _REL_EPS):
-            return None
-        b += tau[k] * par.W * np.log2(1.0 + p[k] * u.gamma)
-        e += spend
-    if e <= 0.0:
-        return 0.0
-    return float(b / e)
+    slop = 1.0 + _REL_EPS
+    mesh = np.ix_(*([t_axis] * scen.K + list(p_axes)))
+    taus, powers = mesh[: scen.K], mesh[scen.K :]
+    bits = [
+        t * (par.W * np.log2(1.0 + p * u.gamma)) for t, p, u in zip(taus, powers, scen.users)
+    ]
+    spends = [t * (p / par.varsigma + par.pc) for t, p in zip(taus, powers)]
+    B = sum(bits[1:], bits[0])
+    spend = sum(spends[1:], spends[0])
+    tsum = sum(taus[1:], taus[0])
 
-
-def _resolution_bound(
-    scen: Scenario, P0: float, t_axis, p_axes, best_idx: tuple[int, ...], best_ee: float
-) -> float:
-    """Max |EE - EE*| to feasible axis-neighbors of the winning point."""
-    K = scen.K
-    axes = [t_axis] + [t_axis] * K + list(p_axes)
-    bound = 0.0
-    for ax in range(len(best_idx)):
-        for step in (-1, 1):
-            j = best_idx[ax] + step
-            if not 0 <= j < len(axes[ax]):
-                continue
-            idx = list(best_idx)
-            idx[ax] = j
-            tau0 = float(axes[0][idx[0]])
-            tau = [float(axes[1 + k][idx[1 + k]]) for k in range(K)]
-            p = [float(axes[1 + K + k][idx[1 + K + k]]) for k in range(K)]
-            ee = _ee_scalar(scen, P0, tau0, tau, p)
-            if ee is not None:
-                bound = max(bound, abs(ee - best_ee))
-    return bound
-
-
-def _sweep(scen: Scenario, grid: GridSpec, P0: float, rmin: float | None):
-    """Shared grid walk.  Returns (best_ee, best_idx) with best_idx None if
-    no feasible point meets the throughput floor."""
-    par = scen.params
-    t_axis, p_axes = _axes(scen, grid)
-    K = scen.K
-    W = par.W
-
-    rates = [W * np.log2(1.0 + p_axes[k] * scen.users[k].gamma) for k in range(K)]
-    drains = [p_axes[k] / par.varsigma + par.pc for k in range(K)]
-
-    best_ee = -1.0
-    best_idx: tuple[int, ...] | None = None
-
-    if K == 1:
-        t0 = t_axis[:, None, None]
-        t1 = t_axis[None, :, None]
-        r1 = rates[0][None, None, :]
-        d1 = drains[0][None, None, :]
-        B = t1 * r1
-        spend1 = t1 * d1
-        budget1 = par.eta * P0 * t0 * scen.users[0].h + scen.users[0].Q
-        E = P0 * t0 * scen.wet_deficit + par.Pc * t0 + spend1
-        ok = (t0 + t1 <= par.Tmax * (1.0 + _REL_EPS)) & (
-            spend1 <= budget1 * (1.0 + _REL_EPS)
-        )
+    def ee_at(i: int, rmin: float | None):
+        tau0 = t_axis[i]
+        E = P0 * tau0 * scen.wet_deficit + par.Pc * tau0 + spend
+        ok = tau0 + tsum <= par.Tmax * slop
+        for u, spend_k in zip(scen.users, spends):
+            ok = ok & (spend_k <= (par.eta * P0 * tau0 * u.h + u.Q) * slop)
         if rmin is not None:
             ok = ok & (B >= rmin * (1.0 - _REL_EPS))
-        ee = np.where(E > 0.0, B / np.where(E > 0.0, E, 1.0), 0.0)
-        ee = np.where(ok, ee, -1.0)
-        flat = int(np.argmax(ee))
-        idx = np.unravel_index(flat, ee.shape)
-        if ee[idx] >= 0.0:
-            best_ee = float(ee[idx])
-            best_idx = tuple(int(i) for i in idx)
-    else:
-        u1, u2 = scen.users
-        t1 = t_axis[:, None, None, None]
-        t2 = t_axis[None, :, None, None]
-        r1 = rates[0][None, None, :, None]
-        r2 = rates[1][None, None, None, :]
-        d1 = drains[0][None, None, :, None]
-        d2 = drains[1][None, None, None, :]
-        B = t1 * r1 + t2 * r2
-        spend1 = t1 * d1
-        spend2 = t2 * d2
-        spend = spend1 + spend2
-        tsum = t1 + t2
-        for i, tau0 in enumerate(t_axis):
-            budget1 = par.eta * P0 * tau0 * u1.h + u1.Q
-            budget2 = par.eta * P0 * tau0 * u2.h + u2.Q
-            E = P0 * tau0 * scen.wet_deficit + par.Pc * tau0 + spend
-            ok = (
-                (tau0 + tsum <= par.Tmax * (1.0 + _REL_EPS))
-                & (spend1 <= budget1 * (1.0 + _REL_EPS))
-                & (spend2 <= budget2 * (1.0 + _REL_EPS))
-            )
-            if rmin is not None:
-                ok = ok & (B >= rmin * (1.0 - _REL_EPS))
-            ee = np.where(E > 0.0, B / np.where(E > 0.0, E, 1.0), 0.0)
-            ee = np.where(ok, ee, -1.0)
-            flat = int(np.argmax(ee))
-            idx = np.unravel_index(flat, ee.shape)
-            if ee[idx] > best_ee:
-                best_ee = float(ee[idx])
-                best_idx = (i,) + tuple(int(j) for j in idx)
-        if best_ee < 0.0:
-            best_idx = None
+        positive = E > 0.0
+        ee = np.where(positive, B / np.where(positive, E, 1.0), 0.0)
+        return np.where(ok, ee, -1.0)
 
-    return t_axis, p_axes, best_ee, best_idx
+    return ee_at
+
+
+def _search(ee_at, n_tau: int, rmin: float | None):
+    """Best (ee, index) over the grid, index None if no point is feasible.
+
+    Slices are scanned in tau0 order and a later slice wins only by a
+    strict margin, so the winner is the first maximum in C order.
+    """
+    best_ee = -1.0
+    best_idx: tuple[int, ...] | None = None
+    for i in range(n_tau):
+        ee = ee_at(i, rmin)
+        flat = int(np.argmax(ee))
+        if ee.flat[flat] > best_ee:
+            best_ee = float(ee.flat[flat])
+            best_idx = (i,) + tuple(int(j) for j in np.unravel_index(flat, ee.shape))
+    return best_ee, best_idx
+
+
+def _resolution_bound(ee_at, n_tau: int, best_idx: tuple[int, ...], best_ee: float) -> float:
+    """Max |EE - EE*| to feasible axis-neighbors of the winning point,
+    the floor left out."""
+    i, here = best_idx[0], best_idx[1:]
+    slices = {j: ee_at(j, None) for j in (i - 1, i, i + 1) if 0 <= j < n_tau}
+    neighbors = [slices[j][here] for j in (i - 1, i + 1) if j in slices]
+    for ax, n in enumerate(slices[i].shape):
+        for j in (here[ax] - 1, here[ax] + 1):
+            if 0 <= j < n:
+                neighbors.append(slices[i][here[:ax] + (j,) + here[ax + 1 :]])
+    return max((abs(float(ee) - best_ee) for ee in neighbors if ee >= 0.0), default=0.0)
 
 
 def _assemble(
     scen: Scenario, grid: GridSpec, P0: float, rmin: float | None, mode_hint: str | None
 ) -> SolutionReport:
     n_points = _check_size(scen, grid)
-    t_axis, p_axes, best_ee, best_idx = _sweep(scen, grid, P0, rmin)
+    t_axis, p_axes = _axes(scen, grid)
+    ee_at = _evaluator(scen, t_axis, p_axes, P0)
+    best_ee, best_idx = _search(ee_at, grid.n_tau, rmin)
 
     if best_idx is None:
         iterations = {"outer": 1, "grid_points": n_points}
@@ -205,7 +158,7 @@ def _assemble(
     p = [pk if tk > 0.0 else 0.0 for pk, tk in zip(p, tau)]
     alloc = Allocation(P0=P0, tau0=tau0, p=tuple(p), tau=tuple(tau))
 
-    bound = _resolution_bound(scen, P0, t_axis, p_axes, best_idx, best_ee)
+    bound = _resolution_bound(ee_at, grid.n_tau, best_idx, best_ee)
     if mode_hint is None:
         mode = MODE_PWPCN if tau0 > 0.0 else MODE_IELCN
     else:

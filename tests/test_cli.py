@@ -105,6 +105,16 @@ def test_config_errors_exit_one(tmp_path, capsys):
             {"sweep": {"axis": "eta", "start": 0.5, "stop": 0.9, "step": math.nan}},
             "sweep 'step' must be finite, got nan",
         ),
+        # finite endpoints whose span overflows, or a point count past the
+        # cap, must fail before the values are built
+        (
+            {"sweep": {"axis": "eta", "start": -1e308, "stop": 1e308, "step": 1}},
+            "sweep range gives inf points, more than 1000000",
+        ),
+        (
+            {"sweep": {"axis": "eta", "start": 0, "stop": 10**6, "step": 1}},
+            "sweep range gives 1000001 points, more than 1000000",
+        ),
         # integer fields used to truncate: K 2.9 solved K = 2
         ({"geometry": {"K": 2.9}}, "'K' must be an integer, got 2.9"),
         ({"geometry": {"seed": "3"}}, "'seed' must be an integer, got '3'"),

@@ -176,6 +176,38 @@ def test_scheme_expansion_and_dispatch():
         run_scheme("mystery", scen)
 
 
+def test_every_rho_runs_at_its_configured_value(tmp_path):
+    # both values print as 0.123457 under %g; each must keep its own name
+    # and run at exactly its value, while names that read back stay short
+    rhos = [0.1234567, 0.1234568]
+    names = expand_schemes(("fixed_proportion",), rhos + [0.5, 1.0])
+    assert names == (
+        "fixed_proportion_rho0.1234567",
+        "fixed_proportion_rho0.1234568",
+        "fixed_proportion_rho0.5",
+        "fixed_proportion_rho1",
+    )
+    scen = random_scenario(np.random.default_rng(233), 2, q_mode="zero")
+    for name, rho in zip(names, rhos):
+        assert run_scheme(name, scen) == baseline_fixed_proportion(scen, rho)
+
+    payload = {
+        "geometry": {"K": 2},
+        "sweep": {"axis": "Pmax_dBm", "values": [43.0]},
+        "schemes": ["fixed_proportion"],
+        "rho_list": rhos,
+        "output": str(tmp_path / "rho.csv"),
+    }
+    _, mean_path = run_sweep(load_config(write_cfg(tmp_path, payload)))
+    _, m_rows = read_csv(mean_path)
+    assert [(r[2], r[3]) for r in m_rows] == [(n, "1") for n in names[:2]]
+    assert m_rows[0][5] != m_rows[1][5]
+
+    payload["rho_list"] = [0.5, 0.25, 0.5]
+    with pytest.raises(ValueError, match="rho values must be distinct"):
+        load_config(write_cfg(tmp_path, payload, "dup.json"))
+
+
 def sweep_payload(tmp_path: Path, out_name: str) -> dict:
     return {
         "geometry": {"K": 2},

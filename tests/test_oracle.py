@@ -1,6 +1,8 @@
 """Checks on the brute-force grid oracle itself: the ground truth had
 better be trustworthy before the solvers are judged against it."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,8 @@ from wpcn_ee import (
     max_throughput,
     solve_best_effort,
 )
-from wpcn_ee.model import scenario_from_values
+from wpcn_ee.model import Allocation, energy_total, scenario_from_values, throughput
+from wpcn_ee.oracle import _axes
 
 from conftest import random_scenario, stock_params
 
@@ -87,6 +90,69 @@ def test_floor_respected_or_infeasible():
         assert bad.mode == MODE_INFEASIBLE
         assert bad.ee == 0.0
         assert "resolution_bound_ee" not in bad.iterations
+
+
+def scan_ee(scen, point, rmin=None, slack=1e-12):
+    """EE of one grid point (tau0, tau_1..tau_K, p_1..p_K) from the model's
+    accounting, -1 where the oracle's relative masks reject it."""
+    par, K = scen.params, scen.K
+    tau0, tau, p = point[0], point[1 : 1 + K], point[1 + K :]
+    if tau0 + sum(tau) > par.Tmax * (1.0 + slack):
+        return -1.0
+    for u, pk, tk in zip(scen.users, p, tau):
+        budget = par.eta * par.Pmax * tau0 * u.h + u.Q
+        if (pk / par.varsigma + par.pc) * tk > budget * (1.0 + slack):
+            return -1.0
+    alloc = Allocation(P0=par.Pmax, tau0=tau0, p=tuple(p), tau=tuple(tau))
+    bits, joules = throughput(alloc, scen), energy_total(alloc, scen)
+    if rmin is not None and bits < rmin * (1.0 - slack):
+        return -1.0
+    return bits / joules if joules > 0.0 else 0.0
+
+
+@pytest.mark.parametrize("K", [1, 2])
+@pytest.mark.parametrize("floor", [None, 0.1, 0.3])
+def test_oracle_matches_an_exhaustive_product_scan(K, floor):
+    # an independent scalar scan over itertools.product must find the
+    # oracle's winner, first in C order, and the same neighbor swing
+    grid = GridSpec(n_tau=4, n_p=3)
+    rng = np.random.default_rng(43 + K)
+    feasible = 0
+    for q_mode in ("zero", "positive", "mixed"):
+        scen = random_scenario(rng, K, q_mode=q_mode)
+        rmin = None
+        if floor is not None:
+            rmin = floor * max_throughput(scen).R_star
+            scen = with_floor(scen, rmin)
+        t_axis, p_axes = _axes(scen, grid)
+        axes = [[float(t) for t in t_axis]] * (1 + K) + [[float(p) for p in ax] for ax in p_axes]
+        best, best_idx = -1.0, None
+        for idx in itertools.product(*(range(len(ax)) for ax in axes)):
+            ee = scan_ee(scen, [ax[i] for ax, i in zip(axes, idx)], rmin)
+            if ee > best:
+                best, best_idx = ee, idx
+        rep = (grid_search_best_effort if rmin is None else grid_search_qos)(scen, grid)
+        if best_idx is None:
+            assert rep.mode == MODE_INFEASIBLE, q_mode
+            continue
+        feasible += 1
+        point = [ax[i] for ax, i in zip(axes, best_idx)]
+        tau, p = point[1 : 1 + K], point[1 + K :]
+        assert rep.alloc.tau0 == point[0] and rep.alloc.tau == tuple(tau), q_mode
+        assert rep.alloc.p == tuple(pk if tk > 0.0 else 0.0 for pk, tk in zip(p, tau)), q_mode
+        assert rep.ee == pytest.approx(best, rel=1e-14, abs=0.0), q_mode
+
+        swings = []
+        for ax, step in itertools.product(range(len(axes)), (-1, 1)):
+            idx = list(best_idx)
+            idx[ax] += step
+            if 0 <= idx[ax] < len(axes[ax]):
+                ee = scan_ee(scen, [a[i] for a, i in zip(axes, idx)])
+                if ee >= 0.0:
+                    swings.append(abs(ee - best))
+        bound = rep.iterations["resolution_bound_ee"]
+        assert bound == pytest.approx(max(swings, default=0.0), rel=1e-14, abs=0.0), q_mode
+    assert feasible >= 2
 
 
 def test_gridspec_validation():
