@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from typing import Iterable
 
 import numpy as np
 
-from .model import Scenario, SystemParams, UserChannel, db_to_linear
+from .model import Scenario, SystemParams, UserChannel, _battery_vector, db_to_linear
 
 
 @dataclass(frozen=True)
@@ -78,24 +79,26 @@ def _draw_gains(rng: np.random.Generator, geo: GeometryConfig) -> tuple[np.ndarr
     return h, g
 
 
-def generate_scenario(geo: GeometryConfig, params: SystemParams, max_attempts: int = 100) -> Scenario:
+def generate_scenario(
+    geo: GeometryConfig, params: SystemParams, max_attempts: int = 100, *, Q: Iterable[float] | float = 0.0
+) -> Scenario:
     """Draw one scenario; deterministic in geo.seed.
 
-    Initial energy is zero for every user; tests and experiments that
-    need charged batteries substitute a Q vector afterwards.  Draws
-    violating the admissibility bound sum eta*h < 1/xi are rejected and
-    redrawn (vanishingly rare at realistic gains), erroring out after
-    max_attempts.
+    Q is the initial battery energy, one value shared by every user or
+    one per user; it is checked before the draw, and each user's channel
+    is built once with its charge.  Draws violating the admissibility
+    bound sum eta*h < 1/xi are rejected and redrawn (vanishingly rare at
+    realistic gains), erroring out after max_attempts.
     """
+    qs = _battery_vector(Q, geo.K)
     rng = np.random.default_rng(geo.seed)
-    denom = params.Gamma * params.sigma2
     for _ in range(max_attempts):
         h, g = _draw_gains(rng, geo)
         if params.eta * float(np.sum(h)) >= 1.0 / params.xi:
             continue
         users = tuple(
-            UserChannel(h=float(hi), g=float(gi), Q=0.0, gamma=float(gi) / denom)
-            for hi, gi in zip(h, g)
+            UserChannel.from_gains(float(hi), float(gi), qi, params)
+            for hi, gi, qi in zip(h, g, qs)
         )
         return Scenario(params=params, users=users)
     raise RuntimeError(

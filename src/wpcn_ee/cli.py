@@ -17,7 +17,7 @@ from .best_effort import solve_best_effort
 from .experiments import (
     RAW_COLUMNS,
     ExperimentConfig,
-    _draw_scenario,
+    _apply_axis,
     _parse_config,
     load_config,
     report_convergence,
@@ -72,17 +72,12 @@ def _build_parser() -> _Parser:
 
 
 def _config_from(args) -> ExperimentConfig:
-    cfg = _parse_config({}) if args.config is None else load_config(args.config)
-    if args.seed is not None:
-        cfg = dataclasses.replace(
-            cfg, geometry=dataclasses.replace(cfg.geometry, seed=args.seed)
-        )
-    return cfg
+    return _parse_config({}) if args.config is None else load_config(args.config)
 
 
 def _cmd_single(args, use_floor: bool) -> int:
     cfg = _config_from(args)
-    scen = _draw_scenario(cfg)
+    scen = _apply_axis(cfg, seed=args.seed)
     if use_floor:
         if cfg.params.Rmin is None:
             print("solve-qos needs Rmin_bits in the configuration", file=sys.stderr)
@@ -101,7 +96,7 @@ def _cmd_feasibility(args) -> int:
     if cfg.params.Rmin is None:
         print("feasibility needs Rmin_bits in the configuration", file=sys.stderr)
         return _USAGE_EXIT
-    rep = throughput_report(_draw_scenario(cfg))
+    rep = throughput_report(_apply_axis(cfg, seed=args.seed))
     ok = rep.mode != MODE_INFEASIBLE
     write_rows(
         args.out,
@@ -113,7 +108,7 @@ def _cmd_feasibility(args) -> int:
 
 def _cmd_oracle_check(args) -> int:
     cfg = _config_from(args)
-    scen = _draw_scenario(cfg)
+    scen = _apply_axis(cfg, seed=args.seed)
     if cfg.params.Rmin is None:
         rep = solve_best_effort(scen)
         oracle = grid_search_best_effort(scen, cfg.grid)
@@ -166,7 +161,7 @@ def _cmd_convergence(args) -> int:
     if cfg.params.Rmin is None:
         print("convergence needs Rmin_bits in the configuration", file=sys.stderr)
         return _USAGE_EXIT
-    scen = _draw_scenario(cfg)
+    scen = _apply_axis(cfg, seed=args.seed)
     try:
         trace = report_convergence(scen)
     except ValueError as exc:

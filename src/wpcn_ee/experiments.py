@@ -1,7 +1,8 @@
 """Sweep experiments, baselines, and deterministic CSV emission.
 
 Configuration enters as JSON with dB/dBm fields; conversion to linear
-units happens exactly once, at load time.  Sweeps iterate a single axis
+units happens in one place, the key tables, for configured entries and
+sweep values alike.  Sweeps iterate a single axis
 over Monte Carlo trials with per-trial seeds, so different axis values
 see identical channel draws, and every run with the same configuration
 produces byte-identical CSV files.
@@ -29,13 +30,11 @@ from .model import (
     Scenario,
     SolutionReport,
     SystemParams,
-    _battery_vector,
     _report,
     check_constraints,
     db_to_linear,
     dbm_to_watts,
     system_ee,
-    with_initial_energy,
     zero_allocation,
 )
 from .oracle import GridSpec
@@ -43,7 +42,18 @@ from .qos import _reaches_floor, solve_qos, solve_qos_detailed
 from .search import golden_section_max
 from .throughput_max import max_throughput
 
-SWEEP_AXES = ("Pmax_dBm", "Rmin", "eta", "alpha", "K")
+# Unused here: bound only for the layer spans in perfbench/spans.py.
+from .model import with_initial_energy  # noqa: F401
+
+# Sweep axis -> (config block, JSON key) of the entry a sweep value overrides
+_AXIS_KEYS = {
+    "Pmax_dBm": ("system", "Pmax_dBm"),
+    "Rmin": ("system", "Rmin_bits"),
+    "eta": ("system", "eta"),
+    "alpha": ("geometry", "alpha"),
+    "K": ("geometry", "K"),
+}
+SWEEP_AXES = tuple(_AXIS_KEYS)
 SCHEME_NAMES = ("ee_optimal", "throughput_optimal", "fixed_proportion")
 
 RAW_COLUMNS = (
@@ -143,10 +153,6 @@ class ExperimentConfig:
 _MAX_SWEEP_POINTS = 10**6  # a start/stop/step range may expand to this many values
 
 
-def _optional_float(v) -> float | None:
-    return None if v is None else float(v)
-
-
 def _integer(key: str, v) -> int:
     """An integer entry: integral numbers such as 5 and 5.0 pass; 2.9,
     inf, true and "5" are errors rather than silently truncated."""
@@ -157,36 +163,49 @@ def _integer(key: str, v) -> int:
     raise ValueError(f"{key!r} must be an integer, got {v!r}")
 
 
+def _number(key: str, v) -> float:
+    """A real entry: JSON numbers pass as floats; true, "30" and null are
+    wrong JSON types rather than silently converted."""
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        return float(v)
+    raise TypeError(f"{key!r} must be a number, got {v!r}")
+
+
+def _optional_number(key: str, v) -> float | None:
+    return None if v is None else _number(key, v)
+
+
 # JSON key -> (dataclass field, conversion), one table per block.  The
 # dB/dBm fields are converted to linear units here and nowhere else.
 _SYSTEM_KEYS = {
-    "bandwidth_Hz": ("W", float),
-    "noise_dBm": ("sigma2", lambda v: dbm_to_watts(float(v))),
-    "snr_gap_dB": ("Gamma", lambda v: db_to_linear(float(v))),
-    "eta": ("eta", float),
-    "xi": ("xi", float),
-    "varsigma": ("varsigma", float),
-    "Pc_W": ("Pc", float),
-    "pc_W": ("pc", float),
-    "Pmax_dBm": ("Pmax", lambda v: dbm_to_watts(float(v))),
-    "Tmax_s": ("Tmax", float),
-    "Rmin_bits": ("Rmin", _optional_float),
+    "bandwidth_Hz": ("W", _number),
+    "noise_dBm": ("sigma2", lambda k, v: dbm_to_watts(_number(k, v))),
+    "snr_gap_dB": ("Gamma", lambda k, v: db_to_linear(_number(k, v))),
+    "eta": ("eta", _number),
+    "xi": ("xi", _number),
+    "varsigma": ("varsigma", _number),
+    "Pc_W": ("Pc", _number),
+    "pc_W": ("pc", _number),
+    "Pmax_dBm": ("Pmax", lambda k, v: dbm_to_watts(_number(k, v))),
+    "Tmax_s": ("Tmax", _number),
+    "Rmin_bits": ("Rmin", _optional_number),
 }
 _GEOMETRY_KEYS = {
-    "K": ("K", lambda v: _integer("K", v)),
-    "d_min_m": ("d_min_m", float),
-    "d_max_m": ("d_max_m", float),
-    "d_rx_m": ("d_rx_m", float),
-    "alpha": ("alpha", float),
-    "rician_K_dB": ("rician_K_dB", float),
-    "ref_gain": ("ref_gain", float),
-    "seed": ("seed", lambda v: _integer("seed", v)),
+    "K": ("K", _integer),
+    "d_min_m": ("d_min_m", _number),
+    "d_max_m": ("d_max_m", _number),
+    "d_rx_m": ("d_rx_m", _number),
+    "alpha": ("alpha", _number),
+    "rician_K_dB": ("rician_K_dB", _number),
+    "ref_gain": ("ref_gain", _number),
+    "seed": ("seed", _integer),
 }
 _GRID_KEYS = {
-    "n_tau": ("n_tau", lambda v: _integer("n_tau", v)),
-    "n_p": ("n_p", lambda v: _integer("n_p", v)),
-    "p_max_search": ("p_max_search", _optional_float),
+    "n_tau": ("n_tau", _integer),
+    "n_p": ("n_p", _integer),
+    "p_max_search": ("p_max_search", _optional_number),
 }
+_KEY_TABLES = {"system": _SYSTEM_KEYS, "geometry": _GEOMETRY_KEYS}
 
 
 def _check_keys(block: dict, allowed: Iterable[str], where: str) -> None:
@@ -215,7 +234,7 @@ def _overrides(raw: dict, where: str, table: dict) -> dict:
     """Dataclass field overrides from one JSON block, through its key table."""
     block = _block(raw, where)
     _check_keys(block, table, where)
-    return {table[key][0]: table[key][1](value) for key, value in block.items()}
+    return {table[key][0]: table[key][1](key, value) for key, value in block.items()}
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -247,9 +266,9 @@ def _parse_config(raw) -> ExperimentConfig:
 
     energy = raw.get("initial_energy_J", 0.0)
     if isinstance(energy, list):
-        energy = tuple(float(x) for x in energy)
+        energy = tuple(_number("initial_energy_J", x) for x in energy)
     else:
-        energy = float(energy)
+        energy = _number("initial_energy_J", energy)
 
     sweep = None
     if "sweep" in raw:
@@ -260,10 +279,10 @@ def _parse_config(raw) -> ExperimentConfig:
             "sweep",
         )
         if "values" in blk:
-            values = tuple(float(v) for v in _list(blk, "values", []))
+            values = tuple(_number("values", v) for v in _list(blk, "values", []))
         else:
-            start, stop = float(blk["start"]), float(blk["stop"])
-            step = float(blk.get("step", 1.0))
+            start, stop = _number("start", blk["start"]), _number("stop", blk["stop"])
+            step = _number("step", blk.get("step", 1.0))
             for key, v in (("start", start), ("stop", stop), ("step", step)):
                 if not math.isfinite(v):
                     raise ValueError(f"sweep {key!r} must be finite, got {v!r}")
@@ -287,7 +306,7 @@ def _parse_config(raw) -> ExperimentConfig:
         initial_energy=energy,
         sweep=sweep,
         schemes=tuple(_list(raw, "schemes", ["ee_optimal"])),
-        rho_list=tuple(float(r) for r in _list(raw, "rho_list", [1.0])),
+        rho_list=tuple(_number("rho_list", r) for r in _list(raw, "rho_list", [1.0])),
         grid=GridSpec(**_overrides(raw, "grid", _GRID_KEYS)),
         output=str(raw.get("output", "results.csv")),
     )
@@ -386,31 +405,18 @@ def run_scheme(scheme: str, scen: Scenario) -> SolutionReport:
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def _apply_axis(cfg: ExperimentConfig, value: float, seed: int) -> Scenario:
-    params = cfg.params
-    geometry = cfg.geometry
-    axis = cfg.sweep.axis if cfg.sweep else None
-    if axis == "Pmax_dBm":
-        params = dataclasses.replace(params, Pmax=dbm_to_watts(value))
-    elif axis == "Rmin":
-        params = dataclasses.replace(params, Rmin=value)
-    elif axis == "eta":
-        params = dataclasses.replace(params, eta=value)
-    elif axis == "alpha":
-        geometry = dataclasses.replace(geometry, alpha=value)
-    elif axis == "K":
-        geometry = dataclasses.replace(geometry, K=_integer("K", value))
-    geometry = dataclasses.replace(geometry, seed=seed)
-    return _draw_scenario(dataclasses.replace(cfg, params=params, geometry=geometry))
-
-
-def _draw_scenario(cfg: ExperimentConfig) -> Scenario:
-    """Draw the configured channels and charge the configured batteries."""
-    scen = generate_scenario(cfg.geometry, cfg.params)
-    energy = _battery_vector(cfg.initial_energy, scen.K)
-    if any(e != 0.0 for e in energy):
-        scen = with_initial_energy(scen, energy)
-    return scen
+def _apply_axis(cfg: ExperimentConfig, value: float | None = None, seed: int | None = None) -> Scenario:
+    """The configured scenario, with the sweep axis at value (through the key
+    table of the entry it overrides) and the geometry seed at seed, if given."""
+    params, geometry = cfg.params, {} if seed is None else {"seed": seed}
+    if value is not None:
+        block, key = _AXIS_KEYS[cfg.sweep.axis]
+        name, convert = _KEY_TABLES[block][key]
+        if block == "system":
+            params = dataclasses.replace(params, **{name: convert(key, value)})
+        else:
+            geometry[name] = convert(key, value)
+    return generate_scenario(dataclasses.replace(cfg.geometry, **geometry), params, Q=cfg.initial_energy)
 
 
 def _fmt(x) -> str:

@@ -252,7 +252,7 @@ class _Level:
         self._warm = [0.0] * scen.K
         # dual record memo keyed on delta: repeat evaluations at one
         # delta must agree bit for bit or boundary sign tests can flip
-        self._duals: dict[float, tuple[list[int], list[float], list[float]]] = {}
+        self._duals: dict[float, tuple[list[int], list[float]]] = {}
 
     def p_of_s(self, k: int, s: float) -> float:
         return self.cln / s - 1.0 / self.gammas[k]
@@ -260,9 +260,10 @@ class _Level:
     def D_of_s(self, k: int, s: float) -> float:
         return self.p_of_s(k, s) / self.vs + self.pc
 
-    def duals(self, delta: float) -> tuple[list[int], list[float], list[float]]:
-        """(tight, s, D) at delta: the users whose score exceeds delta, in
-        ascending order, with their roots s_k and energy drains D_k."""
+    def duals(self, delta: float) -> tuple[list[int], list[float]]:
+        """(tight, s) at delta: the users whose score exceeds delta, in
+        ascending order, with their roots s_k.  The drains D_k are not
+        stored: the charging gate, the most frequent reader, needs none."""
         rec = self._duals.get(delta)
         if rec is not None:
             return rec
@@ -276,17 +277,17 @@ class _Level:
                 raise RuntimeError("stationarity root requested outside the tight region")
             self._warm[k] = sk
             s.append(sk)
-        rec = self._duals[delta] = (tight, s, [self.D_of_s(k, sk) for k, sk in zip(tight, s)])
+        rec = self._duals[delta] = (tight, s)
         return rec
 
     def _f0_at(self, delta: float) -> float:
-        tight, s, _ = self.duals(delta)
+        tight, s = self.duals(delta)
         gain = math.fsum((sk - self.q) * self.harvest[k] for k, sk in zip(tight, s))
         return gain - self.q * self.wet_cost - delta
 
     def _base_at(self, delta: float) -> float:
-        tight, _, D = self.duals(delta)
-        return math.fsum(self.Q[k] / Dk for k, Dk in zip(tight, D))
+        tight, s = self.duals(delta)
+        return math.fsum(self.Q[k] / self.D_of_s(k, sk) for k, sk in zip(tight, s))
 
     def point(self) -> _Point:
         """Pick the delta regime and assemble the inner maximizer."""
@@ -306,8 +307,10 @@ class _Level:
         base_w = self._base_at(delta_w)
         if base_w <= Tmax:
             # Charging on; block exactly filled by the tau0 scale.
-            tight_w, _, D_w = self.duals(delta_w)
-            slope = 1.0 + math.fsum(self.harvest[k] / Dk for k, Dk in zip(tight_w, D_w))
+            tight_w, s_w = self.duals(delta_w)
+            slope = 1.0 + math.fsum(
+                self.harvest[k] / self.D_of_s(k, sk) for k, sk in zip(tight_w, s_w)
+            )
             return self._assemble(delta_w, (Tmax - base_w) / slope, free={})
         return self._solve_time_bound(delta_w, Tmax)
 
@@ -384,12 +387,12 @@ class _Level:
 
     def _assemble(self, delta: float, tau0: float, free: dict[int, float]) -> _Point:
         """The point of the dual record at delta, plus free threshold users."""
-        tight, s, D = self.duals(delta)
+        tight, s = self.duals(delta)
         p_vec = [0.0] * self.K
         tau_vec = [0.0] * self.K
         mu_vec = [0.0] * self.K
-        for k, sk, Dk in zip(tight, s, D):
-            tau_vec[k] = (self.harvest[k] * tau0 + self.Q[k]) / Dk
+        for k, sk in zip(tight, s):
+            tau_vec[k] = (self.harvest[k] * tau0 + self.Q[k]) / self.D_of_s(k, sk)
             mu_vec[k] = sk - self.q
             if tau_vec[k] > 0.0:
                 p_vec[k] = max(0.0, self.p_of_s(k, sk))

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from wpcn_ee import GeometryConfig, generate_scenario
+from wpcn_ee import GeometryConfig, generate_scenario, with_initial_energy
 
 from conftest import stock_params
 
@@ -24,6 +24,17 @@ def test_all_initial_energy_zero():
     geo = GeometryConfig(K=6, seed=1)
     scen = generate_scenario(geo, stock_params())
     assert scen.Q == (0.0,) * 6
+
+
+def test_batteries_are_drawn_with_the_channels():
+    geo, par = GeometryConfig(K=3, seed=5), stock_params()
+    for q in (0.2, [0.1, 0.3, 0.05], [0.0, 0.04, 0.0]):
+        charged = generate_scenario(geo, par, Q=q)
+        assert charged == with_initial_energy(generate_scenario(geo, par), q)
+    # the length check runs before the draw, an all-zero list included
+    for q in ([0.1, 0.2], [0.0, 0.0], [0.0] * 4):
+        with pytest.raises(ValueError, match="Q must be scalar or match the user count"):
+            generate_scenario(geo, par, Q=q)
 
 
 def test_admissibility_always_holds():
@@ -82,8 +93,8 @@ def test_uplink_mean_matches_pathloss_average():
 def test_rejection_error_when_inadmissible():
     # huge reference gain forces the harvest sum over the cap every draw
     geo = GeometryConfig(K=8, seed=0, ref_gain=1e6)
-    with pytest.raises(RuntimeError):
-        generate_scenario(geo, stock_params())
+    with pytest.raises(RuntimeError, match="in 3 attempts"):
+        generate_scenario(geo, stock_params(), 3)
 
 
 def test_geometry_validation():

@@ -75,12 +75,15 @@ def test_usage_errors_exit_one(capsys):
     assert _build_parser().parse_args(["oracle-check", "--tolerance", "1"]).tolerance == 1.0
 
 
+WRONG = "wrong JSON type in configuration: "  # load_config's prefix for a TypeError
+
+
 def test_config_errors_exit_one(tmp_path, capsys):
     bad = cfg_file(tmp_path, {"system": {"wattage": 3}})
     assert main(["solve-best-effort", "--config", bad]) == 1
     assert "configuration error" in capsys.readouterr().err
     assert main(["solve-best-effort", "--config", str(tmp_path / "missing.json")]) == 1
-    not_a_power = cfg_file(tmp_path, {"system": {"Pmax_dBm": "nan"}}, "nan.json")
+    not_a_power = cfg_file(tmp_path, {"system": {"Pmax_dBm": math.nan}}, "nan.json")
     assert main(["solve-best-effort", "--config", not_a_power]) == 1
     assert "Pmax must be finite" in capsys.readouterr().err
     # blocks and lists of the wrong JSON type, and null for a number, are
@@ -95,6 +98,29 @@ def test_config_errors_exit_one(tmp_path, capsys):
         ({"rho_list": 0.5}, "'rho_list' must be a JSON list"),
         ({"system": {"eta": None}}, "wrong JSON type"),
         ({"initial_energy_J": None}, "wrong JSON type"),
+        # strings and booleans in numeric entries used to be converted
+        ({"system": {"Pmax_dBm": "30"}}, WRONG + "'Pmax_dBm' must be a number, got '30'"),
+        ({"system": {"Pmax_dBm": "nan"}}, WRONG + "'Pmax_dBm' must be a number, got 'nan'"),
+        ({"system": {"eta": True}}, WRONG + "'eta' must be a number, got True"),
+        ({"system": {"Rmin_bits": "5e4"}}, WRONG + "'Rmin_bits' must be a number, got '5e4'"),
+        ({"geometry": {"alpha": False}}, WRONG + "'alpha' must be a number, got False"),
+        ({"initial_energy_J": True}, WRONG + "'initial_energy_J' must be a number, got True"),
+        ({"initial_energy_J": [0.1, "0"]}, WRONG + "'initial_energy_J' must be a number, got '0'"),
+        ({"rho_list": ["0.5"]}, WRONG + "'rho_list' must be a number, got '0.5'"),
+        ({"grid": {"p_max_search": True}}, WRONG + "'p_max_search' must be a number, got True"),
+        ({"sweep": {"axis": "eta", "values": [True]}}, WRONG + "'values' must be a number, got True"),
+        (
+            {"sweep": {"axis": "eta", "start": "0.5", "stop": 0.9}},
+            WRONG + "'start' must be a number, got '0.5'",
+        ),
+        (
+            {"sweep": {"axis": "eta", "start": 0.5, "stop": [0.9]}},
+            WRONG + "'stop' must be a number, got [0.9]",
+        ),
+        (
+            {"sweep": {"axis": "eta", "start": 0.5, "stop": 0.9, "step": True}},
+            WRONG + "'step' must be a number, got True",
+        ),
         # non-finite sweep ranges used to end in OverflowError tracebacks
         # or in a message about converting NaN to an integer
         (

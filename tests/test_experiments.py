@@ -28,6 +28,7 @@ from wpcn_ee import (
     system_ee,
     throughput_report,
 )
+from wpcn_ee.experiments import SWEEP_AXES, _apply_axis
 from wpcn_ee.model import scenario_from_values
 
 from conftest import random_scenario, stock_params
@@ -307,6 +308,37 @@ def test_convergence_trace_shape():
     assert abs(trace[-1][2]) < 1e-8
     with pytest.raises(ValueError):
         report_convergence(with_floor(scen, 1e12))
+
+
+# (sweep axis, config block, JSON key, value): one case per axis, in
+# the order SWEEP_AXES lists them
+AXIS_CASES = [
+    ("Pmax_dBm", "system", "Pmax_dBm", 31.5),
+    ("Rmin", "system", "Rmin_bits", 40000.0),
+    ("eta", "system", "eta", 0.6),
+    ("alpha", "geometry", "alpha", 3.1),
+    ("K", "geometry", "K", 4.0),
+]
+
+
+def test_sweep_axes_keep_their_order():
+    assert SWEEP_AXES == tuple(case[0] for case in AXIS_CASES)
+
+
+@pytest.mark.parametrize("axis, block, key, x", AXIS_CASES)
+def test_sweep_point_draws_the_configured_scenario(tmp_path, axis, block, key, x):
+    # mixed batteries; the K case starts from another user count
+    base = {
+        "geometry": {"K": 2 if axis == "K" else 4, "seed": 3},
+        "initial_energy_J": [0.0, 0.01, 0.0, 0.03],
+    }
+    swept = dict(base, sweep={"axis": axis, "values": [x], "trials": 1, "base_seed": 17})
+    fixed = json.loads(json.dumps(base))
+    fixed.setdefault(block, {})[key] = x
+    fixed["geometry"]["seed"] = 17
+    sweep_cfg = load_config(write_cfg(tmp_path, swept, "swept.json"))
+    point = _apply_axis(sweep_cfg, sweep_cfg.sweep.values[0], sweep_cfg.sweep.base_seed)
+    assert point == _apply_axis(load_config(write_cfg(tmp_path, fixed, "fixed.json")))
 
 
 def test_initial_energy_list_parses(tmp_path):
