@@ -300,6 +300,10 @@ def _parse_config(raw) -> ExperimentConfig:
             base_seed=_integer("base_seed", blk.get("base_seed", 0)),
         )
 
+    output = raw.get("output", "results.csv")
+    if not isinstance(output, str):
+        raise ValueError(f"'output' must be a string, got {output!r}")
+
     return ExperimentConfig(
         params=params,
         geometry=geometry,
@@ -308,7 +312,7 @@ def _parse_config(raw) -> ExperimentConfig:
         schemes=tuple(_list(raw, "schemes", ["ee_optimal"])),
         rho_list=tuple(_number("rho_list", r) for r in _list(raw, "rho_list", [1.0])),
         grid=GridSpec(**_overrides(raw, "grid", _GRID_KEYS)),
-        output=str(raw.get("output", "results.csv")),
+        output=output,
     )
 
 
@@ -479,6 +483,8 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[Path, Path]:
     schemes = expand_schemes(cfg.schemes, cfg.rho_list)
     axis = cfg.sweep.axis
     rows: list[tuple] = []
+    # (value, scheme) -> every report of that group, for the means
+    groups: dict[tuple[float, str], list[SolutionReport]] = {}
     for value in cfg.sweep.values:
         for trial in range(cfg.sweep.trials):
             scen = _apply_axis(cfg, value, cfg.sweep.base_seed + trial)
@@ -492,22 +498,22 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[Path, Path]:
                             f"(worst violation {cr.worst:.3e}) at {axis}={value}, trial {trial}"
                         )
                 rows.append(report_to_row(rep, axis, value, trial, scheme))
+                groups.setdefault((value, scheme), []).append(rep)
 
     raw_path = write_rows(Path(cfg.output), RAW_COLUMNS, rows)
 
     mean_rows: list[tuple] = []
     for value in cfg.sweep.values:
         for scheme in schemes:
-            group = [r for r in rows if r[1] == value and r[3] == scheme]
-            good = [r for r in group if r[11] == 1]
-            n_bad = len(group) - len(good)
+            group = groups[value, scheme]
+            good = [r for r in group if r.mode != MODE_INFEASIBLE]
             if good:
-                m_ee = math.fsum(r[5] for r in good) / len(good)
-                m_b = math.fsum(r[6] for r in good) / len(good)
-                m_e = math.fsum(r[7] for r in good) / len(good)
+                m_ee = math.fsum(r.ee for r in good) / len(good)
+                m_b = math.fsum(r.throughput for r in good) / len(good)
+                m_e = math.fsum(r.energy for r in good) / len(good)
             else:
                 m_ee = m_b = m_e = math.nan
-            mean_rows.append((axis, value, scheme, len(group), n_bad, m_ee, m_b, m_e))
+            mean_rows.append((axis, value, scheme, len(group), len(group) - len(good), m_ee, m_b, m_e))
 
     mean_path = write_rows(mean_path_for(cfg.output), MEAN_COLUMNS, mean_rows)
     return raw_path, mean_path

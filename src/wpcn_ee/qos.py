@@ -54,8 +54,7 @@ from .search import newton_bisect  # noqa: F401
 
 _REL_B = 1e-12  # slack applied to the throughput floor in comparisons
 _FILL_TOL = 1e-9  # relative B residual beyond which a boundary fill engages
-_THETA_CAP = 2.0**60
-_DELTA_CAP = 2.0**60
+_CAP = 2.0**60  # largest multiplier a doubling bracket may reach
 
 
 @dataclass(frozen=True)
@@ -156,6 +155,16 @@ def f0_wet_gate(mu: Sequence[float], q: float, delta: float, scen: Scenario) -> 
     _require_finite(q=q, delta=delta, **{f"mu[{k}]": m for k, m in enumerate(mu)})
     gain = par.eta * par.Pmax * math.fsum(m * u.h for m, u in zip(mu, scen.users))
     return gain - q * (par.Pmax * scen.wet_deficit + par.Pc) - delta
+
+
+def _double_until(done, x: float, what: str) -> float:
+    """The first of x, 2x, 4x, ... at which done holds; a RuntimeError
+    naming what once the doubling passes _CAP."""
+    while not done(x):
+        x *= 2.0
+        if x > _CAP:
+            raise RuntimeError(f"{what} bracket overflow")
+    return x
 
 
 def _s_root(
@@ -296,13 +305,7 @@ class _Level:
 
         # Charging pays at delta = 0: find where its gate closes.
         Tmax = self.par.Tmax
-        hi = 1.0
-        for _ in range(120):
-            if self._f0_at(hi) <= 0.0:
-                break
-            hi *= 2.0
-            if hi > _DELTA_CAP:
-                raise RuntimeError("delta bracket overflow in the WET gate solve")
+        hi = _double_until(lambda d: self._f0_at(d) <= 0.0, 1.0, "WET gate delta")
         delta_w = float(brentq(self._f0_at, 0.0, hi, rtol=1e-15, maxiter=200))
         base_w = self._base_at(delta_w)
         if base_w <= Tmax:
@@ -376,13 +379,9 @@ class _Level:
                 return self._assemble(j, 0.0, free=free)
             cur = j
 
-        hi = max(cur, 1.0)
-        for _ in range(120):
-            hi *= 2.0
-            if self._base_at(hi) <= Tmax:
-                break
-            if hi > _DELTA_CAP:
-                raise RuntimeError("delta bracket overflow in the time solve")
+        hi = _double_until(
+            lambda d: self._base_at(d) <= Tmax, 2.0 * max(cur, 1.0), "time-fit delta"
+        )
         return crossing_inside(cur, hi)
 
     def _assemble(self, delta: float, tau0: float, free: dict[int, float]) -> _Point:
@@ -485,22 +484,17 @@ def _solve_q(
     if rmin is None or _reaches_floor(p0.B, rmin):
         return p0, 0.0, 0
 
-    lo_t, lo_pt = 0.0, p0
     # At the zero point (no bits: empty batteries, q at the best-effort
     # EE, charging gate shut) the floor is crossed within a few ulps of
     # W1 = W, so the doubling starts at 2**-52, the smallest power of two
     # that moves W1 off W, rather than halving down from 1.
-    hi_t = 2.0**-52 if p0.B == 0.0 else 1.0
-    hi_pt = level(hi_t)
-    while not _reaches_floor(hi_pt.B, rmin):
-        lo_t, lo_pt = hi_t, hi_pt
-        hi_t *= 2.0
-        if hi_t > _THETA_CAP:
-            raise RuntimeError(
-                "throughput multiplier bracket overflow; duals "
-                f"q={q!r} delta={hi_pt.delta!r} mu={hi_pt.mu!r}"
-            )
-        hi_pt = level(hi_t)
+    start = 2.0**-52 if p0.B == 0.0 else 1.0
+    hi_t = _double_until(
+        lambda t: _reaches_floor(level(t).B, rmin), start, f"throughput multiplier (q={q!r})"
+    )
+    # both ends were solved while doubling, so these are memo hits
+    lo_t = 0.0 if hi_t == start else hi_t / 2.0
+    lo_pt, hi_pt = level(lo_t), level(hi_t)
     if hi_pt.B < rmin:
         # A floor within the slack of the rate ceiling: hi meets it only
         # up to _REL_B, so there is no sign change for brentq to bracket.

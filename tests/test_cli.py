@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from wpcn_ee import MODE_IELCN, MODE_PWPCN, MODE_QOS, RAW_COLUMNS
+from wpcn_ee import MODE_IELCN, MODE_PWPCN, MODE_QOS, RAW_COLUMNS, cli
 from wpcn_ee.cli import _build_parser, main
 
 
@@ -31,9 +31,10 @@ def test_solve_best_effort_to_stdout(capsys):
 
 
 def test_solve_qos_requires_a_floor(capsys):
-    rc = main(["solve-qos"])
-    assert rc == 1
-    assert "Rmin_bits" in capsys.readouterr().err
+    # feasibility and convergence read the floor too
+    for command in ("solve-qos", "feasibility", "convergence"):
+        assert main([command]) == 1
+        assert f"{command} needs Rmin_bits in the configuration" in capsys.readouterr().err
 
 
 def test_solve_qos_with_floor(tmp_path, capsys):
@@ -73,6 +74,14 @@ def test_usage_errors_exit_one(capsys):
     assert exc.value.code == 1
     assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
     assert _build_parser().parse_args(["oracle-check", "--tolerance", "1"]).tolerance == 1.0
+    # a sweep seeds its trials from base_seed, so --seed is not a sweep flag
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--seed", "3"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+    single = ("solve-best-effort", "solve-qos", "feasibility", "oracle-check", "convergence")
+    for command in single:
+        assert _build_parser().parse_args([command, "--seed", "3"]).seed == 3
 
 
 WRONG = "wrong JSON type in configuration: "  # load_config's prefix for a TypeError
@@ -166,6 +175,32 @@ def test_config_errors_exit_one(tmp_path, capsys):
     assert "configuration error: 'K' must be an integer, got 2.5" in capsys.readouterr().err
     integral = cfg_file(tmp_path, {"geometry": {"K": 2.0, "seed": 4.0}}, "integral.json")
     assert main(["solve-best-effort", "--config", integral]) == 0
+
+
+def test_output_must_be_a_string(tmp_path, monkeypatch, capsys):
+    # null used to write CSVs named None and None_mean and exit 0
+    monkeypatch.chdir(tmp_path)
+    sweep = {"geometry": {"K": 2}, "sweep": {"axis": "eta", "values": [0.9]}}
+    for i, output in enumerate((None, 3, ["a"])):
+        cfg = cfg_file(tmp_path, {**sweep, "output": output}, f"out{i}.json")
+        assert main(["sweep", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert f"configuration error: 'output' must be a string, got {output!r}" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out0.json", "out1.json", "out2.json"]
+
+
+def test_sweep_reaches_the_library_through_module_globals(tmp_path, monkeypatch, capsys):
+    # the benchmark's layer spans time load_config and run_sweep by
+    # replacing these two names in wpcn_ee.cli
+    calls = []
+    for name in ("load_config", "run_sweep"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(
+            cli, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
+        )
+    sweep = cfg_file(tmp_path, {"geometry": {"K": 2}, "sweep": {"axis": "eta", "values": [0.9]}})
+    assert main(["sweep", "--config", sweep, "--out", str(tmp_path / "s.csv")]) == 0
+    assert calls == ["load_config", "run_sweep"]
 
 
 def test_zero_battery_list_must_match_the_user_count(tmp_path, capsys):

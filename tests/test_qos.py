@@ -79,6 +79,16 @@ def test_threshold_splits_users():
         assert score(x * 0.99, q, vartheta, delta, par) < 0.0
 
 
+def test_threshold_bracket_doubles_for_a_large_time_price():
+    # at delta = 5q the score at twice the branch boundary is far below
+    # delta, so the bracket's right end doubles about six times
+    par = stock_params()
+    q, delta = 2e4, 1e5
+    x = kkt_threshold_x(q, 0.0, delta, par)
+    assert x > 32.0 * q * LN2 / (par.W * par.varsigma)
+    assert score(x, q, 0.0, delta, par) == pytest.approx(0.0, abs=1e-9 * delta)
+
+
 def test_threshold_requires_positive_q():
     with pytest.raises(ValueError):
         kkt_threshold_x(0.0, 0.0, 0.0, stock_params())
@@ -370,10 +380,12 @@ def reference_s_root(gamma, q, delta, cln, W1, vs, pc, warm):
 def test_inline_root_matches_the_newton_bisect_reference():
     # bit for bit, over gamma 1e-3..1e8, q = 0 and q > 0, deltas inside
     # the tight region, at its edge and beyond it, and warm starts inside
-    # and outside the bracket
+    # and outside the bracket.  At q = 0 a delta of 1e7 puts the root far
+    # below the first bracket end, 1e-20 of the right end (about 2e-96 at
+    # gamma = 1e6), so that end shrinks by 1e-6 steps.
     par = stock_params()
     vs, pc = par.varsigma, par.pc
-    roots = nones = 0
+    roots = nones = shrunk = 0
     for vartheta in (0.0, 1e-17, 0.7, 4.0):
         W1 = par.W * (1.0 + vartheta)
         cln = W1 * vs / LN2
@@ -385,7 +397,7 @@ def test_inline_root_matches_the_newton_bisect_reference():
                     deltas = [head, math.nextafter(head, -math.inf), head + 1.0]
                     deltas += [f * head for f in (0.999, 0.5, 1e-3) if head > 0.0]
                 else:
-                    deltas = [0.0, 1.0, 1e3, 1e5]
+                    deltas = [0.0, 1.0, 1e3, 1e5, 1e7]
                 for delta in deltas + [0.0]:
                     for warm in (0.0, 0.5 * (q + hi), math.sqrt(max(q, 1.0) * hi), 2.0 * hi):
                         got = _s_root(gamma, q, delta, cln, W1, vs, pc, warm)
@@ -395,8 +407,9 @@ def test_inline_root_matches_the_newton_bisect_reference():
                             nones += 1
                         else:
                             roots += 1
+                            shrunk += got < 1e-20 * hi
                             assert q < got < hi or got == q
-    assert roots > 1000 and nones > 100
+    assert roots > 1000 and nones > 100 and shrunk > 100
 
 
 def record_levels(monkeypatch):
