@@ -473,21 +473,26 @@ def mean_path_for(raw_path: str | Path) -> Path:
 def run_sweep(cfg: ExperimentConfig) -> tuple[Path, Path]:
     """Execute the configured sweep and write the raw and mean CSVs.
 
-    Rows come out in (sweep value, trial, scheme) order.  Infeasible
-    trials keep their raw rows but are excluded from the means and
-    counted in n_infeasible.  Every feasible report is re-checked
-    against the constraint set before it is written.
+    Points are solved trial by trial: every sweep value and scheme of
+    one trial before the next trial, so the floors of an Rmin sweep,
+    which share one channel draw, reuse its KKT levels back to back.
+    Rows still come out in (sweep value, trial, scheme) order.
+    Infeasible trials keep their raw rows but are excluded from the
+    means and counted in n_infeasible.  Every feasible report is
+    re-checked against the constraint set as it is solved, so the first
+    failing point in trial order aborts the sweep.
     """
     if cfg.sweep is None:
         raise ValueError("configuration has no sweep block")
     schemes = expand_schemes(cfg.schemes, cfg.rho_list)
     axis = cfg.sweep.axis
-    rows: list[tuple] = []
-    # (value, scheme) -> every report of that group, for the means
-    groups: dict[tuple[float, str], list[SolutionReport]] = {}
-    for value in cfg.sweep.values:
-        for trial in range(cfg.sweep.trials):
+    values = cfg.sweep.values
+    # solved[i][trial] holds the scheme reports at values[i]
+    solved: list[list[list[SolutionReport]]] = [[] for _ in values]
+    for trial in range(cfg.sweep.trials):
+        for value, per_trial in zip(values, solved):
             scen = _apply_axis(cfg, value, cfg.sweep.base_seed + trial)
+            reps = []
             for scheme in schemes:
                 rep = run_scheme(scheme, scen)
                 if rep.mode != MODE_INFEASIBLE:
@@ -497,13 +502,22 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[Path, Path]:
                             f"scheme {scheme} emitted an infeasible allocation "
                             f"(worst violation {cr.worst:.3e}) at {axis}={value}, trial {trial}"
                         )
+                reps.append(rep)
+            per_trial.append(reps)
+
+    rows: list[tuple] = []
+    # (value, scheme) -> every report of that group, for the means
+    groups: dict[tuple[float, str], list[SolutionReport]] = {}
+    for value, per_trial in zip(values, solved):
+        for trial, reps in enumerate(per_trial):
+            for scheme, rep in zip(schemes, reps):
                 rows.append(report_to_row(rep, axis, value, trial, scheme))
                 groups.setdefault((value, scheme), []).append(rep)
 
     raw_path = write_rows(Path(cfg.output), RAW_COLUMNS, rows)
 
     mean_rows: list[tuple] = []
-    for value in cfg.sweep.values:
+    for value in values:
         for scheme in schemes:
             group = groups[value, scheme]
             good = [r for r in group if r.mode != MODE_INFEASIBLE]

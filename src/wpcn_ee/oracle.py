@@ -38,7 +38,8 @@ class GridSpec:
     """Grid resolution: points per time axis, per power axis, power cap.
 
     p_max_search of None means each user's power axis tops out at
-    8x its standalone EE-optimal power.
+    8x its standalone EE-optimal power; under a floor, at least at the
+    largest power any grid slot can afford.
     """
 
     n_tau: int = 40
@@ -52,13 +53,28 @@ class GridSpec:
             raise ValueError("p_max_search must be positive")
 
 
-def _axes(scen: Scenario, grid: GridSpec):
+def _axes(scen: Scenario, grid: GridSpec, rmin: float | None):
+    """The time axis and one power axis per user.
+
+    Under a floor rmin, a power axis with no p_max_search reaches the
+    largest power any grid slot can afford: a slot of at least
+    t = t_axis[1] leaves at most Tmax - t of charging, so the user holds
+    at most eta*Pmax*(Tmax - t)*h_k + Q_k to spend in t.  Floors near
+    the rate ceiling need powers far above 8x p*.
+    """
     par = scen.params
     t_axis = np.linspace(0.0, par.Tmax, grid.n_tau)
     p_axes = []
     for u in scen.users:
         p_star = max_user_ee(u.gamma, par).p_star
-        hi = grid.p_max_search if grid.p_max_search is not None else 8.0 * p_star
+        if grid.p_max_search is not None:
+            hi = grid.p_max_search
+        else:
+            hi = 8.0 * p_star
+            if rmin is not None:
+                slot = float(t_axis[1])
+                stock = par.eta * par.Pmax * (par.Tmax - slot) * u.h + u.Q
+                hi = max(hi, par.varsigma * (stock / slot - par.pc))
         lo = p_star / 8.0
         if hi <= lo:
             hi = lo * 64.0
@@ -142,7 +158,7 @@ def _assemble(
     scen: Scenario, grid: GridSpec, P0: float, rmin: float | None, mode_hint: str | None
 ) -> SolutionReport:
     n_points = _check_size(scen, grid)
-    t_axis, p_axes = _axes(scen, grid)
+    t_axis, p_axes = _axes(scen, grid, rmin)
     ee_at = _evaluator(scen, t_axis, p_axes, P0)
     best_ee, best_idx = _search(ee_at, grid.n_tau, rmin)
 

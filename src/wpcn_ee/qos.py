@@ -30,9 +30,11 @@ it from here.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from scipy.optimize import brentq
 
@@ -227,9 +229,13 @@ def _s_root(
     return 0.5 * (a + b)
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Point:
-    """One assembled inner maximizer with its duals and diagnostics."""
+    """One assembled inner maximizer with its duals and diagnostics.
+
+    Frozen: the draw's level memo hands one point to every solve that
+    asks for its (q, W1).
+    """
 
     alloc: Allocation
     B: float
@@ -452,8 +458,48 @@ def _fill_to_floor(scen: Scenario, lo: _Point, hi: _Point, rmin: float) -> _Poin
     )
 
 
+_LevelFn = Callable[[float, float], _Point]  # level(q, t), see _levels
+
+
+@functools.lru_cache(maxsize=1)
+def _draw_memo(draw: tuple) -> dict[tuple[float, float], _Point]:
+    """The points solved so far on one channel draw, keyed by (q, W1).
+
+    A draw is a scenario's parameters with the floor cleared, plus its
+    users.  A level reads neither Rmin nor the floor multiplier t
+    except through W1 = W*(1 + t), and it is built fresh, with no warm
+    start, so its point is the same to the bit whichever solve first
+    asked for it: every floor of a draw, and the rate ceiling, share
+    its levels.  Only the latest draw is kept.  The cache stores a draw
+    and its dict as one entry and replaces them together, so a solve
+    never reads the levels of another draw.  Two threads that miss on
+    one key both build it and store equal points.
+    """
+    return {}
+
+
+def _levels(scen: Scenario) -> _LevelFn:
+    """level(q, t), the inner maximizer of scen at price q and floor
+    multiplier t, read from the draw's memo and built on a miss.
+
+    Each public entry point calls this once, so the draw key is formed
+    once per call rather than once per level.
+    """
+    memo = _draw_memo((dataclasses.replace(scen.params, Rmin=None), tuple(scen.users)))
+    W = scen.params.W
+
+    def level(q: float, t: float) -> _Point:
+        W1 = W * (1.0 + t)
+        pt = memo.get((q, W1))
+        if pt is None:
+            pt = memo[q, W1] = _Level(scen, q, t).point()
+        return pt
+
+    return level
+
+
 def _solve_q(
-    scen: Scenario, q: float, rmin: float | None
+    scen: Scenario, level: _LevelFn, q: float, rmin: float | None
 ) -> tuple[_Point, float, int]:
     """Inner maximizer at fixed q: returns (point, vartheta, fill count).
 
@@ -463,24 +509,14 @@ def _solve_q(
     floating point B can dip within a few ulps of W1 where the WET gate
     f0 rounds about 0; the fill pair then depends on the search path,
     which moves the answer by at most a few ulps.
+
+    level is the draw's memo (`_levels`).  Near t = 0 distinct
+    multipliers round to one or two W1, and the bisection of a fill
+    halves its pair down to float adjacency, where neighbouring
+    multipliers share a W1: the memo solves each W1 once, across this
+    solve and every other floor of the draw.
     """
-    # A level sees the floor multiplier t only through W1 = W*(1 + t),
-    # and near t = 0 distinct t round to one or two W1: the bisection
-    # of a fill halves its pair down to float adjacency, where
-    # neighbouring multipliers share a W1, so each W1 is solved once.
-    # A fresh level has no warm starts, so reusing its point changes no
-    # bit.
-    W = scen.params.W
-    levels: dict[float, _Point] = {}
-
-    def level(t: float) -> _Point:
-        W1 = W * (1.0 + t)
-        pt = levels.get(W1)
-        if pt is None:
-            pt = levels[W1] = _Level(scen, q, t).point()
-        return pt
-
-    p0 = level(0.0)
+    p0 = level(q, 0.0)
     if rmin is None or _reaches_floor(p0.B, rmin):
         return p0, 0.0, 0
 
@@ -490,11 +526,11 @@ def _solve_q(
     # that moves W1 off W, rather than halving down from 1.
     start = 2.0**-52 if p0.B == 0.0 else 1.0
     hi_t = _double_until(
-        lambda t: _reaches_floor(level(t).B, rmin), start, f"throughput multiplier (q={q!r})"
+        lambda t: _reaches_floor(level(q, t).B, rmin), start, f"throughput multiplier (q={q!r})"
     )
     # both ends were solved while doubling, so these are memo hits
     lo_t = 0.0 if hi_t == start else hi_t / 2.0
-    lo_pt, hi_pt = level(lo_t), level(hi_t)
+    lo_pt, hi_pt = level(q, lo_t), level(q, hi_t)
     if hi_pt.B < rmin:
         # A floor within the slack of the rate ceiling: hi meets it only
         # up to _REL_B, so there is no sign change for brentq to bracket.
@@ -507,7 +543,7 @@ def _solve_q(
     def miss(t: float) -> float:
         pt = cache.get(t)
         if pt is None:
-            pt = cache[t] = level(t)
+            pt = cache[t] = level(q, t)
         return pt.B - rmin
 
     t_hat = float(brentq(miss, lo_t, hi_t, rtol=1e-15, maxiter=300))
@@ -534,9 +570,10 @@ def _solve_q(
     return filled, above, 1
 
 
-def _rate_ceiling(scen: Scenario) -> _Point:
-    """The q = 0 inner maximizer: the most bits the block can carry."""
-    return _Level(scen, 0.0, 0.0).point()
+def _rate_ceiling(level: _LevelFn) -> _Point:
+    """The q = 0 inner maximizer of the draw: the most bits the block
+    can carry."""
+    return level(0.0, 0.0)
 
 
 def _reaches_floor(B: float, rmin: float) -> bool:
@@ -544,9 +581,9 @@ def _reaches_floor(B: float, rmin: float) -> bool:
     return B >= rmin * (1.0 - _REL_B)
 
 
-def _floor_reachable(scen: Scenario, rmin: float) -> bool:
+def _floor_reachable(level: _LevelFn, rmin: float) -> bool:
     """Feasibility of a floor: the rate ceiling reaches it."""
-    return _reaches_floor(_rate_ceiling(scen).B, rmin)
+    return _reaches_floor(_rate_ceiling(level).B, rmin)
 
 
 def dinkelbach_T(q: float, scen: Scenario) -> tuple[float, Allocation]:
@@ -555,9 +592,10 @@ def dinkelbach_T(q: float, scen: Scenario) -> tuple[float, Allocation]:
     if q < 0.0:
         raise ValueError("q must be nonnegative")
     rmin = scen.params.Rmin
-    if rmin is not None and not _floor_reachable(scen, rmin):
+    level = _levels(scen)
+    if rmin is not None and not _floor_reachable(level, rmin):
         raise ValueError("scenario cannot meet the throughput floor")
-    pt, _, _ = _solve_q(scen, q, rmin)
+    pt, _, _ = _solve_q(scen, level, q, rmin)
     return pt.B - q * pt.E, pt.alloc
 
 
@@ -569,7 +607,8 @@ def solve_qos_detailed(
     rmin = scen.params.Rmin
     if rmin is None:
         raise ValueError("solve_qos needs Rmin; use solve_best_effort without a floor")
-    ceiling = _rate_ceiling(scen)
+    level = _levels(scen)
+    ceiling = _rate_ceiling(level)
     if not _reaches_floor(ceiling.B, rmin):
         report = _report(zero_allocation(scen.K), scen, MODE_INFEASIBLE, {"outer": 0})
         return report, DualState(q=0.0, vartheta=0.0, delta=0.0, mu=(0.0,) * scen.K), []
@@ -584,7 +623,7 @@ def solve_qos_detailed(
             # The q = 0 maximizer is the ceiling, and it meets the floor.
             pt, theta, fills = ceiling, 0.0, 0
         else:
-            pt, theta, fills = _solve_q(scen, q, rmin)
+            pt, theta, fills = _solve_q(scen, level, q, rmin)
         fills_total += fills
         T = pt.B - q * pt.E
         trace.append((it, q, T))

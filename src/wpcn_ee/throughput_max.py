@@ -21,7 +21,7 @@ import dataclasses
 from dataclasses import dataclass
 
 from .model import Allocation, Scenario, with_initial_energy
-from .qos import _floor_reachable, _Level, _rate_ceiling
+from .qos import _floor_reachable, _Level, _levels, _rate_ceiling
 
 # Unused here: bound only for the layer spans in perfbench/spans.py.
 from .search import golden_section_max, newton_bisect  # noqa: F401
@@ -57,7 +57,7 @@ def inner_time_allocation(tau0: float, scen: Scenario) -> tuple[tuple[float, ...
 
 def max_throughput(scen: Scenario) -> ThroughputSolution:
     """Maximize block throughput over (tau0, tau, p) jointly."""
-    pt = _rate_ceiling(scen)
+    pt = _rate_ceiling(_levels(scen))
     return ThroughputSolution(R_star=pt.B, alloc=pt.alloc)
 
 
@@ -65,4 +65,4 @@ def is_feasible(scen: Scenario) -> bool:
     """Whether the required throughput Rmin is attainable at all."""
     if scen.params.Rmin is None:
         raise ValueError("is_feasible needs Rmin set in the system parameters")
-    return _floor_reachable(scen, scen.params.Rmin)
+    return _floor_reachable(_levels(scen), scen.params.Rmin)

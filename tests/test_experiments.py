@@ -22,11 +22,13 @@ from wpcn_ee import (
     load_config,
     max_throughput,
     report_convergence,
+    report_to_row,
     run_scheme,
     run_sweep,
     solve_best_effort,
     system_ee,
     throughput_report,
+    write_rows,
 )
 from wpcn_ee.experiments import SWEEP_AXES, _apply_axis
 from wpcn_ee.model import scenario_from_values
@@ -263,6 +265,45 @@ def test_run_sweep_reruns_byte_identical(tmp_path):
     raw_b, mean_b = run_sweep(cfg_b)
     assert raw_a.read_bytes() == raw_b.read_bytes()
     assert mean_a.read_bytes() == mean_b.read_bytes()
+
+
+def test_trial_major_sweep_writes_value_major_rows(tmp_path):
+    # run_sweep solves trial by trial; its CSVs must equal value-major
+    # run_scheme calls, a repeated value keeping its rows and sharing
+    # its means.  300 kbit binds on trials 0 and 1 and exceeds the rate
+    # ceiling of trial 2; 150 kbit is loose.
+    values = [300e3, 150e3, 300e3]
+    schemes = ["ee_optimal", "throughput_optimal"]
+    payload = {
+        "geometry": {"K": 3},
+        "sweep": {"axis": "Rmin", "values": values, "trials": 3, "base_seed": 11},
+        "schemes": schemes,
+        "output": str(tmp_path / "swept.csv"),
+    }
+    cfg = load_config(write_cfg(tmp_path, payload))
+    raw_path, mean_path = run_sweep(cfg)
+
+    rows, groups = [], {}
+    for value in values:
+        for trial in range(3):
+            scen = _apply_axis(cfg, value, 11 + trial)
+            for scheme in schemes:
+                rep = run_scheme(scheme, scen)
+                rows.append(report_to_row(rep, "Rmin", value, trial, scheme))
+                groups.setdefault((value, scheme), []).append(rep)
+    means = []
+    for value in values:
+        for scheme in schemes:
+            group = groups[value, scheme]
+            good = [r for r in group if r.mode != MODE_INFEASIBLE]
+            m = [math.fsum(getattr(r, f) for r in good) / len(good) for f in ("ee", "throughput", "energy")]
+            means.append(("Rmin", value, scheme, len(group), len(group) - len(good), *m))
+    assert {(r[3], r[4]) for r in means} == {(6, 2), (3, 0)}
+
+    want = write_rows(tmp_path / "want.csv", RAW_COLUMNS, rows)
+    want_mean = write_rows(tmp_path / "want_mean.csv", MEAN_COLUMNS, means)
+    assert raw_path.read_bytes() == want.read_bytes()
+    assert mean_path.read_bytes() == want_mean.read_bytes()
 
 
 def test_trials_draw_distinct_scenarios(tmp_path):

@@ -12,10 +12,14 @@ from wpcn_ee import (
     MODE_QOS,
     GridSpec,
     check_constraints,
+    default_geometry,
+    default_system_params,
+    generate_scenario,
     grid_search_best_effort,
     grid_search_qos,
     max_throughput,
     solve_best_effort,
+    solve_qos,
 )
 from wpcn_ee.model import Allocation, energy_total, scenario_from_values, throughput
 from wpcn_ee.oracle import _axes
@@ -92,6 +96,25 @@ def test_floor_respected_or_infeasible():
         assert "resolution_bound_ee" not in bad.iterations
 
 
+@pytest.mark.parametrize(
+    "K, seeds, grid",
+    [(1, range(8706, 8710), GridSpec()), (2, range(8704, 8707), GridSpec(n_tau=25, n_p=15))],
+)
+def test_grid_reaches_floors_near_the_rate_ceiling(K, seeds, grid):
+    # Rmin = 0.95 R* on stock draws: meeting it takes powers far above
+    # 8x p*, and with every power axis capped there the grid held no
+    # point on the floor and reported INFEASIBLE, though every floor at
+    # or below R* is feasible
+    for seed in seeds:
+        base = generate_scenario(default_geometry(K=K, seed=seed), default_system_params())
+        scen = with_floor(base, 0.95 * max_throughput(base).R_star)
+        rep = grid_search_qos(scen, grid)
+        assert rep.mode == MODE_QOS, seed
+        assert rep.throughput >= scen.params.Rmin * (1.0 - 1e-12), seed
+        assert check_constraints(rep.alloc, scen, tol=1e-7).feasible, seed
+        assert rep.ee <= solve_qos(scen).ee * (1.0 + 1e-9), seed
+
+
 def scan_ee(scen, point, rmin=None, slack=1e-12):
     """EE of one grid point (tau0, tau_1..tau_K, p_1..p_K) from the model's
     accounting, -1 where the oracle's relative masks reject it."""
@@ -124,7 +147,7 @@ def test_oracle_matches_an_exhaustive_product_scan(K, floor):
         if floor is not None:
             rmin = floor * max_throughput(scen).R_star
             scen = with_floor(scen, rmin)
-        t_axis, p_axes = _axes(scen, grid)
+        t_axis, p_axes = _axes(scen, grid, rmin)
         axes = [[float(t) for t in t_axis]] * (1 + K) + [[float(p) for p in ax] for ax in p_axes]
         best, best_idx = -1.0, None
         for idx in itertools.product(*(range(len(ax)) for ax in axes)):

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from wpcn_ee import (
     f0_wet_gate,
     grid_search_qos,
     GridSpec,
+    is_feasible,
     kkt_threshold_x,
     max_throughput,
     max_user_ee,
@@ -413,7 +416,10 @@ def test_inline_root_matches_the_newton_bisect_reference():
 
 
 def record_levels(monkeypatch):
-    # the (q, W1) key of every KKT level the solver builds, in order
+    # the (q, W1) key of every KKT level the solver builds, in order,
+    # from an empty level memo: the counts must not depend on what an
+    # earlier test solved on the same draw
+    qos._draw_memo.cache_clear()
     built = []
     point = qos._Level.point
 
@@ -473,6 +479,80 @@ def test_k2_probe_fill_keeps_its_multiplier(monkeypatch):
     assert duals.vartheta == 5.551115123125784e-16
     assert rep.iterations["fills"] == 1
     assert rep.throughput >= scen.params.Rmin * (1.0 - 1e-12)
+
+
+def test_second_floor_of_a_draw_builds_only_new_levels(monkeypatch):
+    # seed 8700, K = 5: a binding floor at 0.8 R*, then a loose one at
+    # 0.6 R* on the same draw.  The second solve builds only the levels
+    # the first did not (5 of the 8 a cold solve builds), and its
+    # report, duals and trace equal a cold solve's to the bit.
+    built = record_levels(monkeypatch)
+    base = generate_scenario(default_geometry(K=5, seed=8700), default_system_params())
+    r_star = max_throughput(base).R_star
+    solve_qos_detailed(with_floor(base, 0.8 * r_star))
+    first = set(built)
+    built.clear()
+    warm = solve_qos_detailed(with_floor(base, 0.6 * r_star))
+    second = list(built)
+
+    qos._draw_memo.cache_clear()
+    built.clear()
+    cold = solve_qos_detailed(with_floor(base, 0.6 * r_star))
+    assert second and len(second) == len(set(second))
+    assert set(second) == set(built) - first
+    assert repr(warm) == repr(cold)
+
+
+def test_level_memo_holds_one_draw(monkeypatch):
+    # every public entry point shares the memo, and it keeps only the
+    # latest draw: a draw solved again after another is built again
+    built = record_levels(monkeypatch)
+    par = default_system_params()
+    a, b = (generate_scenario(default_geometry(K=3, seed=s), par) for s in (1, 2))
+    r_a = max_throughput(a).R_star
+    for call in (
+        lambda: solve_qos(with_floor(a, 0.5 * r_a)),
+        lambda: max_throughput(b),
+        lambda: is_feasible(with_floor(a, r_a)),
+        lambda: dinkelbach_T(1e4, b),
+    ):
+        call()
+        assert qos._draw_memo.cache_info().currsize == 1
+    built.clear()
+    max_throughput(a)
+    assert built == [(0.0, par.W)]
+
+
+def test_concurrent_solves_on_different_draws_match_serial_ones():
+    # four threads, each solving two floors of its own draw, evict one
+    # another's memo entry at every switch; each must still answer as a
+    # cold serial solve does
+    par = default_system_params()
+    draws = [generate_scenario(default_geometry(K=3, seed=s), par) for s in range(4)]
+    jobs = [[with_floor(d, f * max_throughput(d).R_star) for f in (0.9, 0.5)] for d in draws]
+    want = []
+    for floors in jobs:
+        qos._draw_memo.cache_clear()
+        want.append([repr(solve_qos_detailed(s)) for s in floors])
+    got = [[] for _ in jobs]
+
+    def work(i):
+        for _ in range(3):
+            got[i].extend(repr(solve_qos_detailed(s)) for s in jobs[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(jobs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [w * 3 for w in want]
+    assert qos._draw_memo.cache_info().currsize == 1
 
 
 def test_level_solves_each_root_once_per_delta(monkeypatch):
