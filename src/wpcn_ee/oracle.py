@@ -13,6 +13,7 @@ the closed forms and dual machinery used elsewhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +50,8 @@ class GridSpec:
     def __post_init__(self) -> None:
         if self.n_tau < 2 or self.n_p < 2:
             raise ValueError("need at least 2 points per axis")
-        if self.p_max_search is not None and self.p_max_search <= 0.0:
-            raise ValueError("p_max_search must be positive")
+        if self.p_max_search is not None and not 0.0 < self.p_max_search < math.inf:
+            raise ValueError(f"p_max_search must be finite and positive, got {self.p_max_search!r}")
 
 
 def _axes(scen: Scenario, grid: GridSpec, rmin: float | None):
@@ -188,14 +189,14 @@ def grid_search_best_effort(
 ) -> SolutionReport:
     """Exhaustive EE maximization on the grid, K <= 2.
 
-    P0 defaults to Pmax; passing a smaller value supports sweeps that
-    confirm full downlink power is never worse.
+    P0 defaults to Pmax; passing a smaller value in [0, Pmax] supports
+    sweeps that confirm full downlink power is never worse.
     """
     if scen.K > 2:
         raise ValueError("grid oracle supports at most 2 users")
     p0 = scen.params.Pmax if P0 is None else P0
-    if p0 > scen.params.Pmax:
-        raise ValueError("P0 cannot exceed Pmax")
+    if not 0.0 <= p0 <= scen.params.Pmax:
+        raise ValueError(f"P0 must lie in [0, Pmax], got {p0!r}")
     return _assemble(scen, grid, p0, rmin=None, mode_hint=None)
 
 

@@ -36,8 +36,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from scipy.optimize import brentq
-
 from .model import (
     LN2,
     MODE_INFEASIBLE,
@@ -51,8 +49,9 @@ from .model import (
     throughput,
     zero_allocation,
 )
-# Unused here: bound only for the layer spans in perfbench/spans.py.
-from .search import newton_bisect  # noqa: F401
+# brentq is called through this module global, which the layer spans in
+# perfbench/spans.py replace; newton_bisect is bound only for those spans.
+from .search import brentq, newton_bisect  # noqa: F401
 
 _REL_B = 1e-12  # slack applied to the throughput floor in comparisons
 _FILL_TOL = 1e-9  # relative B residual beyond which a boundary fill engages
@@ -118,9 +117,7 @@ def kkt_threshold_x(q: float, vartheta: float, delta: float, params: SystemParam
         hi *= 2.0
     else:  # pragma: no cover - score grows without bound in gamma
         raise RuntimeError("failed to bracket the scheduling threshold")
-    return float(
-        brentq(lambda g: _score(g, q, cln, W1, vs, pc) - delta, lo, hi, rtol=1e-15, maxiter=200)
-    )
+    return brentq(lambda g: _score(g, q, cln, W1, vs, pc) - delta, lo, hi, maxiter=200)
 
 
 def multiplier_mu(gamma_k: float, q: float, vartheta: float, delta: float, params: SystemParams) -> float:
@@ -312,7 +309,7 @@ class _Level:
         # Charging pays at delta = 0: find where its gate closes.
         Tmax = self.par.Tmax
         hi = _double_until(lambda d: self._f0_at(d) <= 0.0, 1.0, "WET gate delta")
-        delta_w = float(brentq(self._f0_at, 0.0, hi, rtol=1e-15, maxiter=200))
+        delta_w = brentq(self._f0_at, 0.0, hi, maxiter=200)
         base_w = self._base_at(delta_w)
         if base_w <= Tmax:
             # Charging on; block exactly filled by the tau0 scale.
@@ -361,8 +358,8 @@ class _Level:
         )
 
         def crossing_inside(lo: float, hi: float) -> _Point:
-            d_star = brentq(lambda d: self._base_at(d) - Tmax, lo, hi, rtol=1e-15, maxiter=200)
-            return self._assemble(float(d_star), 0.0, free={})
+            d_star = brentq(lambda d: self._base_at(d) - Tmax, lo, hi, maxiter=200)
+            return self._assemble(d_star, 0.0, free={})
 
         cur = delta_lo
         for j in jumps:
@@ -546,7 +543,7 @@ def _solve_q(
             pt = cache[t] = level(q, t)
         return pt.B - rmin
 
-    t_hat = float(brentq(miss, lo_t, hi_t, rtol=1e-15, maxiter=300))
+    t_hat = brentq(miss, lo_t, hi_t, maxiter=300)
     miss(t_hat)
     pt_hat = cache[t_hat]
 
@@ -604,6 +601,10 @@ def solve_qos_detailed(
 ) -> tuple[SolutionReport, DualState, list[tuple[int, float, float]]]:
     """Full solve returning the report, converged duals, and the
     per-iteration (iteration, q, T) trace."""
+    if max_outer < 1:
+        raise ValueError(f"max_outer must be at least 1, got {max_outer!r}")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be finite and positive, got {eps!r}")
     rmin = scen.params.Rmin
     if rmin is None:
         raise ValueError("solve_qos needs Rmin; use solve_best_effort without a floor")

@@ -150,6 +150,10 @@ def test_config_errors_exit_one(tmp_path, capsys):
             {"sweep": {"axis": "eta", "start": 0, "stop": 10**6, "step": 1}},
             "sweep range gives 1000001 points, more than 1000000",
         ),
+        # a NaN power cap used to pass GridSpec: oracle-check then printed
+        # an oracle row from a NaN power axis with agrees 1 and exit code 0
+        ({"grid": {"p_max_search": math.nan}}, "p_max_search must be finite and positive, got nan"),
+        ({"grid": {"p_max_search": math.inf}}, "p_max_search must be finite and positive, got inf"),
         # integer fields used to truncate: K 2.9 solved K = 2
         ({"geometry": {"K": 2.9}}, "'K' must be an integer, got 2.9"),
         ({"geometry": {"seed": "3"}}, "'seed' must be an integer, got '3'"),

@@ -2,6 +2,7 @@
 better be trustworthy before the solvers are judged against it."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from wpcn_ee import (
     solve_best_effort,
     solve_qos,
 )
+from wpcn_ee import oracle
 from wpcn_ee.model import Allocation, energy_total, scenario_from_values, throughput
 from wpcn_ee.oracle import _axes
 
@@ -185,6 +187,31 @@ def test_gridspec_validation():
         GridSpec(n_p=1)
     with pytest.raises(ValueError):
         GridSpec(p_max_search=0.0)
+    # NaN <= 0 is false, so a NaN cap used to pass and build a NaN power axis
+    for cap in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="p_max_search must be finite and positive"):
+            GridSpec(p_max_search=cap)
+
+
+@pytest.mark.parametrize("P0", [math.nan, -1.0, math.inf])
+def test_best_effort_grid_checks_P0_before_the_walk(monkeypatch, P0):
+    # NaN used to return a silent INFEASIBLE report, and a negative P0 was
+    # caught by Allocation only after the whole grid had been walked
+    scen = random_scenario(np.random.default_rng(31), 1, q_mode="zero")
+
+    def walked(*args):
+        raise AssertionError("the grid was walked")
+
+    monkeypatch.setattr(oracle, "_search", walked)
+    with pytest.raises(ValueError, match=r"P0 must lie in \[0, Pmax\]"):
+        grid_search_best_effort(scen, GridSpec(n_tau=10, n_p=8), P0=P0)
+
+
+def test_best_effort_grid_accepts_P0_at_either_end():
+    scen = random_scenario(np.random.default_rng(31), 1, q_mode="positive")
+    for P0 in (0.0, scen.params.Pmax):
+        rep = grid_search_best_effort(scen, GridSpec(n_tau=10, n_p=8), P0=P0)
+        assert rep.alloc.P0 == P0 and rep.ee > 0.0
 
 
 def test_size_cap_enforced():

@@ -303,6 +303,31 @@ def test_floor_required():
         solve_qos(scen)
 
 
+@pytest.mark.parametrize(
+    "settings",
+    [
+        {"max_outer": 0},
+        {"max_outer": -3},
+        {"eps": math.inf},
+        {"eps": math.nan},
+        {"eps": -1.0},
+        {"eps": 0.0},
+    ],
+    ids=["max_outer-0", "max_outer-negative", "eps-inf", "eps-nan", "eps-negative", "eps-0"],
+)
+@pytest.mark.parametrize("solver", [solve_qos, solve_qos_detailed])
+def test_solve_qos_rejects_bad_iteration_settings(solver, settings):
+    # max_outer = 0 used to fail a bare assert; eps = inf stopped at the
+    # q = 0 iterate and a nonpositive or NaN eps ran every iteration, and
+    # both were reported as QOS
+    rng = np.random.default_rng(109)
+    scen = random_scenario(rng, 2, q_mode="zero")
+    feasible = with_floor(scen, 0.5 * max_throughput(scen).R_star)
+    name = next(iter(settings))
+    with pytest.raises(ValueError, match=name):
+        solver(feasible, **settings)
+
+
 def test_k1_matches_grid_oracle():
     # floor above the unconstrained optimum so it genuinely binds
     rng = np.random.default_rng(113)

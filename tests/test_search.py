@@ -1,0 +1,111 @@
+"""Scalar searches: the brentq port against scipy's, and the import cost."""
+
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from scipy.optimize import brentq as scipy_brentq
+
+import wpcn_ee
+from wpcn_ee.search import brentq
+
+
+def _outcome(solver, f, a, b, maxiter):
+    """(result or exception type, evaluation points) of one solve."""
+    points = []
+
+    def recorded(x):
+        points.append(x)
+        return f(x)
+
+    try:
+        result = solver(recorded, a, b, maxiter)
+    except (ValueError, RuntimeError) as exc:
+        result = type(exc)
+    return result, points
+
+
+def _scipy(f, a, b, maxiter):
+    return scipy_brentq(f, a, b, xtol=2e-12, rtol=1e-15, maxiter=maxiter)
+
+
+def _assert_same(f, a, b, maxiter):
+    want, want_points = _outcome(_scipy, f, a, b, maxiter)
+    got, got_points = _outcome(brentq, f, a, b, maxiter)
+    assert [x.hex() for x in got_points] == [x.hex() for x in want_points]
+    assert all(type(x) is float for x in got_points)
+    if isinstance(want, float):
+        assert type(got) is float and got.hex() == want.hex()
+    else:
+        assert got is want
+    return got
+
+
+def _nan_inside(x):
+    return math.nan if 0.4 < x < 0.6 else x - 0.5
+
+
+CASES = {
+    "cubic": (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0, 200, float),
+    "exponential": (lambda x: math.exp(x) - 10.0, 0.0, 5.0, 200, float),
+    "decreasing": (lambda x: 1.0 / x - 0.3, 0.1, 10.0, 200, float),
+    "steep-tanh": (lambda x: math.tanh(1e4 * (x - 0.123)), -3.0, 7.0, 200, float),
+    "large-scale": (lambda x: x - 3.7e8, 0.0, 1e9, 200, float),
+    "reversed-bracket": (lambda x: x**3 - 2.0 * x - 5.0, 3.0, 2.0, 200, float),
+    "numpy-values": (lambda x: np.float64(x) ** 2 - 2.0, np.float64(0.0), np.float64(2.0), 200, float),
+    # tiny values underflow the extrapolation's denominator to 0
+    "underflowed-extrapolation": (lambda x: 1e-300 * (x - 0.3) ** 3, -1.0, 2.0, 200, float),
+    "sign-step":(lambda x: 1.0 if x >= 0.3 else -1.0, 0.0, 1.0, 200, float),
+    "jump-with-slope": (lambda x: (x > 0.7) - 0.5 + 0.1 * (x - 0.7), 0.0, 1.0, 200, float),
+    "root-at-a": (lambda x: x, 0.0, 1.0, 200, float),
+    "root-at-b": (lambda x: x, -1.0, 0.0, 200, float),
+    "same-sign": (lambda x: x * x + 1.0, -1.0, 1.0, 200, ValueError),
+    "nan-at-a": (lambda x: math.nan if x == 0.0 else x, 0.0, 1.0, 200, ValueError),
+    "nan-inside": (_nan_inside, 0.0, 1.0, 200, ValueError),
+    "maxiter-exhausted": (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0, 3, RuntimeError),
+    "maxiter-zero": (lambda x: x - 0.25, 0.0, 1.0, 0, RuntimeError),
+}
+
+
+@pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+def test_brentq_matches_scipy_point_for_point(case):
+    f, a, b, maxiter, expected = case
+    got = _assert_same(f, a, b, maxiter)
+    assert isinstance(got, float) if expected is float else got is expected
+
+
+def test_brentq_matches_scipy_on_random_brackets():
+    rng = np.random.default_rng(1973)
+    kinds = (
+        lambda c, s: lambda x: s * (x - c) ** 3,
+        lambda c, s: lambda x: s * math.atan(x - c),
+        lambda c, s: lambda x: s * ((x > c) - 0.5 + 0.3 * (x - c)),
+        lambda c, s: lambda x: s * (1.0 if x >= c else -1.0),
+        lambda c, s: lambda x: s * math.expm1(min(5.0 * (x - c), 700.0)),
+    )
+    for i in range(400):
+        c = float(rng.uniform(-5.0, 5.0) * 10.0 ** rng.uniform(-6.0, 6.0))
+        s = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-8.0, 8.0))
+        f = kinds[i % len(kinds)](c, s)
+        span = float(10.0 ** rng.uniform(-10.0, 7.0))
+        a, b = c - span * float(rng.random()), c + span * float(rng.random())
+        maxiter = int(rng.choice([2, 10, 200, 200]))
+        _assert_same(f, a, b, maxiter)
+        _assert_same(f, b, a, maxiter)
+
+
+def test_importing_the_package_leaves_scipy_optimize_out():
+    src = Path(wpcn_ee.__file__).resolve().parent.parent
+    code = "import sys, wpcn_ee, wpcn_ee.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
