@@ -18,6 +18,8 @@ import numpy as np
 
 from .model import Scenario, SystemParams, UserChannel, _battery_vector, db_to_linear
 
+_MAX_ATTEMPTS = 100  # admissibility redraws before generate_scenario gives up
+
 
 @dataclass(frozen=True)
 class GeometryConfig:
@@ -80,7 +82,7 @@ def _draw_gains(rng: np.random.Generator, geo: GeometryConfig) -> tuple[np.ndarr
 
 
 def generate_scenario(
-    geo: GeometryConfig, params: SystemParams, max_attempts: int = 100, *, Q: Iterable[float] | float = 0.0
+    geo: GeometryConfig, params: SystemParams, *, Q: Iterable[float] | float = 0.0
 ) -> Scenario:
     """Draw one scenario; deterministic in geo.seed.
 
@@ -88,11 +90,11 @@ def generate_scenario(
     one per user; it is checked before the draw, and each user's channel
     is built once with its charge.  Draws violating the admissibility
     bound sum eta*h < 1/xi are rejected and redrawn (vanishingly rare at
-    realistic gains), erroring out after max_attempts.
+    realistic gains), erroring out after _MAX_ATTEMPTS.
     """
     qs = _battery_vector(Q, geo.K)
     rng = np.random.default_rng(geo.seed)
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         h, g = _draw_gains(rng, geo)
         if params.eta * float(np.sum(h)) >= 1.0 / params.xi:
             continue
@@ -102,6 +104,6 @@ def generate_scenario(
         )
         return Scenario(params=params, users=users)
     raise RuntimeError(
-        f"no admissible channel draw in {max_attempts} attempts; "
+        f"no admissible channel draw in {_MAX_ATTEMPTS} attempts; "
         "the geometry harvests more than the station radiates"
     )

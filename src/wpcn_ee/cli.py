@@ -20,7 +20,6 @@ from .experiments import (
     _apply_axis,
     _parse_config,
     load_config,
-    report_convergence,
     report_to_row,
     run_sweep,
     throughput_report,
@@ -28,7 +27,7 @@ from .experiments import (
 )
 from .model import MODE_INFEASIBLE
 from .oracle import grid_search_best_effort, grid_search_qos
-from .qos import solve_qos
+from .qos import solve_qos, solve_qos_detailed
 
 _USAGE_EXIT = 1
 _INFEASIBLE_EXIT = 2
@@ -68,7 +67,7 @@ def _cmd_oracle_check(args, cfg) -> int:
         scheme, solver, search = "solve_qos", solve_qos, grid_search_qos
     rep, oracle = solver(scen), search(scen, cfg.grid)
     bound = oracle.iterations.get("resolution_bound_ee", 0.0)
-    agrees = 1 if rep.ee >= oracle.ee - bound - args.tolerance else 0
+    agrees = 1 if rep.ee >= oracle.ee - bound else 0
     columns = (
         "scheme", "ee", "throughput", "energy",
         "tau0_s", "num_scheduled", "resolution_bound", "agrees",
@@ -91,13 +90,9 @@ def _cmd_sweep(args, cfg) -> int:
 
 
 def _cmd_convergence(args, cfg) -> int:
-    try:
-        trace = report_convergence(_apply_axis(cfg, seed=args.seed))
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return _INFEASIBLE_EXIT
+    rep, _, trace = solve_qos_detailed(_apply_axis(cfg, seed=args.seed))
     write_rows(args.out, ("iteration", "q_bits_per_joule", "T_bits"), trace)
-    return 0
+    return _INFEASIBLE_EXIT if rep.mode == MODE_INFEASIBLE else 0
 
 
 # command -> (help text, handler(args, cfg), whether it needs Rmin_bits).
@@ -129,13 +124,6 @@ def _build_parser() -> _Parser:
         if name != "sweep":  # a sweep seeds trial t with base_seed + t
             p.add_argument("--seed", type=int, default=None, help="override the geometry seed")
         p.add_argument("--out", type=Path, default=None, help="output CSV path (default stdout)")
-        if name == "oracle-check":
-            p.add_argument(
-                "--tolerance",
-                type=float,
-                default=0.0,
-                help="extra slack for oracle agreement checks",
-            )
     return parser
 
 

@@ -140,17 +140,18 @@ class ExperimentConfig:
     output: str
 
     def __post_init__(self):
+        if not self.schemes:
+            raise ValueError("schemes needs at least one scheme")
         for s in self.schemes:
             if s not in SCHEME_NAMES:
                 raise ValueError(f"unknown scheme {s!r}; pick from {SCHEME_NAMES}")
+        if "fixed_proportion" in self.schemes and not self.rho_list:
+            raise ValueError("fixed_proportion needs at least one rho value")
         for r in self.rho_list:
             if not 0.0 <= r <= 1.0:
                 raise ValueError("rho values must lie in [0, 1]")
         if len(set(self.rho_list)) != len(self.rho_list):
             raise ValueError("rho values must be distinct")
-
-
-_MAX_SWEEP_POINTS = 10**6  # a start/stop/step range may expand to this many values
 
 
 def _integer(key: str, v) -> int:
@@ -203,9 +204,12 @@ _GEOMETRY_KEYS = {
 _GRID_KEYS = {
     "n_tau": ("n_tau", _integer),
     "n_p": ("n_p", _integer),
-    "p_max_search": ("p_max_search", _optional_number),
 }
 _KEY_TABLES = {"system": _SYSTEM_KEYS, "geometry": _GEOMETRY_KEYS}
+_SWEEP_KEYS = ("axis", "values", "trials", "base_seed")
+_TOP_KEYS = (
+    "system", "geometry", "initial_energy_J", "sweep", "schemes", "rho_list", "grid", "output"
+)
 
 
 def _check_keys(block: dict, allowed: Iterable[str], where: str) -> None:
@@ -256,11 +260,7 @@ def _parse_config(raw) -> ExperimentConfig:
     """Resolve a decoded JSON configuration against the stock defaults."""
     if not isinstance(raw, dict):
         raise ValueError("configuration must be a JSON object")
-    _check_keys(
-        raw,
-        {"system", "geometry", "initial_energy_J", "sweep", "schemes", "rho_list", "grid", "output"},
-        "top-level",
-    )
+    _check_keys(raw, _TOP_KEYS, "top-level")
     params = dataclasses.replace(default_system_params(), **_overrides(raw, "system", _SYSTEM_KEYS))
     geometry = dataclasses.replace(default_geometry(), **_overrides(raw, "geometry", _GEOMETRY_KEYS))
 
@@ -273,29 +273,10 @@ def _parse_config(raw) -> ExperimentConfig:
     sweep = None
     if "sweep" in raw:
         blk = _block(raw, "sweep")
-        _check_keys(
-            blk,
-            {"axis", "values", "start", "stop", "step", "trials", "base_seed"},
-            "sweep",
-        )
-        if "values" in blk:
-            values = tuple(_number("values", v) for v in _list(blk, "values", []))
-        else:
-            start, stop = _number("start", blk["start"]), _number("stop", blk["stop"])
-            step = _number("step", blk.get("step", 1.0))
-            for key, v in (("start", start), ("stop", stop), ("step", step)):
-                if not math.isfinite(v):
-                    raise ValueError(f"sweep {key!r} must be finite, got {v!r}")
-            if step <= 0.0:
-                raise ValueError("sweep step must be positive")
-            span = (stop - start) / step
-            n = int(math.floor(span + 1e-9)) + 1 if math.isfinite(span) else math.inf
-            if n > _MAX_SWEEP_POINTS:
-                raise ValueError(f"sweep range gives {n} points, more than {_MAX_SWEEP_POINTS}")
-            values = tuple(start + i * step for i in range(max(n, 1)))
+        _check_keys(blk, _SWEEP_KEYS, "sweep")
         sweep = SweepSpec(
             axis=str(blk["axis"]),
-            values=values,
+            values=tuple(_number("values", v) for v in _list(blk, "values", [])),
             trials=_integer("trials", blk.get("trials", 1)),
             base_seed=_integer("base_seed", blk.get("base_seed", 0)),
         )
@@ -354,7 +335,7 @@ def baseline_fixed_proportion(scen: Scenario, rho: float) -> SolutionReport:
     def ee_of(tau0: float) -> float:
         return system_ee(build(tau0), scen)
 
-    tau0, _, n_evals = golden_section_max(ee_of, 0.0, par.Tmax, tol=1e-9 * par.Tmax)
+    tau0, _, n_evals = golden_section_max(ee_of, 0.0, par.Tmax)
     return _floor_blind_report(build(tau0), scen, {"outer": n_evals})
 
 

@@ -13,7 +13,6 @@ the closed forms and dual machinery used elsewhere.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,29 +35,22 @@ _REL_EPS = 1e-12  # grid feasibility slop, relative
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Grid resolution: points per time axis, per power axis, power cap.
-
-    p_max_search of None means each user's power axis tops out at
-    8x its standalone EE-optimal power; under a floor, at least at the
-    largest power any grid slot can afford.
-    """
+    """Grid resolution: points per time axis and per power axis."""
 
     n_tau: int = 40
     n_p: int = 25
-    p_max_search: float | None = None
 
     def __post_init__(self) -> None:
         if self.n_tau < 2 or self.n_p < 2:
             raise ValueError("need at least 2 points per axis")
-        if self.p_max_search is not None and not 0.0 < self.p_max_search < math.inf:
-            raise ValueError(f"p_max_search must be finite and positive, got {self.p_max_search!r}")
 
 
 def _axes(scen: Scenario, grid: GridSpec, rmin: float | None):
     """The time axis and one power axis per user.
 
-    Under a floor rmin, a power axis with no p_max_search reaches the
-    largest power any grid slot can afford: a slot of at least
+    A power axis runs geometrically from p*/8 to 8x the user's
+    standalone EE-optimal power p*.  Under a floor rmin it reaches at
+    least the largest power any grid slot can afford: a slot of at least
     t = t_axis[1] leaves at most Tmax - t of charging, so the user holds
     at most eta*Pmax*(Tmax - t)*h_k + Q_k to spend in t.  Floors near
     the rate ceiling need powers far above 8x p*.
@@ -68,18 +60,12 @@ def _axes(scen: Scenario, grid: GridSpec, rmin: float | None):
     p_axes = []
     for u in scen.users:
         p_star = max_user_ee(u.gamma, par).p_star
-        if grid.p_max_search is not None:
-            hi = grid.p_max_search
-        else:
-            hi = 8.0 * p_star
-            if rmin is not None:
-                slot = float(t_axis[1])
-                stock = par.eta * par.Pmax * (par.Tmax - slot) * u.h + u.Q
-                hi = max(hi, par.varsigma * (stock / slot - par.pc))
-        lo = p_star / 8.0
-        if hi <= lo:
-            hi = lo * 64.0
-        p_axes.append(np.concatenate(([0.0], np.geomspace(lo, hi, grid.n_p - 1))))
+        hi = 8.0 * p_star
+        if rmin is not None:
+            slot = float(t_axis[1])
+            stock = par.eta * par.Pmax * (par.Tmax - slot) * u.h + u.Q
+            hi = max(hi, par.varsigma * (stock / slot - par.pc))
+        p_axes.append(np.concatenate(([0.0], np.geomspace(p_star / 8.0, hi, grid.n_p - 1))))
     return t_axis, p_axes
 
 

@@ -12,21 +12,17 @@ _RTOL = 1e-15  # brentq's relative tolerance on x
 
 
 def golden_section_max(
-    f: Callable[[float], float], lo: float, hi: float, tol: float
+    f: Callable[[float], float], lo: float, hi: float
 ) -> tuple[float, float, int]:
     """Maximize a unimodal f on [lo, hi] by golden-section search.
 
-    Returns (x_best, f(x_best), evaluations).  tol is absolute on x.
-    The endpoints are always among the candidates, so a maximum at the
-    boundary is found exactly.
+    Returns (x_best, f(x_best), evaluations).  The bracket shrinks to
+    1e-9 of its starting width.  The endpoints are always among the
+    candidates, so a maximum at the boundary is found exactly.
     """
-    if hi < lo:
-        raise ValueError("empty interval")
     a, b = lo, hi
     h = b - a
-    if h <= tol:
-        x = 0.5 * (a + b)
-        return x, f(x), 1
+    tol = 1e-9 * h
     c = a + _INVPHI2 * h
     d = a + _INVPHI * h
     fc = f(c)

@@ -1,5 +1,6 @@
 """Exit codes, CSV emission, and determinism of the command line tool."""
 
+import argparse
 import json
 import math
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from wpcn_ee import MODE_IELCN, MODE_PWPCN, MODE_QOS, RAW_COLUMNS, cli
+from wpcn_ee import MODE_IELCN, MODE_PWPCN, MODE_QOS, RAW_COLUMNS, cli, experiments
 from wpcn_ee.cli import _build_parser, main
 
 
@@ -67,13 +68,14 @@ def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 1
-    # only oracle-check reads --tolerance; elsewhere it is not a flag
+    # oracle-check's agreement flag allows the oracle's resolution bound
+    # and nothing more, so no command takes a --tolerance
     capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        main(["sweep", "--tolerance", "1"])
-    assert exc.value.code == 1
-    assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
-    assert _build_parser().parse_args(["oracle-check", "--tolerance", "1"]).tolerance == 1.0
+    for command in ("sweep", "oracle-check"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--tolerance", "1"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
     # a sweep seeds its trials from base_seed, so --seed is not a sweep flag
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--seed", "3"])
@@ -116,44 +118,15 @@ def test_config_errors_exit_one(tmp_path, capsys):
         ({"initial_energy_J": True}, WRONG + "'initial_energy_J' must be a number, got True"),
         ({"initial_energy_J": [0.1, "0"]}, WRONG + "'initial_energy_J' must be a number, got '0'"),
         ({"rho_list": ["0.5"]}, WRONG + "'rho_list' must be a number, got '0.5'"),
-        ({"grid": {"p_max_search": True}}, WRONG + "'p_max_search' must be a number, got True"),
         ({"sweep": {"axis": "eta", "values": [True]}}, WRONG + "'values' must be a number, got True"),
+        # the oracle's power cap and the start/stop/step sweep range are
+        # gone: the oracle sizes its own power axes, and a sweep lists its
+        # values
+        ({"grid": {"p_max_search": 1.0}}, "unknown keys ['p_max_search'] in 'grid' block"),
         (
-            {"sweep": {"axis": "eta", "start": "0.5", "stop": 0.9}},
-            WRONG + "'start' must be a number, got '0.5'",
+            {"sweep": {"axis": "eta", "start": 0.5, "stop": 0.9, "step": 0.2}},
+            "unknown keys ['start', 'step', 'stop'] in 'sweep' block",
         ),
-        (
-            {"sweep": {"axis": "eta", "start": 0.5, "stop": [0.9]}},
-            WRONG + "'stop' must be a number, got [0.9]",
-        ),
-        (
-            {"sweep": {"axis": "eta", "start": 0.5, "stop": 0.9, "step": True}},
-            WRONG + "'step' must be a number, got True",
-        ),
-        # non-finite sweep ranges used to end in OverflowError tracebacks
-        # or in a message about converting NaN to an integer
-        (
-            {"sweep": {"axis": "eta", "start": 0.5, "stop": math.inf, "step": 0.1}},
-            "sweep 'stop' must be finite, got inf",
-        ),
-        (
-            {"sweep": {"axis": "eta", "start": 0.5, "stop": 0.9, "step": math.nan}},
-            "sweep 'step' must be finite, got nan",
-        ),
-        # finite endpoints whose span overflows, or a point count past the
-        # cap, must fail before the values are built
-        (
-            {"sweep": {"axis": "eta", "start": -1e308, "stop": 1e308, "step": 1}},
-            "sweep range gives inf points, more than 1000000",
-        ),
-        (
-            {"sweep": {"axis": "eta", "start": 0, "stop": 10**6, "step": 1}},
-            "sweep range gives 1000001 points, more than 1000000",
-        ),
-        # a NaN power cap used to pass GridSpec: oracle-check then printed
-        # an oracle row from a NaN power axis with agrees 1 and exit code 0
-        ({"grid": {"p_max_search": math.nan}}, "p_max_search must be finite and positive, got nan"),
-        ({"grid": {"p_max_search": math.inf}}, "p_max_search must be finite and positive, got inf"),
         # integer fields used to truncate: K 2.9 solved K = 2
         ({"geometry": {"K": 2.9}}, "'K' must be an integer, got 2.9"),
         ({"geometry": {"seed": "3"}}, "'seed' must be an integer, got '3'"),
@@ -242,6 +215,25 @@ def test_oracle_check_agrees(tmp_path, capsys):
     assert solver_row[7] == "1" and oracle_row[7] == "1"
 
 
+def test_oracle_check_with_a_floor_runs_the_floor_oracle(tmp_path, capsys):
+    # a binding floor at K = 1: the best-effort optimum carries fewer bits
+    payload = {
+        "system": {"Rmin_bits": 2.6e5},
+        "geometry": {"K": 1},
+        "grid": {"n_tau": 25, "n_p": 15},
+    }
+    rc = main(["oracle-check", "--config", cfg_file(tmp_path, payload), "--seed", "2"])
+    assert rc == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 3
+    solver_row, oracle_row = (line.split(",") for line in lines[1:])
+    assert solver_row[0] == "solve_qos" and oracle_row[0] == "grid_oracle"
+    assert float(solver_row[2]) == pytest.approx(2.6e5, rel=1e-9)
+    assert float(oracle_row[2]) >= 2.6e5
+    assert float(solver_row[1]) >= float(oracle_row[1])
+    assert solver_row[7] == "1" and oracle_row[7] == "1"
+
+
 def test_oracle_check_needs_a_small_instance(capsys):
     # default geometry has five users; the grid oracle refuses
     assert main(["oracle-check"]) == 1
@@ -274,7 +266,25 @@ def test_convergence_trace_output(tmp_path, capsys):
     assert len(lines) >= 2
 
     hopeless = cfg_file(tmp_path, {"system": {"Rmin_bits": 1e9}, "geometry": {"K": 2}}, "h.json")
+    capsys.readouterr()
     assert main(["convergence", "--config", hopeless]) == 2
+    assert capsys.readouterr().out.strip() == "iteration,q_bits_per_joule,T_bits"
+
+
+def test_convergence_reports_configuration_errors_as_solve_qos_does(tmp_path, capsys):
+    # convergence used to print these as an infeasible floor and exit 2
+    floor = {"system": {"Rmin_bits": 1e5}}
+    wrong_length = cfg_file(tmp_path, {**floor, "initial_energy_J": [0.0, 0.0]}, "q.json")
+    cases = (
+        (["--config", cfg_file(tmp_path, floor), "--seed", "-1"], "expected non-negative integer"),
+        (["--config", wrong_length], "Q must be scalar or match the user count"),
+    )
+    for args, message in cases:
+        for command in ("solve-qos", "convergence"):
+            assert main([command, *args]) == 1, (command, args)
+            captured = capsys.readouterr()
+            assert f"configuration error: {message}" in captured.err
+            assert captured.out == ""
 
 
 def test_module_entry_point_runs():
@@ -285,3 +295,23 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith(",".join(RAW_COLUMNS[:2]))
+
+
+def test_every_setting_is_in_the_readme():
+    # a configuration key or command line flag that README.md does not
+    # name is a setting nobody can find
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    keys = [*experiments._TOP_KEYS, *experiments._SWEEP_KEYS, *experiments._GRID_KEYS]
+    for table in experiments._KEY_TABLES.values():
+        keys.extend(table)
+    missing = [k for k in keys if f'"{k}"' not in readme and f"`{k}`" not in readme]
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command, parser in sub.choices.items():
+        if f"wpcn-ee {command}" not in readme:
+            missing.append(command)
+        for action in parser._actions:
+            missing.extend(
+                flag for flag in action.option_strings
+                if flag not in ("-h", "--help") and f"`{flag}`" not in readme
+            )
+    assert not missing

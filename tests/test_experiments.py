@@ -31,7 +31,7 @@ from wpcn_ee import (
     write_rows,
 )
 from wpcn_ee.experiments import SWEEP_AXES, _apply_axis
-from wpcn_ee.model import scenario_from_values
+from wpcn_ee.model import Allocation, scenario_from_values
 
 from conftest import random_scenario, stock_params
 
@@ -90,14 +90,23 @@ def test_unknown_keys_fail_loudly(tmp_path):
         load_config(write_cfg(tmp_path, {"rho_list": [1.5]}))
 
 
-def test_sweep_range_expansion(tmp_path):
-    cfg = load_config(
-        write_cfg(
-            tmp_path,
-            {"sweep": {"axis": "eta", "start": 0.5, "stop": 0.9, "step": 0.2}},
-        )
-    )
-    assert cfg.sweep.values == pytest.approx((0.5, 0.7, 0.9))
+def test_a_sweep_with_nothing_to_run_is_rejected(tmp_path):
+    # both used to exit 0: no schemes wrote header-only CSVs, and an empty
+    # rho list dropped the baseline without a word
+    sweep = {"sweep": {"axis": "eta", "values": [0.9]}, "output": str(tmp_path / "r.csv")}
+    for extra, message in (
+        ({"schemes": []}, "schemes needs at least one scheme"),
+        (
+            {"schemes": ["ee_optimal", "fixed_proportion"], "rho_list": []},
+            "fixed_proportion needs at least one rho value",
+        ),
+    ):
+        with pytest.raises(ValueError, match=message):
+            load_config(write_cfg(tmp_path, {**sweep, **extra}))
+    assert not (tmp_path / "r.csv").exists()
+    # an empty rho list is fine when no scheme reads it
+    cfg = load_config(write_cfg(tmp_path, {**sweep, "rho_list": []}))
+    assert expand_schemes(cfg.schemes, cfg.rho_list) == ("ee_optimal",)
 
 
 def test_fixed_proportion_never_beats_the_optimum():
@@ -336,6 +345,31 @@ def test_run_sweep_requires_a_sweep_block(tmp_path):
     cfg = load_config(write_cfg(tmp_path, {"geometry": {"K": 2}}))
     with pytest.raises(ValueError):
         run_sweep(cfg)
+
+
+def test_run_sweep_aborts_on_an_allocation_that_breaks_the_constraints(tmp_path, monkeypatch):
+    # at eta = 0.9 the solver's users transmit from empty batteries with
+    # no charging slot: energy causality fails at the first such point in
+    # trial order, trial 0 of the second value
+    def spends_unharvested_energy(scen):
+        rep = solve_best_effort(scen)
+        if scen.params.eta != 0.9:
+            return rep
+        bad = Allocation(P0=scen.params.Pmax, tau0=0.0, p=(1.0,) * scen.K, tau=(0.1,) * scen.K)
+        return dataclasses.replace(rep, alloc=bad)
+
+    monkeypatch.setattr("wpcn_ee.experiments.solve_best_effort", spends_unharvested_energy)
+    payload = {
+        "geometry": {"K": 2},
+        "sweep": {"axis": "eta", "values": [0.8, 0.9], "trials": 2},
+        "output": str(tmp_path / "broken.csv"),
+    }
+    with pytest.raises(RuntimeError) as exc:
+        run_sweep(load_config(write_cfg(tmp_path, payload)))
+    message = str(exc.value)
+    assert message.startswith("scheme ee_optimal emitted an infeasible allocation")
+    assert message.endswith("at eta=0.9, trial 0")
+    assert not (tmp_path / "broken.csv").exists()
 
 
 def test_convergence_trace_shape():

@@ -1,4 +1,5 @@
-"""Scalar searches: the brentq port against scipy's, and the import cost."""
+"""Scalar searches: golden section, the brentq port against scipy's, and
+the import cost."""
 
 import math
 import os
@@ -11,7 +12,7 @@ import pytest
 from scipy.optimize import brentq as scipy_brentq
 
 import wpcn_ee
-from wpcn_ee.search import brentq
+from wpcn_ee.search import brentq, golden_section_max
 
 
 def _outcome(solver, f, a, b, maxiter):
@@ -109,3 +110,32 @@ def test_importing_the_package_leaves_scipy_optimize_out():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def _counted(f):
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+
+    return g, calls
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (2.0, 5.0), (-3.0, 0.5)])
+def test_golden_section_max(lo, hi):
+    width = hi - lo
+    # a maximum at either endpoint comes back exactly, not a nearby
+    # point of the shrunken bracket
+    for f, want in ((lambda x: lo - x, lo), (lambda x: x - hi, hi)):
+        x, fx, _ = golden_section_max(f, lo, hi)
+        assert (x, fx) == (want, 0.0)
+    # an interior maximum lands within 1e-9 of the interval's width
+    peak = lo + 0.3 * width
+    f, calls = _counted(lambda x: -((x - peak) ** 2))
+    x, fx, n = golden_section_max(f, lo, hi)
+    # two probes, one per step until the bracket is 1e-9 of its width
+    # (0.618^44 < 1e-9 < 0.618^43), and the two endpoints
+    assert n == len(calls) == 2 + 44 + 2
+    assert abs(x - peak) <= 1e-9 * width
+    assert fx == -((x - peak) ** 2)
