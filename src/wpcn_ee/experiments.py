@@ -274,6 +274,8 @@ def _parse_config(raw) -> ExperimentConfig:
     if "sweep" in raw:
         blk = _block(raw, "sweep")
         _check_keys(blk, _SWEEP_KEYS, "sweep")
+        if "axis" not in blk:
+            raise ValueError("sweep needs an 'axis'")
         sweep = SweepSpec(
             axis=str(blk["axis"]),
             values=tuple(_number("values", v) for v in _list(blk, "values", [])),

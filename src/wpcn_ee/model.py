@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from typing import Iterable
 
 LN2 = math.log(2.0)
@@ -167,12 +168,14 @@ class Scenario:
     def Q(self) -> tuple[float, ...]:
         return tuple(u.Q for u in self.users)
 
-    @property
+    # Cached on the instance, outside the fields, so equality and the
+    # hash are unchanged; a frozen Scenario never needs them recomputed.
+    @cached_property
     def harvest_sum(self) -> float:
         """sum_k eta * h_k, the harvested fraction of radiated power."""
         return self.params.eta * math.fsum(u.h for u in self.users)
 
-    @property
+    @cached_property
     def wet_deficit(self) -> float:
         """Net power drain per watt of downlink transmit power, 1/xi - sum eta*h."""
         return 1.0 / self.params.xi - self.harvest_sum

@@ -105,6 +105,8 @@ def test_config_errors_exit_one(tmp_path, capsys):
         ({"grid": 3}, "'grid' block must be a JSON object"),
         ({"sweep": "K"}, "'sweep' block must be a JSON object"),
         ({"sweep": {"axis": "K", "values": 3}}, "'values' must be a JSON list"),
+        # a missing axis used to print the bare KeyError, 'axis'
+        ({"sweep": {"values": [0.9]}}, "sweep needs an 'axis'"),
         ({"schemes": "ee_optimal"}, "'schemes' must be a JSON list"),
         ({"rho_list": 0.5}, "'rho_list' must be a JSON list"),
         ({"system": {"eta": None}}, "wrong JSON type"),

@@ -89,6 +89,17 @@ def test_admissibility_guard():
     assert ok.wet_deficit > 0.0
 
 
+def test_cached_harvest_sum_leaves_equality_and_hash_alone():
+    par = stock_params()
+    scen = scenario_from_values(par, [0.01, 0.02], [1.0, 2.0])
+    fresh = scenario_from_values(par, [0.01, 0.02], [1.0, 2.0])
+    assert scen.wet_deficit == 1.0 / par.xi - par.eta * math.fsum([0.01, 0.02])
+    assert scen == fresh and hash(scen) == hash(fresh)
+    # a replaced scenario sums its own users, not the cached ones
+    other = dataclasses.replace(scen, params=dataclasses.replace(par, eta=0.5))
+    assert other.harvest_sum == 0.5 * math.fsum([0.01, 0.02]) != scen.harvest_sum
+
+
 def test_throughput_and_energy_by_hand():
     par = stock_params(W=1e3, pc=1e-2)
     scen = scenario_from_values(par, [0.01, 0.02], [2.0, 4.0], [0.0, 0.3])

@@ -1,14 +1,18 @@
-"""Single-user EE: closed analytic case, scan agreement, shape, and the
-closed form against a bisection reference."""
+"""Single-user EE: closed analytic case, scan agreement, shape, the
+closed form against a bisection reference, and the Lambert W port against
+scipy's."""
 
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import lambertw
 
 from wpcn_ee import SystemParams, max_user_ee, user_ee_at
-from wpcn_ee.user_ee import user_ee_peaks
+from wpcn_ee.model import LN2
+from wpcn_ee.user_ee import _BRANCH_SERIES, _SERIES_BELOW, _fma, _lambertw0, user_ee_peaks
 
 from conftest import stock_params
 
@@ -191,3 +195,98 @@ def test_finite_positive_near_the_branch_point():
     # no jump where the series hands over to W0
     assert p[5:8] * xs[5:8] == pytest.approx(np.sqrt(2.0 * xs[5:8]), rel=3e-2)
     assert np.all(np.diff(p * xs) > 0.0)
+
+
+def _scipy_w0(z):
+    return lambertw(np.asarray(z, dtype=float), 0).real
+
+
+def _z_at(x):
+    """The W0 argument user_ee_peaks forms from x = gamma*pc*varsigma."""
+    return (x - 1.0) / math.e
+
+
+_EDGE = -1.0 / math.e + 0.3  # the branch-point guess's disc ends here
+LAMBERTW_CASES = {
+    "zero": 0.0,
+    "one": 1.0,
+    "branch-point": -0.3,
+    "pade": 0.5,
+    "asymptotic": 10.0,
+    "below-branch-edge": math.nextafter(_EDGE, -1.0),
+    "branch-edge": _EDGE,
+    "above-branch-edge": math.nextafter(_EDGE, 1.0),
+    "below-pade-low-edge": math.nextafter(-0.2, -1.0),
+    "pade-low-edge": -0.2,
+    "above-pade-low-edge": math.nextafter(-0.2, 1.0),
+    "below-pade-high-edge": math.nextafter(1.5, 0.0),
+    "pade-high-edge": 1.5,
+    "above-pade-high-edge": math.nextafter(1.5, 2.0),
+    "series-cutoff": _z_at(_SERIES_BELOW),
+    "above-series-cutoff": _z_at(math.nextafter(_SERIES_BELOW, 1.0)),
+    # ln z in clog's log1p band 1 < z < 2, then ln w for w = ln z - ln ln z
+    # in its band 0.5 <= w < 1, at w == 1 (z = e) and in 1 < w < 2
+    "log1p-band-z": 1.6,
+    "log1p-band-w-below-one": 1.9,
+    "w-exactly-one": math.e,
+    "log1p-band-w-above-one": 5.0,
+    "huge": 1e300,
+    "infinite": math.inf,
+}
+
+
+@pytest.mark.parametrize("z", LAMBERTW_CASES.values(), ids=LAMBERTW_CASES.keys())
+def test_lambertw0_matches_scipy_bit_for_bit(z):
+    got = _lambertw0(z)
+    assert type(got) is float
+    assert got.hex() == float(_scipy_w0(z)).hex()
+
+
+def test_lambertw0_matches_scipy_on_random_arguments():
+    # the reachable domain: x >= the series cutoff, up to z near DBL_MAX/2
+    rng = np.random.default_rng(1996)
+    x = np.concatenate(
+        [
+            10.0 ** rng.uniform(-3.0, 12.0, 50_000),
+            rng.uniform(_SERIES_BELOW, 5.0, 30_000),
+            10.0 ** rng.uniform(12.0, 308.0, 20_000),
+        ]
+    )
+    z = _z_at(x)
+    want = _scipy_w0(z)
+    got = np.array([_lambertw0(zk) for zk in z.tolist()])
+    mismatched = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+    assert mismatched.size == 0, z[mismatched[:5]]
+
+
+def test_fma_rounds_once():
+    # x*y = 1 + 2^-29 + 2^-60: rounding the product first drops 2^-60
+    x = y = 1.0 + 2.0**-30
+    z = -(1.0 + 2.0**-29)
+    assert x * y + z == 0.0
+    assert _fma(x, y, z) == 2.0**-60
+    rng = np.random.default_rng(3)
+    for x, y, z in (10.0 ** rng.uniform(-20.0, 20.0, (2000, 3)) * rng.choice([-1.0, 1.0], (2000, 3))).tolist():
+        assert _fma(x, y, z) == float(Fraction(x) * Fraction(y) + Fraction(z))
+
+
+def scipy_user_ee_peaks(gamma, params):
+    """user_ee_peaks as it stood with scipy.special.lambertw: the
+    reference for the port."""
+    g = np.array(gamma, dtype=float, ndmin=1)
+    x = g * (params.pc * params.varsigma)
+    log_s = 1.0 + lambertw((x - 1.0) / math.e, 0).real
+    small = x < _SERIES_BELOW
+    if small.any():
+        log_s[small] = np.polyval(_BRANCH_SERIES, np.sqrt(2.0 * x[small]))
+    p = np.expm1(log_s) / g
+    ee = params.W * log_s / (LN2 * (p / params.varsigma + params.pc))
+    return p, ee
+
+
+@pytest.mark.parametrize("par", [unit_params(), stock_params(), stock_params(varsigma=0.5)])
+def test_peaks_match_the_scipy_version_bit_for_bit(par):
+    gammas = np.concatenate([sweep_gammas(par), sweep_gammas(par, 1e-12, 1e9, 97)])
+    for got, want in zip(user_ee_peaks(gammas, par), scipy_user_ee_peaks(gammas, par)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
