@@ -26,8 +26,6 @@ import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-import numpy as np
-
 from .model import (
     MODE_IELCN,
     MODE_INFEASIBLE,
@@ -56,8 +54,8 @@ class PwpcnConstant:
     C: float
 
     def __post_init__(self) -> None:
-        if self.C <= 0.0:
-            raise ValueError("C must be positive for an admissible scenario")
+        if not (math.isfinite(self.C) and self.C > 0.0):
+            raise ValueError("C must be positive and finite for an admissible scenario")
 
 
 def pwpcn_constant(scen: Scenario) -> PwpcnConstant:
@@ -77,11 +75,15 @@ def select_pwpcn_set(
     the fixed point: scheduled users have ee_star >= EE(S*), skipped
     ones <= EE(S*).  Ties in ee_star admit in index order.
 
-    Returns candidate indices, ascending.
+    Returns candidate indices, ascending.  C, every h_k and every
+    ee_star_k must be finite, C positive and the rest nonnegative.
     """
     c_val = C.C if isinstance(C, PwpcnConstant) else float(C)
-    if c_val <= 0.0:
-        raise ValueError("C must be positive")
+    if not (math.isfinite(c_val) and c_val > 0.0):
+        raise ValueError("C must be positive and finite")
+    for h_i, ee_i in candidates:
+        if not (math.isfinite(h_i) and h_i >= 0.0 and math.isfinite(ee_i) and ee_i >= 0.0):
+            raise ValueError(f"candidate (h, ee) = {(h_i, ee_i)!r} must be finite and nonnegative")
     order = sorted(range(len(candidates)), key=lambda i: (-candidates[i][1], i))
     num = 0.0
     den = c_val
@@ -112,8 +114,8 @@ def solve_pwpcn(scen: Scenario) -> SolutionReport:
 
     const = pwpcn_constant(scen)
     p_arr, ee_arr = user_ee_peaks([scen.users[k].gamma for k in cand_users], par)
-    p_star = dict(zip(cand_users, p_arr.tolist()))
-    candidates = [(scen.users[k].h, ee) for k, ee in zip(cand_users, ee_arr.tolist())]
+    p_star = dict(zip(cand_users, p_arr))
+    candidates = [(scen.users[k].h, ee) for k, ee in zip(cand_users, ee_arr)]
     chosen = select_pwpcn_set(candidates, const)
     sched = tuple(cand_users[i] for i in chosen)
 
@@ -147,10 +149,10 @@ def solve_ielcn(scen: Scenario) -> SolutionReport:
         return _report(zero_allocation(scen.K), scen, MODE_INFEASIBLE, {"outer": 0, "candidates": 0})
 
     p_arr, ee_arr = user_ee_peaks([scen.users[k].gamma for k in cand], par)
-    # argmax takes the first maximum: ties go to the lower user index
-    i = int(np.argmax(ee_arr))
+    # max keeps the first maximum: ties go to the lower user index
+    i = max(range(len(cand)), key=ee_arr.__getitem__)
     best = cand[i]
-    p_best = float(p_arr[i])
+    p_best = p_arr[i]
     D = p_best / par.varsigma + par.pc
     t = min(scen.users[best].Q / D, par.Tmax)
     p = [0.0] * scen.K

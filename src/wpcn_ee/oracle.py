@@ -76,8 +76,8 @@ def _check_size(scen: Scenario, grid: GridSpec) -> int:
     return n
 
 
-def _evaluator(scen: Scenario, t_axis, p_axes, P0: float):
-    """Masked EE of one charging-time slice of the grid.
+def _evaluator(scen: Scenario, t_axis, p_axes):
+    """Masked EE of one charging-time slice of the grid, the station at Pmax.
 
     The uplink arrays do not depend on tau0, so they are built once,
     broadcast over the 2K axes (tau_1..tau_K, p_1..p_K).  ee_at(i, rmin)
@@ -98,10 +98,10 @@ def _evaluator(scen: Scenario, t_axis, p_axes, P0: float):
 
     def ee_at(i: int, rmin: float | None):
         tau0 = t_axis[i]
-        E = P0 * tau0 * scen.wet_deficit + par.Pc * tau0 + spend
+        E = par.Pmax * tau0 * scen.wet_deficit + par.Pc * tau0 + spend
         ok = tau0 + tsum <= par.Tmax * slop
         for u, spend_k in zip(scen.users, spends):
-            ok = ok & (spend_k <= (par.eta * P0 * tau0 * u.h + u.Q) * slop)
+            ok = ok & (spend_k <= (par.eta * par.Pmax * tau0 * u.h + u.Q) * slop)
         if rmin is not None:
             ok = ok & (B >= rmin * (1.0 - _REL_EPS))
         positive = E > 0.0
@@ -142,11 +142,11 @@ def _resolution_bound(ee_at, n_tau: int, best_idx: tuple[int, ...], best_ee: flo
 
 
 def _assemble(
-    scen: Scenario, grid: GridSpec, P0: float, rmin: float | None, mode_hint: str | None
+    scen: Scenario, grid: GridSpec, rmin: float | None, mode_hint: str | None
 ) -> SolutionReport:
     n_points = _check_size(scen, grid)
     t_axis, p_axes = _axes(scen, grid, rmin)
-    ee_at = _evaluator(scen, t_axis, p_axes, P0)
+    ee_at = _evaluator(scen, t_axis, p_axes)
     best_ee, best_idx = _search(ee_at, grid.n_tau, rmin)
 
     if best_idx is None:
@@ -159,7 +159,7 @@ def _assemble(
     p = [float(p_axes[k][best_idx[1 + K + k]]) for k in range(K)]
     # Zero out powers in unused slots so the report is unambiguous.
     p = [pk if tk > 0.0 else 0.0 for pk, tk in zip(p, tau)]
-    alloc = Allocation(P0=P0, tau0=tau0, p=tuple(p), tau=tuple(tau))
+    alloc = Allocation(P0=scen.params.Pmax, tau0=tau0, p=tuple(p), tau=tuple(tau))
 
     bound = _resolution_bound(ee_at, grid.n_tau, best_idx, best_ee)
     if mode_hint is None:
@@ -170,20 +170,11 @@ def _assemble(
     return _report(alloc, scen, mode, iterations)
 
 
-def grid_search_best_effort(
-    scen: Scenario, grid: GridSpec, P0: float | None = None
-) -> SolutionReport:
-    """Exhaustive EE maximization on the grid, K <= 2.
-
-    P0 defaults to Pmax; passing a smaller value in [0, Pmax] supports
-    sweeps that confirm full downlink power is never worse.
-    """
+def grid_search_best_effort(scen: Scenario, grid: GridSpec) -> SolutionReport:
+    """Exhaustive EE maximization on the grid, K <= 2, the station at Pmax."""
     if scen.K > 2:
         raise ValueError("grid oracle supports at most 2 users")
-    p0 = scen.params.Pmax if P0 is None else P0
-    if not 0.0 <= p0 <= scen.params.Pmax:
-        raise ValueError(f"P0 must lie in [0, Pmax], got {p0!r}")
-    return _assemble(scen, grid, p0, rmin=None, mode_hint=None)
+    return _assemble(scen, grid, rmin=None, mode_hint=None)
 
 
 def grid_search_qos(scen: Scenario, grid: GridSpec) -> SolutionReport:
@@ -192,4 +183,4 @@ def grid_search_qos(scen: Scenario, grid: GridSpec) -> SolutionReport:
         raise ValueError("grid oracle supports at most 2 users")
     if scen.params.Rmin is None:
         raise ValueError("grid_search_qos needs Rmin")
-    return _assemble(scen, grid, scen.params.Pmax, rmin=scen.params.Rmin, mode_hint=MODE_QOS)
+    return _assemble(scen, grid, rmin=scen.params.Rmin, mode_hint=MODE_QOS)

@@ -56,6 +56,8 @@ from .search import brentq, newton_bisect  # noqa: F401
 _REL_B = 1e-12  # slack applied to the throughput floor in comparisons
 _FILL_TOL = 1e-9  # relative B residual beyond which a boundary fill engages
 _CAP = 2.0**60  # largest multiplier a doubling bracket may reach
+_EPS = 1e-8  # Dinkelbach stops once |T(q)| falls below this
+_MAX_OUTER = 30  # Dinkelbach iteration cap
 
 
 @dataclass(frozen=True)
@@ -95,6 +97,13 @@ def _require_finite(**values: float) -> None:
             raise ValueError(f"{name} must be finite, got {v!r}")
 
 
+def _require_nonnegative(**values: float) -> None:
+    """Reject negative multipliers of the public dual helpers."""
+    for name, v in values.items():
+        if v < 0.0:
+            raise ValueError(f"{name} must be nonnegative, got {v!r}")
+
+
 def kkt_threshold_x(q: float, vartheta: float, delta: float, params: SystemParams) -> float:
     """Scheduling threshold in SNR-coefficient space.
 
@@ -105,24 +114,24 @@ def kkt_threshold_x(q: float, vartheta: float, delta: float, params: SystemParam
     _require_finite(q=q, vartheta=vartheta, delta=delta)
     if q <= 0.0:
         raise ValueError("threshold needs q > 0")
+    _require_nonnegative(vartheta=vartheta, delta=delta)
     W1 = params.W * (1.0 + vartheta)
     cln = W1 * params.varsigma / LN2
     vs = params.varsigma
     pc = params.pc
     lo = q / cln  # branch boundary: score = -q*pc - delta < 0
-    hi = 2.0 * lo
-    for _ in range(1100):
-        if _score(hi, q, cln, W1, vs, pc) > delta:
-            break
-        hi *= 2.0
-    else:  # pragma: no cover - score grows without bound in gamma
-        raise RuntimeError("failed to bracket the scheduling threshold")
+    hi = _double_until(
+        lambda g: _score(g, q, cln, W1, vs, pc) > delta, 2.0 * lo, "scheduling threshold"
+    )
     return brentq(lambda g: _score(g, q, cln, W1, vs, pc) - delta, lo, hi, maxiter=200)
 
 
 def multiplier_mu(gamma_k: float, q: float, vartheta: float, delta: float, params: SystemParams) -> float:
     """Energy multiplier of a scheduled user with tight energy."""
     _require_finite(gamma_k=gamma_k, q=q, vartheta=vartheta, delta=delta)
+    if gamma_k <= 0.0:
+        raise ValueError(f"gamma_k must be positive, got {gamma_k!r}")
+    _require_nonnegative(vartheta=vartheta, delta=delta)
     W1 = params.W * (1.0 + vartheta)
     cln = W1 * params.varsigma / LN2
     s = _s_root(gamma_k, q, delta, cln, W1, params.varsigma, params.pc, warm=0.0)
@@ -134,6 +143,9 @@ def multiplier_mu(gamma_k: float, q: float, vartheta: float, delta: float, param
 def power_from_duals(gamma_k: float, mu_k: float, q: float, vartheta: float, params: SystemParams) -> float:
     """Uplink power from the dual variables, clamped at zero."""
     _require_finite(gamma_k=gamma_k, mu_k=mu_k, q=q, vartheta=vartheta)
+    if gamma_k <= 0.0:
+        raise ValueError(f"gamma_k must be positive, got {gamma_k!r}")
+    _require_nonnegative(mu_k=mu_k, vartheta=vartheta)
     s = q + mu_k
     if s <= 0.0:
         raise ValueError("q + mu must be positive")
@@ -151,7 +163,9 @@ def f0_wet_gate(mu: Sequence[float], q: float, delta: float, scen: Scenario) -> 
     par = scen.params
     if len(mu) != scen.K:
         raise ValueError("mu must have one entry per user")
-    _require_finite(q=q, delta=delta, **{f"mu[{k}]": m for k, m in enumerate(mu)})
+    named_mu = {f"mu[{k}]": m for k, m in enumerate(mu)}
+    _require_finite(q=q, delta=delta, **named_mu)
+    _require_nonnegative(delta=delta, **named_mu)
     gain = par.eta * par.Pmax * math.fsum(m * u.h for m, u in zip(mu, scen.users))
     return gain - q * (par.Pmax * scen.wet_deficit + par.Pc) - delta
 
@@ -596,15 +610,9 @@ def dinkelbach_T(q: float, scen: Scenario) -> tuple[float, Allocation]:
     return pt.B - q * pt.E, pt.alloc
 
 
-def solve_qos_detailed(
-    scen: Scenario, eps: float = 1e-8, max_outer: int = 30
-) -> tuple[SolutionReport, DualState, list[tuple[int, float, float]]]:
+def solve_qos_detailed(scen: Scenario) -> tuple[SolutionReport, DualState, list[tuple[int, float, float]]]:
     """Full solve returning the report, converged duals, and the
     per-iteration (iteration, q, T) trace."""
-    if max_outer < 1:
-        raise ValueError(f"max_outer must be at least 1, got {max_outer!r}")
-    if not 0.0 < eps < math.inf:
-        raise ValueError(f"eps must be finite and positive, got {eps!r}")
     rmin = scen.params.Rmin
     if rmin is None:
         raise ValueError("solve_qos needs Rmin; use solve_best_effort without a floor")
@@ -619,7 +627,7 @@ def solve_qos_detailed(
     fills_total = 0
     pt, theta = None, 0.0
     prev: tuple[_Point, float] | None = None
-    for it in range(1, max_outer + 1):
+    for it in range(1, _MAX_OUTER + 1):
         if q == 0.0:
             # The q = 0 maximizer is the ceiling, and it meets the floor.
             pt, theta, fills = ceiling, 0.0, 0
@@ -628,7 +636,7 @@ def solve_qos_detailed(
         fills_total += fills
         T = pt.B - q * pt.E
         trace.append((it, q, T))
-        if abs(T) < eps or pt.E <= 0.0:
+        if abs(T) < _EPS or pt.E <= 0.0:
             break
         prev = (pt, theta)
         q = pt.B / pt.E
@@ -644,7 +652,7 @@ def solve_qos_detailed(
     return report, duals, trace
 
 
-def solve_qos(scen: Scenario, eps: float = 1e-8, max_outer: int = 30) -> SolutionReport:
+def solve_qos(scen: Scenario) -> SolutionReport:
     """EE-optimal allocation subject to the block throughput floor."""
-    report, _, _ = solve_qos_detailed(scen, eps=eps, max_outer=max_outer)
+    report, _, _ = solve_qos_detailed(scen)
     return report

@@ -31,16 +31,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
-from numpy.typing import ArrayLike
+from typing import Iterable
 
 from .model import LN2, SystemParams
 
 # 1 + W0(z) = sum_n c_n t^n with t = sqrt(2*(1 + e*z)) = sqrt(2x), highest
-# power first for Horner's rule as np.polyval runs it (the constant term is
-# zero).  Below _SERIES_BELOW the truncated series is accurate to ~3e-15
-# relative, where W0 of the rounded argument is off by more.
+# power first for Horner's rule (the constant term is zero).  Below
+# _SERIES_BELOW the truncated series is accurate to ~3e-15 relative, where
+# W0 of the rounded argument is off by more.
 _BRANCH_SERIES = (
     226287557 / 37623398400,
     -1963 / 204120,
@@ -154,19 +152,21 @@ def user_ee_at(p: float, gamma: float, params: SystemParams) -> float:
     return rate / (p / params.varsigma + params.pc)
 
 
-def user_ee_peaks(gamma: ArrayLike, params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
-    """EE-optimal powers and peak efficiencies for a vector of gammas.
+def user_ee_peaks(
+    gamma: Iterable[float], params: SystemParams
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """EE-optimal powers and peak efficiencies for a sequence of gammas.
 
-    Returns (p_star, ee_star) as 1-D float arrays, one entry per gamma.
+    Returns (p_star, ee_star) as tuples of floats, one entry per gamma.
     Every gamma must be positive and finite.
     """
-    gs = np.array(gamma, dtype=float, ndmin=1).tolist()
     c = params.pc * params.varsigma
-    log_s = []
-    for gk in gs:
-        if not (math.isfinite(gk) and gk > 0.0):
+    p: list[float] = []
+    ee: list[float] = []
+    for g in gamma:
+        if not (math.isfinite(g) and g > 0.0):
             raise ValueError("gamma must be positive and finite")
-        x = gk * c
+        x = g * c
         if x < _SERIES_BELOW:
             t = math.sqrt(2.0 * x)
             ls = 0.0
@@ -174,15 +174,13 @@ def user_ee_peaks(gamma: ArrayLike, params: SystemParams) -> tuple[np.ndarray, n
                 ls = ls * t + ck
         else:
             ls = 1.0 + _lambertw0((x - 1.0) / math.e)
-        log_s.append(ls)
-    # numpy's expm1, not math.expm1: the two differ in the last bit on
-    # some inputs, and p_star has always been numpy's.
-    p = [em / gk for em, gk in zip(np.expm1(log_s).tolist(), gs)]
-    ee = [params.W * ls / (LN2 * (pk / params.varsigma + params.pc)) for ls, pk in zip(log_s, p)]
-    return np.array(p), np.array(ee)
+        pk = math.expm1(ls) / g
+        p.append(pk)
+        ee.append(params.W * ls / (LN2 * (pk / params.varsigma + params.pc)))
+    return tuple(p), tuple(ee)
 
 
 def max_user_ee(gamma: float, params: SystemParams) -> UserEEPoint:
     """The unique maximizer of ee and its value; see user_ee_peaks."""
-    p, ee = user_ee_peaks((gamma,), params)
-    return UserEEPoint(p_star=float(p[0]), ee_star=float(ee[0]))
+    (p,), (ee,) = user_ee_peaks((gamma,), params)
+    return UserEEPoint(p_star=p, ee_star=ee)

@@ -10,6 +10,7 @@ from wpcn_ee import (
     MODE_IELCN,
     MODE_INFEASIBLE,
     MODE_PWPCN,
+    PwpcnConstant,
     check_constraints,
     max_user_ee,
     pwpcn_constant,
@@ -30,6 +31,34 @@ def test_constant_by_hand():
     c = pwpcn_constant(scen)
     expected = (0.5 / 2.0 + 1.0 - 0.9 * 0.15) / 0.9
     assert c.C == pytest.approx(expected, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: PwpcnConstant(C=math.nan),
+        lambda: PwpcnConstant(C=math.inf),
+        lambda: select_pwpcn_set([(0.1, 2.0), (0.2, 1.0)], math.nan),
+        lambda: select_pwpcn_set([(0.1, 2.0), (0.2, 1.0)], math.inf),
+        lambda: select_pwpcn_set([(0.1, 2.0), (0.2, math.nan)], 1.0),
+        lambda: select_pwpcn_set([(0.1, 2.0), (-0.2, 1.0)], 1.0),
+        lambda: select_pwpcn_set([(math.inf, 2.0), (0.2, 1.0)], 1.0),
+    ],
+    ids=[
+        "constant-nan",
+        "constant-inf",
+        "select-nan-C",
+        "select-inf-C",
+        "select-nan-ee",
+        "select-negative-h",
+        "select-inf-h",
+    ],
+)
+def test_pwpcn_helpers_reject_bad_input(call):
+    # each used to be accepted; a NaN C, a NaN ee or a negative h
+    # admitted every candidate
+    with pytest.raises(ValueError, match="must be positive and finite|must be finite"):
+        call()
 
 
 def test_closed_form_matches_direct_evaluation():

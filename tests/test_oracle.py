@@ -2,7 +2,6 @@
 better be trustworthy before the solvers are judged against it."""
 
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -22,7 +21,6 @@ from wpcn_ee import (
     solve_best_effort,
     solve_qos,
 )
-from wpcn_ee import oracle
 from wpcn_ee.model import Allocation, energy_total, scenario_from_values, throughput
 from wpcn_ee.oracle import _axes
 
@@ -187,39 +185,11 @@ def test_gridspec_validation():
         GridSpec(n_p=1)
 
 
-@pytest.mark.parametrize("P0", [math.nan, -1.0, math.inf])
-def test_best_effort_grid_checks_P0_before_the_walk(monkeypatch, P0):
-    # NaN used to return a silent INFEASIBLE report, and a negative P0 was
-    # caught by Allocation only after the whole grid had been walked
-    scen = random_scenario(np.random.default_rng(31), 1, q_mode="zero")
-
-    def walked(*args):
-        raise AssertionError("the grid was walked")
-
-    monkeypatch.setattr(oracle, "_search", walked)
-    with pytest.raises(ValueError, match=r"P0 must lie in \[0, Pmax\]"):
-        grid_search_best_effort(scen, GridSpec(n_tau=10, n_p=8), P0=P0)
-
-
-def test_best_effort_grid_accepts_P0_at_either_end():
-    scen = random_scenario(np.random.default_rng(31), 1, q_mode="positive")
-    for P0 in (0.0, scen.params.Pmax):
-        rep = grid_search_best_effort(scen, GridSpec(n_tau=10, n_p=8), P0=P0)
-        assert rep.alloc.P0 == P0 and rep.ee > 0.0
-
-
 def test_size_cap_enforced():
     rng = np.random.default_rng(29)
     scen = random_scenario(rng, 2, q_mode="zero")
     with pytest.raises(ValueError, match="cap"):
         grid_search_best_effort(scen, GridSpec(n_tau=60, n_p=40))
-
-
-def test_p0_above_pmax_rejected():
-    rng = np.random.default_rng(31)
-    scen = random_scenario(rng, 1, q_mode="zero")
-    with pytest.raises(ValueError):
-        grid_search_best_effort(scen, GridSpec(n_tau=10, n_p=8), P0=scen.params.Pmax * 1.01)
 
 
 def test_more_than_two_users_rejected():

@@ -303,31 +303,6 @@ def test_floor_required():
         solve_qos(scen)
 
 
-@pytest.mark.parametrize(
-    "settings",
-    [
-        {"max_outer": 0},
-        {"max_outer": -3},
-        {"eps": math.inf},
-        {"eps": math.nan},
-        {"eps": -1.0},
-        {"eps": 0.0},
-    ],
-    ids=["max_outer-0", "max_outer-negative", "eps-inf", "eps-nan", "eps-negative", "eps-0"],
-)
-@pytest.mark.parametrize("solver", [solve_qos, solve_qos_detailed])
-def test_solve_qos_rejects_bad_iteration_settings(solver, settings):
-    # max_outer = 0 used to fail a bare assert; eps = inf stopped at the
-    # q = 0 iterate and a nonpositive or NaN eps ran every iteration, and
-    # both were reported as QOS
-    rng = np.random.default_rng(109)
-    scen = random_scenario(rng, 2, q_mode="zero")
-    feasible = with_floor(scen, 0.5 * max_throughput(scen).R_star)
-    name = next(iter(settings))
-    with pytest.raises(ValueError, match=name):
-        solver(feasible, **settings)
-
-
 def test_k1_matches_grid_oracle():
     # floor above the unconstrained optimum so it genuinely binds
     rng = np.random.default_rng(113)
@@ -660,4 +635,44 @@ def test_dual_helpers_reject_non_finite_inputs(call):
     # nan, 0.0 or a (nan, zero allocation) pair
     scen = random_scenario(np.random.default_rng(83), 3, q_mode="zero")
     with pytest.raises(ValueError, match="must be finite"):
+        call(scen.params, scen)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p, s: multiplier_mu(0.0, 0.0, 0.0, 0.0, p),
+        lambda p, s: multiplier_mu(-1e6, 0.0, 0.0, 0.0, p),
+        lambda p, s: multiplier_mu(1e6, 2e4, -0.5, 0.0, p),
+        lambda p, s: multiplier_mu(1e6, 2e4, 0.0, -1.0, p),
+        lambda p, s: power_from_duals(0.0, 0.0, 2e4, 0.0, p),
+        lambda p, s: power_from_duals(1e6, -1.0, 2e4, 0.0, p),
+        lambda p, s: power_from_duals(1e6, 0.0, 2e4, -0.5, p),
+        lambda p, s: kkt_threshold_x(2e4, -1.0, 0.0, p),
+        lambda p, s: kkt_threshold_x(2e4, -2.0, 0.0, p),
+        lambda p, s: kkt_threshold_x(2e4, 0.0, -1e3, p),
+        lambda p, s: f0_wet_gate([1e4, -1.0, 0.0], 3e4, 7.0, s),
+        lambda p, s: f0_wet_gate([1e4, 2e4, 0.0], 3e4, -7.0, s),
+    ],
+    ids=[
+        "mu-zero-gamma",
+        "mu-negative-gamma",
+        "mu-negative-vartheta",
+        "mu-negative-delta",
+        "power-zero-gamma",
+        "power-negative-mu",
+        "power-negative-vartheta",
+        "threshold-vartheta-minus-one",
+        "threshold-vartheta-minus-two",
+        "threshold-negative-delta",
+        "gate-negative-mu",
+        "gate-negative-delta",
+    ],
+)
+def test_dual_helpers_reject_out_of_domain_inputs(call):
+    # a zero gamma used to raise ZeroDivisionError, vartheta = -1 and -2
+    # ZeroDivisionError and RuntimeError, a negative delta brentq's sign
+    # error; the rest returned a number
+    scen = random_scenario(np.random.default_rng(83), 3, q_mode="zero")
+    with pytest.raises(ValueError, match="must be (positive|nonnegative)"):
         call(scen.params, scen)

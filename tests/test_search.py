@@ -1,6 +1,7 @@
 """Scalar searches: golden section, the brentq port against scipy's, and
 the package's import of scipy (none)."""
 
+import ast
 import math
 import os
 import subprocess
@@ -115,6 +116,49 @@ def test_importing_the_package_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _imports(path):
+    """(line, top-level module, names bound) of each import in a file."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.end_lineno, alias.name.split(".")[0], [alias.asname or alias.name]
+        elif isinstance(node, ast.ImportFrom):
+            names = [alias.asname or alias.name for alias in node.names]
+            yield node.end_lineno, (node.module or "").split(".")[0], names
+
+
+def test_numpy_is_imported_only_for_the_draws_and_the_grid():
+    # the solvers are plain Python, so their answers do not follow
+    # numpy's CPU dispatch; channels (the RNG stream) and oracle (the
+    # grid) are the only numpy users
+    root = Path(__file__).resolve().parent.parent
+    package = root / "src" / "wpcn_ee"
+    users = sorted(
+        path.name
+        for path in package.glob("*.py")
+        if any(module == "numpy" for _, module, _ in _imports(path))
+    )
+    assert users == ["channels.py", "oracle.py"]
+
+    # an import kept only for the benchmark's layer spans must name a
+    # binding the spans install
+    spans = ast.parse((root / "perfbench" / "spans.py").read_text())
+    bindings = next(
+        ast.literal_eval(node.value)
+        for node in spans.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["BINDINGS"]
+    )
+    bound = {(module, attr) for module, attr, _ in bindings}
+    span_only = []
+    for path in sorted((root / "src").rglob("*.py")):
+        lines = path.read_text().splitlines()
+        for line, _, names in _imports(path):
+            if lines[line - 1].endswith("# noqa: F401"):
+                span_only += [(path.stem, name) for name in names]
+    assert span_only
+    assert [pair for pair in span_only if pair not in bound] == []
 
 
 def _counted(f):

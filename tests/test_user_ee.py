@@ -185,7 +185,7 @@ def test_finite_positive_near_the_branch_point():
     # gamma*pc*varsigma -> 0 drives s -> 1 and the W0 argument to -1/e
     par = unit_params()
     xs = np.array([1e-300, 1e-30, 1e-16, 1e-10, 1e-6, 9.99e-4, 1e-3, 1.001e-3, 1e-2])
-    p, ee = user_ee_peaks(xs, par)
+    p, ee = map(np.asarray, user_ee_peaks(xs, par))
     assert np.all(np.isfinite(p) & (p > 0.0))
     assert np.all(np.isfinite(ee) & (ee > 0.0))
     for x, pk in zip(xs, p):
@@ -279,7 +279,7 @@ def scipy_user_ee_peaks(gamma, params):
     small = x < _SERIES_BELOW
     if small.any():
         log_s[small] = np.polyval(_BRANCH_SERIES, np.sqrt(2.0 * x[small]))
-    p = np.expm1(log_s) / g
+    p = np.array([math.expm1(ls) for ls in log_s.tolist()]) / g
     ee = params.W * log_s / (LN2 * (p / params.varsigma + params.pc))
     return p, ee
 
@@ -288,5 +288,25 @@ def scipy_user_ee_peaks(gamma, params):
 def test_peaks_match_the_scipy_version_bit_for_bit(par):
     gammas = np.concatenate([sweep_gammas(par), sweep_gammas(par, 1e-12, 1e9, 97)])
     for got, want in zip(user_ee_peaks(gammas, par), scipy_user_ee_peaks(gammas, par)):
+        got = np.asarray(got)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("par", [unit_params(), stock_params()])
+def test_peak_power_is_math_expm1_of_log_s_over_gamma(par):
+    # libm's expm1, not numpy's SIMD kernel, whose last bit follows the CPU
+    gammas = sweep_gammas(par, 1e-12, 1e9, 397).tolist()
+    p, ee = user_ee_peaks(gammas, par)
+    assert type(p) is tuple and type(ee) is tuple
+    assert all(type(v) is float for v in p + ee)
+    for g, pk in zip(gammas, p):
+        x = g * (par.pc * par.varsigma)
+        if x < _SERIES_BELOW:
+            t = math.sqrt(2.0 * x)
+            log_s = 0.0
+            for c in _BRANCH_SERIES:
+                log_s = log_s * t + c
+        else:
+            log_s = 1.0 + _lambertw0((x - 1.0) / math.e)
+        assert pk.hex() == (math.expm1(log_s) / g).hex()
