@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Sequence
 
@@ -112,7 +112,10 @@ _COMMANDS = {
 }
 
 
+@cache
 def _build_parser() -> _Parser:
+    """The command line parser, built on the first call and then shared:
+    parse_args leaves it unchanged."""
     parser = _Parser(
         prog="wpcn-ee",
         description="Energy-efficient resource allocation for wireless powered networks.",

@@ -30,11 +30,12 @@ from .model import (
     Scenario,
     SolutionReport,
     SystemParams,
+    _bits,
+    _joules,
     _report,
     check_constraints,
     db_to_linear,
     dbm_to_watts,
-    system_ee,
     zero_allocation,
 )
 from .oracle import GridSpec
@@ -319,10 +320,12 @@ def baseline_fixed_proportion(scen: Scenario, rho: float) -> SolutionReport:
     par = scen.params
     h_sum = math.fsum(scen.h)
 
-    def build(tau0: float) -> Allocation:
+    def uplink(tau0: float) -> tuple[tuple[float, ...], list[float]] | None:
+        """The uplink (p, tau) at charging time tau0, or None where the
+        policy sends nothing."""
         residual = par.Tmax - tau0
         if rho == 0.0 or residual <= 0.0 or tau0 <= 0.0:
-            return zero_allocation(scen.K)
+            return None
         tau = [residual * u.h / h_sum for u in scen.users]
         spend = rho * par.eta * par.Pmax * tau0 * h_sum / residual
         p = par.varsigma * (spend - par.pc)
@@ -330,12 +333,22 @@ def baseline_fixed_proportion(scen: Scenario, rho: float) -> SolutionReport:
             p = 0.0
             budget = [rho * par.eta * par.Pmax * tau0 * u.h for u in scen.users]
             tau = [min(t, b / par.pc) for t, b in zip(tau, budget)]
-        return Allocation(
-            P0=par.Pmax, tau0=tau0, p=(p,) * scen.K, tau=tuple(tau)
-        )
+        return (p,) * scen.K, tau
+
+    def build(tau0: float) -> Allocation:
+        up = uplink(tau0)
+        if up is None:
+            return zero_allocation(scen.K)
+        return Allocation(P0=par.Pmax, tau0=tau0, p=up[0], tau=tuple(up[1]))
 
     def ee_of(tau0: float) -> float:
-        return system_ee(build(tau0), scen)
+        # system_ee(build(tau0), scen) from the bookkeeping cores, without
+        # building and validating an allocation per probe
+        up = uplink(tau0)
+        if up is None:
+            return 0.0
+        bits = _bits(scen, *up)
+        return bits / _joules(scen, par.Pmax, tau0, *up) if bits != 0.0 else 0.0
 
     tau0, _, n_evals = golden_section_max(ee_of, 0.0, par.Tmax)
     return _floor_blind_report(build(tau0), scen, {"outer": n_evals})

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Sequence
 
 LN2 = math.log(2.0)
 
@@ -297,9 +297,15 @@ def throughput(alloc: Allocation, scen: Scenario) -> float:
     tau_k = 0 contributes exactly zero regardless of p_k.
     """
     _check_dims(alloc, scen)
+    return _bits(scen, alloc.p, alloc.tau)
+
+
+def _bits(scen: Scenario, p: Sequence[float], tau: Sequence[float]) -> float:
+    """B of uplink powers p and slots tau, one entry per user; the
+    callers check the lengths."""
     W = scen.params.W
     total = 0.0
-    for u, pk, tk in zip(scen.users, alloc.p, alloc.tau):
+    for u, pk, tk in zip(scen.users, p, tau):
         if tk > 0.0:
             total += tk * W * math.log2(1.0 + pk * u.gamma)
     return total
@@ -315,9 +321,17 @@ def energy_total(alloc: Allocation, scen: Scenario) -> float:
     free and therefore absent.
     """
     _check_dims(alloc, scen)
+    return _joules(scen, alloc.P0, alloc.tau0, alloc.p, alloc.tau)
+
+
+def _joules(
+    scen: Scenario, P0: float, tau0: float, p: Sequence[float], tau: Sequence[float]
+) -> float:
+    """E of a charging slot (P0, tau0) and uplink (p, tau), one entry
+    per user; the callers check the lengths."""
     par = scen.params
-    e = alloc.P0 * alloc.tau0 * scen.wet_deficit + par.Pc * alloc.tau0
-    for pk, tk in zip(alloc.p, alloc.tau):
+    e = P0 * tau0 * scen.wet_deficit + par.Pc * tau0
+    for pk, tk in zip(p, tau):
         e += (pk / par.varsigma + par.pc) * tk
     return e
 

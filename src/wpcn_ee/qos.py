@@ -131,13 +131,13 @@ def multiplier_mu(gamma_k: float, q: float, vartheta: float, delta: float, param
     _require_finite(gamma_k=gamma_k, q=q, vartheta=vartheta, delta=delta)
     if gamma_k <= 0.0:
         raise ValueError(f"gamma_k must be positive, got {gamma_k!r}")
-    _require_nonnegative(vartheta=vartheta, delta=delta)
+    _require_nonnegative(q=q, vartheta=vartheta, delta=delta)
     W1 = params.W * (1.0 + vartheta)
     cln = W1 * params.varsigma / LN2
-    s = _s_root(gamma_k, q, delta, cln, W1, params.varsigma, params.pc, warm=0.0)
-    if s is None:
+    vs, pc = params.varsigma, params.pc
+    if not _score(gamma_k, q, cln, W1, vs, pc) > delta:
         raise ValueError("user is outside the energy-tight region (score <= delta)")
-    return s - q
+    return _s_root(gamma_k, q, delta, cln, W1, vs, pc, warm=0.0) - q
 
 
 def power_from_duals(gamma_k: float, mu_k: float, q: float, vartheta: float, params: SystemParams) -> float:
@@ -145,7 +145,7 @@ def power_from_duals(gamma_k: float, mu_k: float, q: float, vartheta: float, par
     _require_finite(gamma_k=gamma_k, mu_k=mu_k, q=q, vartheta=vartheta)
     if gamma_k <= 0.0:
         raise ValueError(f"gamma_k must be positive, got {gamma_k!r}")
-    _require_nonnegative(mu_k=mu_k, vartheta=vartheta)
+    _require_nonnegative(mu_k=mu_k, q=q, vartheta=vartheta)
     s = q + mu_k
     if s <= 0.0:
         raise ValueError("q + mu must be positive")
@@ -189,9 +189,14 @@ def _s_root(
     vs: float,
     pc: float,
     warm: float,
-) -> float | None:
-    """Unique s in (q, cln*gamma) with F(s) = delta, or None if the user's
-    score is at or below delta (no tight-energy solution).
+) -> float:
+    """Unique s in (q, cln*gamma) with F(s) = delta, for a tight user.
+
+    The caller tests tightness: for q > 0 the user's score, F(q) as
+    `_score` computes it, must exceed delta (`_Level.duals` reads it
+    from the level's heads, `multiplier_mu` evaluates it).  Then F(q) is
+    the bracket's positive end; at q = 0 the score is +inf and the left
+    end shrinks until F exceeds delta.
 
     The root is `search.newton_bisect` (rtol 1e-14) on F(s) - delta with
     F and F' written out inline: the same operations in the same order,
@@ -200,11 +205,7 @@ def _s_root(
     log2 = math.log2
     hi = gamma * cln
     if q > 0.0:
-        if hi <= q:
-            return None
         lo = q
-        if not W1 * log2(hi / lo) - (cln - lo / gamma) / vs - lo * pc > delta:
-            return None
     else:
         lo = hi * 1e-20
         for _ in range(60):
@@ -293,23 +294,21 @@ class _Level:
         rec = self._duals.get(delta)
         if rec is not None:
             return rec
-        tight = [k for k in range(self.K) if self.heads[k] > delta]
+        heads, gammas, warm = self.heads, self.gammas, self._warm
+        q, cln, W1, vs, pc = self.q, self.cln, self.W1, self.vs, self.pc
+        tight = [k for k in range(self.K) if heads[k] > delta]
         s = []
         for k in tight:
-            sk = _s_root(
-                self.gammas[k], self.q, delta, self.cln, self.W1, self.vs, self.pc, self._warm[k]
-            )
-            if sk is None:  # pragma: no cover - tight users have head > delta
-                raise RuntimeError("stationarity root requested outside the tight region")
-            self._warm[k] = sk
+            sk = warm[k] = _s_root(gammas[k], q, delta, cln, W1, vs, pc, warm[k])
             s.append(sk)
         rec = self._duals[delta] = (tight, s)
         return rec
 
     def _f0_at(self, delta: float) -> float:
         tight, s = self.duals(delta)
-        gain = math.fsum((sk - self.q) * self.harvest[k] for k, sk in zip(tight, s))
-        return gain - self.q * self.wet_cost - delta
+        q, harvest = self.q, self.harvest
+        gain = math.fsum([(sk - q) * harvest[k] for k, sk in zip(tight, s)])
+        return gain - q * self.wet_cost - delta
 
     def _base_at(self, delta: float) -> float:
         tight, s = self.duals(delta)

@@ -121,6 +121,14 @@ def test_zero_throughput_gives_zero_ee():
     assert system_ee(alloc, scen) == 0.0
 
 
+def test_bookkeeping_rejects_a_user_count_mismatch():
+    scen = scenario_from_values(stock_params(), [0.01, 0.02, 0.03], [1.0, 2.0, 3.0])
+    alloc = Allocation(P0=1.0, tau0=0.2, p=(0.1, 0.1), tau=(0.3, 0.3))
+    for fn in (throughput, energy_total, system_ee, check_constraints):
+        with pytest.raises(ValueError, match="allocation has 2 users, scenario has 3"):
+            fn(alloc, scen)
+
+
 def test_allocation_validation():
     with pytest.raises(ValueError):
         Allocation(P0=-1.0, tau0=0.0, p=(0.0,), tau=(0.0,))

@@ -381,11 +381,14 @@ def reference_s_root(gamma, q, delta, cln, W1, vs, pc, warm):
 
 
 def test_inline_root_matches_the_newton_bisect_reference():
-    # bit for bit, over gamma 1e-3..1e8, q = 0 and q > 0, deltas inside
-    # the tight region, at its edge and beyond it, and warm starts inside
-    # and outside the bracket.  At q = 0 a delta of 1e7 puts the root far
-    # below the first bracket end, 1e-20 of the right end (about 2e-96 at
-    # gamma = 1e6), so that end shrinks by 1e-6 steps.
+    # bit for bit on every tight input, over gamma 1e-3..1e8, q = 0 and
+    # q > 0, deltas inside the tight region, at its edge and beyond it,
+    # and warm starts inside and outside the bracket.  The caller tests
+    # tightness, so an input outside the region (the reference answers
+    # None) is not handed to _s_root: multiplier_mu rejects it instead.
+    # At q = 0 a delta of 1e7 puts the root far below the first bracket
+    # end, 1e-20 of the right end (about 2e-96 at gamma = 1e6), so that
+    # end shrinks by 1e-6 steps.
     par = stock_params()
     vs, pc = par.varsigma, par.pc
     roots = nones = shrunk = 0
@@ -403,15 +406,18 @@ def test_inline_root_matches_the_newton_bisect_reference():
                     deltas = [0.0, 1.0, 1e3, 1e5, 1e7]
                 for delta in deltas + [0.0]:
                     for warm in (0.0, 0.5 * (q + hi), math.sqrt(max(q, 1.0) * hi), 2.0 * hi):
-                        got = _s_root(gamma, q, delta, cln, W1, vs, pc, warm)
                         want = reference_s_root(gamma, q, delta, cln, W1, vs, pc, warm)
-                        assert got == want, (gamma, q, delta, vartheta, warm, got, want)
-                        if got is None:
+                        if want is None:
                             nones += 1
-                        else:
-                            roots += 1
-                            shrunk += got < 1e-20 * hi
-                            assert q < got < hi or got == q
+                            reason = "energy-tight" if delta >= 0.0 else "nonnegative"
+                            with pytest.raises(ValueError, match=reason):
+                                multiplier_mu(gamma, q, vartheta, delta, par)
+                            continue
+                        got = _s_root(gamma, q, delta, cln, W1, vs, pc, warm)
+                        assert got == want, (gamma, q, delta, vartheta, warm, got, want)
+                        roots += 1
+                        shrunk += got < 1e-20 * hi
+                        assert q < got < hi or got == q
     assert roots > 1000 and nones > 100 and shrunk > 100
 
 
@@ -645,9 +651,11 @@ def test_dual_helpers_reject_non_finite_inputs(call):
         lambda p, s: multiplier_mu(-1e6, 0.0, 0.0, 0.0, p),
         lambda p, s: multiplier_mu(1e6, 2e4, -0.5, 0.0, p),
         lambda p, s: multiplier_mu(1e6, 2e4, 0.0, -1.0, p),
+        lambda p, s: multiplier_mu(1e6, -5.0, 0.0, 0.0, p),
         lambda p, s: power_from_duals(0.0, 0.0, 2e4, 0.0, p),
         lambda p, s: power_from_duals(1e6, -1.0, 2e4, 0.0, p),
         lambda p, s: power_from_duals(1e6, 0.0, 2e4, -0.5, p),
+        lambda p, s: power_from_duals(1e6, 10.0, -5.0, 0.0, p),
         lambda p, s: kkt_threshold_x(2e4, -1.0, 0.0, p),
         lambda p, s: kkt_threshold_x(2e4, -2.0, 0.0, p),
         lambda p, s: kkt_threshold_x(2e4, 0.0, -1e3, p),
@@ -659,9 +667,11 @@ def test_dual_helpers_reject_non_finite_inputs(call):
         "mu-negative-gamma",
         "mu-negative-vartheta",
         "mu-negative-delta",
+        "mu-negative-q",
         "power-zero-gamma",
         "power-negative-mu",
         "power-negative-vartheta",
+        "power-negative-q",
         "threshold-vartheta-minus-one",
         "threshold-vartheta-minus-two",
         "threshold-negative-delta",
@@ -672,7 +682,7 @@ def test_dual_helpers_reject_non_finite_inputs(call):
 def test_dual_helpers_reject_out_of_domain_inputs(call):
     # a zero gamma used to raise ZeroDivisionError, vartheta = -1 and -2
     # ZeroDivisionError and RuntimeError, a negative delta brentq's sign
-    # error; the rest returned a number
+    # error; the rest returned a number (a negative q that of q = 0)
     scen = random_scenario(np.random.default_rng(83), 3, q_mode="zero")
     with pytest.raises(ValueError, match="must be (positive|nonnegative)"):
         call(scen.params, scen)
