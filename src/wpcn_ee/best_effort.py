@@ -164,11 +164,10 @@ def solve_ielcn(scen: Scenario) -> SolutionReport:
 
 
 def solve_best_effort(scen: Scenario) -> SolutionReport:
-    """Max-combine the PWPCN and IELCN branches; ties go to PWPCN."""
+    """Max-combine the PWPCN and IELCN branches, one of which is always
+    feasible (every user is in exactly one); ties go to PWPCN."""
     a = solve_pwpcn(scen)
     b = solve_ielcn(scen)
-    if a.mode == MODE_INFEASIBLE and b.mode == MODE_INFEASIBLE:
-        raise AssertionError("unreachable: every user is in exactly one branch")
     winner = a if a.ee >= b.ee and a.mode != MODE_INFEASIBLE else b
     return replace(
         winner,

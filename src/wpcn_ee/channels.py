@@ -45,6 +45,12 @@ class GeometryConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("K", "seed"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+        if self.seed < 0:
+            raise ValueError(f"expected non-negative integer seed, got {self.seed!r}")
         for f in fields(self):
             if not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite")

@@ -146,6 +146,8 @@ class ExperimentConfig:
         for s in self.schemes:
             if s not in SCHEME_NAMES:
                 raise ValueError(f"unknown scheme {s!r}; pick from {SCHEME_NAMES}")
+        if len(set(self.schemes)) != len(self.schemes):
+            raise ValueError("scheme names must be distinct")
         if "fixed_proportion" in self.schemes and not self.rho_list:
             raise ValueError("fixed_proportion needs at least one rho value")
         for r in self.rho_list:
@@ -501,21 +503,20 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[Path, Path]:
                 reps.append(rep)
             per_trial.append(reps)
 
-    rows: list[tuple] = []
-    # (value, scheme) -> every report of that group, for the means
-    groups: dict[tuple[float, str], list[SolutionReport]] = {}
-    for value, per_trial in zip(values, solved):
-        for trial, reps in enumerate(per_trial):
-            for scheme, rep in zip(schemes, reps):
-                rows.append(report_to_row(rep, axis, value, trial, scheme))
-                groups.setdefault((value, scheme), []).append(rep)
-
+    rows = [
+        report_to_row(rep, axis, value, trial, scheme)
+        for value, per_trial in zip(values, solved)
+        for trial, reps in enumerate(per_trial)
+        for scheme, rep in zip(schemes, reps)
+    ]
     raw_path = write_rows(Path(cfg.output), RAW_COLUMNS, rows)
 
     mean_rows: list[tuple] = []
     for value in values:
-        for scheme in schemes:
-            group = groups[value, scheme]
+        # a value listed twice pools the trials of both entries
+        pooled = [reps for v, per_trial in zip(values, solved) if v == value for reps in per_trial]
+        for i, scheme in enumerate(schemes):
+            group = [reps[i] for reps in pooled]
             good = [r for r in group if r.mode != MODE_INFEASIBLE]
             if good:
                 m_ee = math.fsum(r.ee for r in good) / len(good)

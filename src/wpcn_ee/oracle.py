@@ -144,6 +144,8 @@ def _resolution_bound(ee_at, n_tau: int, best_idx: tuple[int, ...], best_ee: flo
 def _assemble(
     scen: Scenario, grid: GridSpec, rmin: float | None, mode_hint: str | None
 ) -> SolutionReport:
+    if scen.K > 2:
+        raise ValueError("grid oracle supports at most 2 users")
     n_points = _check_size(scen, grid)
     t_axis, p_axes = _axes(scen, grid, rmin)
     ee_at = _evaluator(scen, t_axis, p_axes)
@@ -162,25 +164,18 @@ def _assemble(
     alloc = Allocation(P0=scen.params.Pmax, tau0=tau0, p=tuple(p), tau=tuple(tau))
 
     bound = _resolution_bound(ee_at, grid.n_tau, best_idx, best_ee)
-    if mode_hint is None:
-        mode = MODE_PWPCN if tau0 > 0.0 else MODE_IELCN
-    else:
-        mode = mode_hint
+    mode = mode_hint or (MODE_PWPCN if tau0 > 0.0 else MODE_IELCN)
     iterations = {"outer": 1, "grid_points": n_points, "resolution_bound_ee": bound}
     return _report(alloc, scen, mode, iterations)
 
 
 def grid_search_best_effort(scen: Scenario, grid: GridSpec) -> SolutionReport:
     """Exhaustive EE maximization on the grid, K <= 2, the station at Pmax."""
-    if scen.K > 2:
-        raise ValueError("grid oracle supports at most 2 users")
     return _assemble(scen, grid, rmin=None, mode_hint=None)
 
 
 def grid_search_qos(scen: Scenario, grid: GridSpec) -> SolutionReport:
     """Grid search restricted to points meeting the throughput floor."""
-    if scen.K > 2:
-        raise ValueError("grid oracle supports at most 2 users")
     if scen.params.Rmin is None:
         raise ValueError("grid_search_qos needs Rmin")
     return _assemble(scen, grid, rmin=scen.params.Rmin, mode_hint=MODE_QOS)

@@ -90,15 +90,33 @@ def _score(gamma: float, q: float, cln: float, W1: float, vs: float, pc: float) 
     return _stationarity(q, gamma, cln, W1, vs, pc)
 
 
-def _require_finite(**values: float) -> None:
-    """Reject NaN and inf arguments of the public dual helpers."""
-    for name, v in values.items():
-        if not math.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {v!r}")
+def _w1_cln(params: SystemParams, vartheta: float) -> tuple[float, float]:
+    # W1 = W*(1 + vartheta) and cln = W1*varsigma/ln 2 at floor multiplier vartheta.
+    W1 = params.W * (1.0 + vartheta)
+    return W1, W1 * params.varsigma / LN2
+
+
+def _power(s: float, gamma: float, cln: float) -> float:
+    # The uplink power at multiplier s = q + mu (negative past the clamp).
+    return cln / s - 1.0 / gamma
+
+
+def _charging(scen: Scenario) -> tuple[list[float], float]:
+    # Per second of charging: user k's harvest eta*Pmax*h_k, the station's net cost.
+    par = scen.params
+    return [par.eta * par.Pmax * u.h for u in scen.users], par.Pmax * scen.wet_deficit + par.Pc
+
+
+def _wet_gate(gains: list[float], q: float, wet_cost: float, delta: float) -> float:
+    # f0: the fsum of the users' mu_k*harvest_k, less q*wet_cost and delta.
+    return math.fsum(gains) - q * wet_cost - delta
 
 
 def _require_nonnegative(**values: float) -> None:
-    """Reject negative multipliers of the public dual helpers."""
+    """Reject NaN or inf, then negative, arguments of the dual helpers."""
+    for name, v in values.items():
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v!r}")
     for name, v in values.items():
         if v < 0.0:
             raise ValueError(f"{name} must be nonnegative, got {v!r}")
@@ -111,14 +129,11 @@ def kkt_threshold_x(q: float, vartheta: float, delta: float, params: SystemParam
     above it transmit.  Defined for q > 0 (at q = 0 every user's score
     is +inf and no finite threshold exists).
     """
-    _require_finite(q=q, vartheta=vartheta, delta=delta)
     if q <= 0.0:
         raise ValueError("threshold needs q > 0")
-    _require_nonnegative(vartheta=vartheta, delta=delta)
-    W1 = params.W * (1.0 + vartheta)
-    cln = W1 * params.varsigma / LN2
-    vs = params.varsigma
-    pc = params.pc
+    _require_nonnegative(q=q, vartheta=vartheta, delta=delta)
+    W1, cln = _w1_cln(params, vartheta)
+    vs, pc = params.varsigma, params.pc
     lo = q / cln  # branch boundary: score = -q*pc - delta < 0
     hi = _double_until(
         lambda g: _score(g, q, cln, W1, vs, pc) > delta, 2.0 * lo, "scheduling threshold"
@@ -128,12 +143,10 @@ def kkt_threshold_x(q: float, vartheta: float, delta: float, params: SystemParam
 
 def multiplier_mu(gamma_k: float, q: float, vartheta: float, delta: float, params: SystemParams) -> float:
     """Energy multiplier of a scheduled user with tight energy."""
-    _require_finite(gamma_k=gamma_k, q=q, vartheta=vartheta, delta=delta)
     if gamma_k <= 0.0:
         raise ValueError(f"gamma_k must be positive, got {gamma_k!r}")
-    _require_nonnegative(q=q, vartheta=vartheta, delta=delta)
-    W1 = params.W * (1.0 + vartheta)
-    cln = W1 * params.varsigma / LN2
+    _require_nonnegative(gamma_k=gamma_k, q=q, vartheta=vartheta, delta=delta)
+    W1, cln = _w1_cln(params, vartheta)
     vs, pc = params.varsigma, params.pc
     if not _score(gamma_k, q, cln, W1, vs, pc) > delta:
         raise ValueError("user is outside the energy-tight region (score <= delta)")
@@ -142,15 +155,13 @@ def multiplier_mu(gamma_k: float, q: float, vartheta: float, delta: float, param
 
 def power_from_duals(gamma_k: float, mu_k: float, q: float, vartheta: float, params: SystemParams) -> float:
     """Uplink power from the dual variables, clamped at zero."""
-    _require_finite(gamma_k=gamma_k, mu_k=mu_k, q=q, vartheta=vartheta)
     if gamma_k <= 0.0:
         raise ValueError(f"gamma_k must be positive, got {gamma_k!r}")
-    _require_nonnegative(mu_k=mu_k, q=q, vartheta=vartheta)
+    _require_nonnegative(gamma_k=gamma_k, mu_k=mu_k, q=q, vartheta=vartheta)
     s = q + mu_k
     if s <= 0.0:
         raise ValueError("q + mu must be positive")
-    p = params.W * (1.0 + vartheta) * params.varsigma / (s * LN2) - 1.0 / gamma_k
-    return max(0.0, p)
+    return max(0.0, _power(s, gamma_k, _w1_cln(params, vartheta)[1]))
 
 
 def f0_wet_gate(mu: Sequence[float], q: float, delta: float, scen: Scenario) -> float:
@@ -160,14 +171,11 @@ def f0_wet_gate(mu: Sequence[float], q: float, delta: float, scen: Scenario) -> 
     times eta*Pmax*h_k joules, and costs q times the net station drain
     plus delta of block time.
     """
-    par = scen.params
     if len(mu) != scen.K:
         raise ValueError("mu must have one entry per user")
-    named_mu = {f"mu[{k}]": m for k, m in enumerate(mu)}
-    _require_finite(q=q, delta=delta, **named_mu)
-    _require_nonnegative(delta=delta, **named_mu)
-    gain = par.eta * par.Pmax * math.fsum(m * u.h for m, u in zip(mu, scen.users))
-    return gain - q * (par.Pmax * scen.wet_deficit + par.Pc) - delta
+    _require_nonnegative(q=q, delta=delta, **{f"mu[{k}]": m for k, m in enumerate(mu)})
+    harvest, wet_cost = _charging(scen)
+    return _wet_gate([m * hk for m, hk in zip(mu, harvest)], q, wet_cost, delta)
 
 
 def _double_until(done, x: float, what: str) -> float:
@@ -266,15 +274,13 @@ class _Level:
         self.scen = scen
         self.par = par
         self.q = q
-        self.W1 = par.W * (1.0 + vartheta)
-        self.cln = self.W1 * par.varsigma / LN2
+        self.W1, self.cln = _w1_cln(par, vartheta)
         self.vs = par.varsigma
         self.pc = par.pc
         self.K = scen.K
         self.gammas = [u.gamma for u in scen.users]
         self.Q = [u.Q for u in scen.users]
-        self.harvest = [par.eta * par.Pmax * u.h for u in scen.users]
-        self.wet_cost = par.Pmax * scen.wet_deficit + par.Pc
+        self.harvest, self.wet_cost = _charging(scen)
         self.heads = [_score(g, q, self.cln, self.W1, self.vs, self.pc) for g in self.gammas]
         self._warm = [0.0] * scen.K
         # dual record memo keyed on delta: repeat evaluations at one
@@ -282,7 +288,7 @@ class _Level:
         self._duals: dict[float, tuple[list[int], list[float]]] = {}
 
     def p_of_s(self, k: int, s: float) -> float:
-        return self.cln / s - 1.0 / self.gammas[k]
+        return _power(s, self.gammas[k], self.cln)
 
     def D_of_s(self, k: int, s: float) -> float:
         return self.p_of_s(k, s) / self.vs + self.pc
@@ -307,8 +313,7 @@ class _Level:
     def _f0_at(self, delta: float) -> float:
         tight, s = self.duals(delta)
         q, harvest = self.q, self.harvest
-        gain = math.fsum([(sk - q) * harvest[k] for k, sk in zip(tight, s)])
-        return gain - q * self.wet_cost - delta
+        return _wet_gate([(sk - q) * harvest[k] for k, sk in zip(tight, s)], q, self.wet_cost, delta)
 
     def _base_at(self, delta: float) -> float:
         tight, s = self.duals(delta)
@@ -496,10 +501,9 @@ def _levels(scen: Scenario) -> _LevelFn:
     once per call rather than once per level.
     """
     memo = _draw_memo((dataclasses.replace(scen.params, Rmin=None), tuple(scen.users)))
-    W = scen.params.W
 
     def level(q: float, t: float) -> _Point:
-        W1 = W * (1.0 + t)
+        W1 = _w1_cln(scen.params, t)[0]
         pt = memo.get((q, W1))
         if pt is None:
             pt = memo[q, W1] = _Level(scen, q, t).point()
@@ -556,8 +560,8 @@ def _solve_q(
             pt = cache[t] = level(q, t)
         return pt.B - rmin
 
+    # brentq returns one of the points it evaluated, so t_hat is cached
     t_hat = brentq(miss, lo_t, hi_t, maxiter=300)
-    miss(t_hat)
     pt_hat = cache[t_hat]
 
     if abs(pt_hat.B - rmin) <= _FILL_TOL * max(rmin, 1.0):
@@ -598,9 +602,7 @@ def _floor_reachable(level: _LevelFn, rmin: float) -> bool:
 
 def dinkelbach_T(q: float, scen: Scenario) -> tuple[float, Allocation]:
     """Value and maximizer of the subtractive inner problem at this q."""
-    _require_finite(q=q)
-    if q < 0.0:
-        raise ValueError("q must be nonnegative")
+    _require_nonnegative(q=q)
     rmin = scen.params.Rmin
     level = _levels(scen)
     if rmin is not None and not _floor_reachable(level, rmin):
@@ -616,8 +618,7 @@ def solve_qos_detailed(scen: Scenario) -> tuple[SolutionReport, DualState, list[
     if rmin is None:
         raise ValueError("solve_qos needs Rmin; use solve_best_effort without a floor")
     level = _levels(scen)
-    ceiling = _rate_ceiling(level)
-    if not _reaches_floor(ceiling.B, rmin):
+    if not _floor_reachable(level, rmin):
         report = _report(zero_allocation(scen.K), scen, MODE_INFEASIBLE, {"outer": 0})
         return report, DualState(q=0.0, vartheta=0.0, delta=0.0, mu=(0.0,) * scen.K), []
 
@@ -627,11 +628,8 @@ def solve_qos_detailed(scen: Scenario) -> tuple[SolutionReport, DualState, list[
     pt, theta = None, 0.0
     prev: tuple[_Point, float] | None = None
     for it in range(1, _MAX_OUTER + 1):
-        if q == 0.0:
-            # The q = 0 maximizer is the ceiling, and it meets the floor.
-            pt, theta, fills = ceiling, 0.0, 0
-        else:
-            pt, theta, fills = _solve_q(scen, level, q, rmin)
+        # at q = 0 this is the memoised rate ceiling, which meets the floor
+        pt, theta, fills = _solve_q(scen, level, q, rmin)
         fills_total += fills
         T = pt.B - q * pt.E
         trace.append((it, q, T))

@@ -106,6 +106,17 @@ def test_geometry_validation():
         GeometryConfig(K=2, d_max_m=400.0, d_rx_m=300.0)
     with pytest.raises(ValueError):
         GeometryConfig(K=2, ref_gain=0.0)
+    # K and seed must be integers (numpy's included, bools not), and the
+    # seed non-negative; each used to fail inside numpy at the draw
+    for bad, message in (
+        ({"K": 2.5}, "K must be an integer"),
+        ({"K": True}, "K must be an integer"),
+        ({"seed": 1.5}, "seed must be an integer"),
+        ({"seed": -1}, "expected non-negative integer"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            GeometryConfig(**{"K": 2, **bad})
+    assert GeometryConfig(K=np.int64(3), seed=np.uint32(7)).K == 3
     for name in ("d_min_m", "d_max_m", "d_rx_m", "alpha", "rician_K_dB", "ref_gain"):
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match=name):

@@ -109,6 +109,10 @@ def test_config_errors_exit_one(tmp_path, capsys):
         ({"sweep": {"values": [0.9]}}, "sweep needs an 'axis'"),
         ({"schemes": "ee_optimal"}, "'schemes' must be a JSON list"),
         ({"rho_list": 0.5}, "'rho_list' must be a JSON list"),
+        # a repeated scheme used to write every row twice and count each
+        # trial twice in the means
+        ({"schemes": ["ee_optimal", "ee_optimal"]}, "scheme names must be distinct"),
+        ({"schemes": ["fixed_proportion", "fixed_proportion"]}, "scheme names must be distinct"),
         ({"system": {"eta": None}}, "wrong JSON type"),
         ({"initial_energy_J": None}, "wrong JSON type"),
         # strings and booleans in numeric entries used to be converted

@@ -161,6 +161,42 @@ def test_numpy_is_imported_only_for_the_draws_and_the_grid():
     assert [pair for pair in span_only if pair not in bound] == []
 
 
+def _names(node):
+    """Every name a node reads, binds as an attribute or imports."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name
+    return None
+
+
+def test_every_private_helper_has_a_caller():
+    # a module-level private function or class that nothing in src/
+    # references outside its own definition is dead code; the one
+    # exception is the tests' reference for the inline KKT root
+    package = Path(__file__).resolve().parent.parent / "src" / "wpcn_ee"
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    unused = []
+    for module, tree in trees.items():
+        for definition in tree.body:
+            if not (
+                isinstance(definition, (ast.FunctionDef, ast.ClassDef))
+                and definition.name.startswith("_")
+            ):
+                continue
+            inside = {id(node) for node in ast.walk(definition)}
+            if not any(
+                _names(node) == definition.name
+                for other, other_tree in trees.items()
+                for node in ast.walk(other_tree)
+                if not (other == module and id(node) in inside)
+            ):
+                unused.append(f"{module}.{definition.name}")
+    assert unused == ["qos._stationarity_prime"]
+
+
 def _counted(f):
     calls = []
 
