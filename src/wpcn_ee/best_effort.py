@@ -23,7 +23,7 @@ bits over the joules of its allocation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from .model import (
@@ -33,6 +33,7 @@ from .model import (
     Allocation,
     Scenario,
     SolutionReport,
+    _figures,
     _report,
     zero_allocation,
 )
@@ -40,6 +41,11 @@ from .user_ee import user_ee_peaks
 
 # Unused here: bound only for the layer spans in perfbench/spans.py.
 from .user_ee import max_user_ee  # noqa: F401
+
+# Every user's standalone (p_star, ee_star), indexed by user
+Peaks = tuple[tuple[float, ...], tuple[float, ...]]
+# A branch's allocation, mode and iterations, before it is reported
+Branch = tuple[Allocation, str, dict]
 
 
 @dataclass(frozen=True)
@@ -98,24 +104,17 @@ def select_pwpcn_set(
     return tuple(sorted(taken))
 
 
-def solve_pwpcn(scen: Scenario) -> SolutionReport:
-    """Closed-form optimum over the zero-battery users.
-
-    Station at Pmax for the whole charging slot; scheduled users send
-    at their standalone EE-optimal powers and exhaust their harvest;
-    tau0 is stretched so the block is fully used (uplink EE does not
-    depend on the common scale, and the longest schedule carries the
-    most bits).
-    """
+def _pwpcn(scen: Scenario, peaks: Peaks) -> Branch:
+    """The PWPCN allocation, its mode and iterations, from every user's
+    standalone (p_star, ee_star)."""
     par = scen.params
+    p_star, ee_star = peaks
     cand_users = [k for k in range(scen.K) if scen.users[k].Q == 0.0]
     if not cand_users:
-        return _report(zero_allocation(scen.K), scen, MODE_INFEASIBLE, {"outer": 0, "candidates": 0})
+        return zero_allocation(scen.K), MODE_INFEASIBLE, {"outer": 0, "candidates": 0}
 
     const = pwpcn_constant(scen)
-    p_arr, ee_arr = user_ee_peaks([scen.users[k].gamma for k in cand_users], par)
-    p_star = dict(zip(cand_users, p_arr))
-    candidates = [(scen.users[k].h, ee) for k, ee in zip(cand_users, ee_arr)]
+    candidates = [(scen.users[k].h, ee_star[k]) for k in cand_users]
     chosen = select_pwpcn_set(candidates, const)
     sched = tuple(cand_users[i] for i in chosen)
 
@@ -130,8 +129,42 @@ def solve_pwpcn(scen: Scenario) -> SolutionReport:
         p[k] = p_star[k]
         tau[k] = par.eta * par.Pmax * tau0 * scen.users[k].h / D[k]
     alloc = Allocation(P0=par.Pmax, tau0=tau0, p=tuple(p), tau=tuple(tau))
-    iterations = {"outer": 1, "candidates": len(cand_users), "scheduled": len(sched)}
-    return _report(alloc, scen, MODE_PWPCN, iterations)
+    return alloc, MODE_PWPCN, {"outer": 1, "candidates": len(cand_users), "scheduled": len(sched)}
+
+
+def _ielcn(scen: Scenario, peaks: Peaks) -> Branch:
+    """The IELCN allocation, its mode and iterations, from every user's
+    standalone (p_star, ee_star)."""
+    par = scen.params
+    p_star, ee_star = peaks
+    cand = [k for k in range(scen.K) if scen.users[k].Q > 0.0]
+    if not cand:
+        return zero_allocation(scen.K), MODE_INFEASIBLE, {"outer": 0, "candidates": 0}
+
+    # max keeps the first maximum: ties go to the lower user index
+    best = max(cand, key=ee_star.__getitem__)
+    p_best = p_star[best]
+    D = p_best / par.varsigma + par.pc
+    t = min(scen.users[best].Q / D, par.Tmax)
+    p = [0.0] * scen.K
+    tau = [0.0] * scen.K
+    p[best] = p_best
+    tau[best] = t
+    alloc = Allocation(P0=0.0, tau0=0.0, p=tuple(p), tau=tuple(tau))
+    return alloc, MODE_IELCN, {"outer": 1, "candidates": len(cand)}
+
+
+def solve_pwpcn(scen: Scenario) -> SolutionReport:
+    """Closed-form optimum over the zero-battery users.
+
+    Station at Pmax for the whole charging slot; scheduled users send
+    at their standalone EE-optimal powers and exhaust their harvest;
+    tau0 is stretched so the block is fully used (uplink EE does not
+    depend on the common scale, and the longest schedule carries the
+    most bits).
+    """
+    alloc, mode, iterations = _pwpcn(scen, user_ee_peaks(scen.gamma, scen.params))
+    return _report(alloc, scen, mode, iterations)
 
 
 def solve_ielcn(scen: Scenario) -> SolutionReport:
@@ -143,33 +176,20 @@ def solve_ielcn(scen: Scenario) -> SolutionReport:
     regardless of the time truncation (both bits and joules scale
     with tau).
     """
-    par = scen.params
-    cand = [k for k in range(scen.K) if scen.users[k].Q > 0.0]
-    if not cand:
-        return _report(zero_allocation(scen.K), scen, MODE_INFEASIBLE, {"outer": 0, "candidates": 0})
-
-    p_arr, ee_arr = user_ee_peaks([scen.users[k].gamma for k in cand], par)
-    # max keeps the first maximum: ties go to the lower user index
-    i = max(range(len(cand)), key=ee_arr.__getitem__)
-    best = cand[i]
-    p_best = p_arr[i]
-    D = p_best / par.varsigma + par.pc
-    t = min(scen.users[best].Q / D, par.Tmax)
-    p = [0.0] * scen.K
-    tau = [0.0] * scen.K
-    p[best] = p_best
-    tau[best] = t
-    alloc = Allocation(P0=0.0, tau0=0.0, p=tuple(p), tau=tuple(tau))
-    return _report(alloc, scen, MODE_IELCN, {"outer": 1, "candidates": len(cand)})
+    alloc, mode, iterations = _ielcn(scen, user_ee_peaks(scen.gamma, scen.params))
+    return _report(alloc, scen, mode, iterations)
 
 
 def solve_best_effort(scen: Scenario) -> SolutionReport:
     """Max-combine the PWPCN and IELCN branches, one of which is always
-    feasible (every user is in exactly one); ties go to PWPCN."""
-    a = solve_pwpcn(scen)
-    b = solve_ielcn(scen)
-    winner = a if a.ee >= b.ee and a.mode != MODE_INFEASIBLE else b
-    return replace(
-        winner,
-        iterations={**winner.iterations, "pwpcn_branch_ee": a.ee, "ielcn_branch_ee": b.ee},
+    feasible (every user is in exactly one); ties go to PWPCN.
+
+    One user-EE pass serves both branches, and only the winner is
+    reported."""
+    peaks = user_ee_peaks(scen.gamma, scen.params)
+    a, b = _pwpcn(scen, peaks), _ielcn(scen, peaks)
+    ee_a, ee_b = _figures(a[0], scen)[2], _figures(b[0], scen)[2]
+    alloc, mode, iterations = a if ee_a >= ee_b and a[1] != MODE_INFEASIBLE else b
+    return _report(
+        alloc, scen, mode, {**iterations, "pwpcn_branch_ee": ee_a, "ielcn_branch_ee": ee_b}
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -66,20 +66,64 @@ class GeometryConfig:
             raise ValueError("ref_gain must be positive")
 
 
-def _draw_gains(rng: np.random.Generator, geo: GeometryConfig) -> tuple[np.ndarray, np.ndarray]:
-    d = rng.uniform(geo.d_min_m, geo.d_max_m, size=geo.K)
+# The raw variates of every attempt drawn so far at the latest
+# (seed, K, d_min_m, d_max_m), as (key, attempts).  Assigned whole, so a
+# reader never pairs one key with another key's attempts.
+_latest_draw: tuple[tuple, tuple[tuple[np.ndarray, ...], ...]] = ((), ())
+
+
+def _draw_variates(rng: np.random.Generator, geo: GeometryConfig) -> tuple[np.ndarray, ...]:
+    """One attempt's raw variates (d, x, y, xu, yu), read-only: the user
+    distances and the real and imaginary parts of the down- and uplink
+    fading."""
+    variates = (
+        rng.uniform(geo.d_min_m, geo.d_max_m, size=geo.K),
+        rng.standard_normal(geo.K),
+        rng.standard_normal(geo.K),
+        rng.standard_normal(geo.K),
+        rng.standard_normal(geo.K),
+    )
+    for a in variates:
+        a.flags.writeable = False
+    return variates
+
+
+def _attempts(geo: GeometryConfig) -> Iterator[tuple[np.ndarray, ...]]:
+    """The raw variates of each draw attempt at geo.seed, in the order a
+    fresh default_rng(geo.seed) draws them.
+
+    Nothing else in the geometry changes what the generator draws, so
+    every value of a sweep trial reads one set of attempts.  Only the
+    latest key's attempts are kept.  Past them a new generator is
+    stepped over the kept attempts and draws on, so each caller owns
+    its generator and the variates never depend on call order.
+    """
+    global _latest_draw
+    key = (geo.seed, geo.K, geo.d_min_m, geo.d_max_m)
+    latest, drawn = _latest_draw
+    if latest != key:
+        drawn = ()
+    yield from drawn
+    rng = np.random.default_rng(geo.seed)
+    for _ in drawn:
+        _draw_variates(rng, geo)
+    while True:
+        drawn += (_draw_variates(rng, geo),)
+        _latest_draw = (key, drawn)
+        yield drawn[-1]
+
+
+def _gains(variates: tuple[np.ndarray, ...], geo: GeometryConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Downlink and uplink power gains h and g of one attempt."""
+    d, x, y, xu, yu = variates
 
     # Downlink: Rician with K-factor kappa, unit mean power.
     kappa = db_to_linear(geo.rician_K_dB)
     los = math.sqrt(kappa / (kappa + 1.0))
     scatter = math.sqrt(1.0 / (2.0 * (kappa + 1.0)))
-    x = rng.standard_normal(geo.K)
-    y = rng.standard_normal(geo.K)
     fade_dl = (los + scatter * x) ** 2 + (scatter * y) ** 2
 
     # Uplink: Rayleigh, unit mean power.
-    xu = rng.standard_normal(geo.K)
-    yu = rng.standard_normal(geo.K)
     fade_ul = 0.5 * (xu**2 + yu**2)
 
     h = geo.ref_gain * d ** (-geo.alpha) * fade_dl
@@ -99,14 +143,13 @@ def generate_scenario(
     realistic gains), erroring out after _MAX_ATTEMPTS.
     """
     qs = _battery_vector(Q, geo.K)
-    rng = np.random.default_rng(geo.seed)
-    for _ in range(_MAX_ATTEMPTS):
-        h, g = _draw_gains(rng, geo)
+    for _, variates in zip(range(_MAX_ATTEMPTS), _attempts(geo)):
+        h, g = _gains(variates, geo)
         if params.eta * float(np.sum(h)) >= 1.0 / params.xi:
             continue
         users = tuple(
-            UserChannel.from_gains(float(hi), float(gi), qi, params)
-            for hi, gi, qi in zip(h, g, qs)
+            UserChannel.from_gains(hi, gi, qi, params)
+            for hi, gi, qi in zip(h.tolist(), g.tolist(), qs)
         )
         return Scenario(params=params, users=users)
     raise RuntimeError(

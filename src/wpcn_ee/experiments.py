@@ -123,6 +123,8 @@ class SweepSpec:
             raise ValueError(f"unknown sweep axis {self.axis!r}; pick one of {SWEEP_AXES}")
         if not self.values:
             raise ValueError("sweep needs at least one value")
+        if len(set(self.values)) != len(self.values):
+            raise ValueError("sweep values must be distinct")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
 
@@ -472,8 +474,9 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[Path, Path]:
     """Execute the configured sweep and write the raw and mean CSVs.
 
     Points are solved trial by trial: every sweep value and scheme of
-    one trial before the next trial, so the floors of an Rmin sweep,
-    which share one channel draw, reuse its KKT levels back to back.
+    one trial before the next trial, so every value reuses the trial's
+    channel variates, and the floors of an Rmin sweep, which share one
+    channel draw, reuse its KKT levels back to back.
     Rows still come out in (sweep value, trial, scheme) order.
     Infeasible trials keep their raw rows but are excluded from the
     means and counted in n_infeasible.  Every feasible report is
@@ -512,11 +515,9 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[Path, Path]:
     raw_path = write_rows(Path(cfg.output), RAW_COLUMNS, rows)
 
     mean_rows: list[tuple] = []
-    for value in values:
-        # a value listed twice pools the trials of both entries
-        pooled = [reps for v, per_trial in zip(values, solved) if v == value for reps in per_trial]
+    for value, per_trial in zip(values, solved):
         for i, scheme in enumerate(schemes):
-            group = [reps[i] for reps in pooled]
+            group = [reps[i] for reps in per_trial]
             good = [r for r in group if r.mode != MODE_INFEASIBLE]
             if good:
                 m_ee = math.fsum(r.ee for r in good) / len(good)

@@ -14,6 +14,7 @@ are converted once at configuration time and never enter the solvers.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -181,14 +182,27 @@ class Scenario:
         return 1.0 / self.params.xi - self.harvest_sum
 
 
+def _is_charge(x) -> bool:
+    """A real number, numpy's included; a bool is not 1 J."""
+    if isinstance(x, bool):
+        return False
+    return isinstance(x, (float, int)) or isinstance(x, numbers.Real)
+
+
 def _battery_vector(Q: Iterable[float] | float, K: int) -> tuple[float, ...]:
-    """One initial charge per user from a scalar (shared) or a length-K sequence."""
-    if isinstance(Q, (int, float)):
+    """One initial charge per user from a real scalar shared by every
+    user or a sequence of K of them."""
+    if _is_charge(Q):
         return (float(Q),) * K
-    qs = tuple(float(x) for x in Q)
+    try:
+        qs = tuple(Q)
+    except TypeError:
+        raise ValueError(f"Q must be a number of joules or one per user, got {Q!r}") from None
+    if not all(map(_is_charge, qs)):
+        raise ValueError(f"Q must hold numbers of joules, got {qs!r}")
     if len(qs) != K:
         raise ValueError("Q must be scalar or match the user count")
-    return qs
+    return tuple(map(float, qs))
 
 
 def scenario_from_values(
@@ -344,14 +358,20 @@ def system_ee(alloc: Allocation, scen: Scenario) -> float:
     return b / energy_total(alloc, scen)
 
 
+def _figures(alloc: Allocation, scen: Scenario) -> tuple[float, float, float]:
+    """The bits, joules and EE a report states for an allocation."""
+    bits = throughput(alloc, scen)
+    joules = energy_total(alloc, scen)
+    return bits, joules, bits / joules if bits != 0.0 else 0.0
+
+
 def _report(alloc: Allocation, scen: Scenario, mode: str, iterations: dict) -> SolutionReport:
     """The report of an allocation: bits, joules, EE and schedule all come
     from the accounting above, so every solver's figures mean the same."""
-    bits = throughput(alloc, scen)
-    joules = energy_total(alloc, scen)
+    bits, joules, ee = _figures(alloc, scen)
     return SolutionReport(
         alloc=alloc,
-        ee=bits / joules if bits != 0.0 else 0.0,
+        ee=ee,
         throughput=bits,
         energy=joules,
         scheduled=scheduled_set(alloc),

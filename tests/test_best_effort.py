@@ -1,11 +1,14 @@
 """Best-effort EE: closed forms, greedy scheduling, the mode combiner."""
 
+import collections
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
 
+from wpcn_ee import best_effort
 from wpcn_ee import (
     MODE_IELCN,
     MODE_INFEASIBLE,
@@ -195,3 +198,41 @@ def test_pwpcn_ee_increases_with_pmax():
         stock_params(Pmax=10.0), scen_lo.h, scen_lo.gamma
     )
     assert solve_pwpcn(scen_hi).ee > solve_pwpcn(scen_lo).ee
+
+
+def test_one_user_ee_pass_per_solve(monkeypatch):
+    calls = []
+    peaks = best_effort.user_ee_peaks
+
+    def counted(gamma, params):
+        calls.append(len(gamma))
+        return peaks(gamma, params)
+
+    monkeypatch.setattr(best_effort, "user_ee_peaks", counted)
+    rng = np.random.default_rng(7)
+    for q_mode in ("zero", "positive", "mixed"):
+        scen = random_scenario(rng, 6, q_mode=q_mode)
+        solve_best_effort(scen)
+        assert calls == [6], q_mode
+        calls.clear()
+
+
+def test_best_effort_report_is_the_branch_winners():
+    # the combiner's report equals reporting both branches and copying
+    # the winner with the branch EEs added, to the bit
+    seen = collections.Counter()
+    for seed in range(200):
+        for q_mode in ("zero", "positive", "mixed"):
+            scen = random_scenario(np.random.default_rng(seed), 1 + seed % 8, q_mode=q_mode)
+            a, b = solve_pwpcn(scen), solve_ielcn(scen)
+            winner = a if a.ee >= b.ee and a.mode != MODE_INFEASIBLE else b
+            want = dataclasses.replace(
+                winner,
+                iterations={**winner.iterations, "pwpcn_branch_ee": a.ee, "ielcn_branch_ee": b.ee},
+            )
+            rep = solve_best_effort(scen)
+            assert rep == want, (seed, q_mode)
+            assert list(rep.iterations) == list(want.iterations)
+            seen[q_mode, rep.mode] += 1
+    # both branches win somewhere in the mixed populations
+    assert seen["mixed", MODE_PWPCN] and seen["mixed", MODE_IELCN]

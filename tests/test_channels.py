@@ -1,12 +1,15 @@
 """Channel generation: determinism, geometry, fading statistics."""
 
 import dataclasses
+import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from wpcn_ee import GeometryConfig, generate_scenario, with_initial_energy
+from wpcn_ee import GeometryConfig, Scenario, UserChannel, generate_scenario, with_initial_energy
 
 from conftest import stock_params
 
@@ -18,6 +21,110 @@ def test_deterministic_in_seed():
     assert a.h == b.h and a.gamma == b.gamma
     c = generate_scenario(dataclasses.replace(geo, seed=124), stock_params())
     assert a.h != c.h
+
+
+def fresh_draw(geo, par, Q=0.0):
+    """(scenario, index of the accepted attempt), drawn as one fresh
+    generator per call draws it: the reference for the variates memo."""
+    rng = np.random.default_rng(geo.seed)
+    for attempt in range(100):
+        d = rng.uniform(geo.d_min_m, geo.d_max_m, size=geo.K)
+        kappa = 10.0 ** (geo.rician_K_dB / 10.0)
+        los = math.sqrt(kappa / (kappa + 1.0))
+        scatter = math.sqrt(1.0 / (2.0 * (kappa + 1.0)))
+        x = rng.standard_normal(geo.K)
+        y = rng.standard_normal(geo.K)
+        fade_dl = (los + scatter * x) ** 2 + (scatter * y) ** 2
+        xu = rng.standard_normal(geo.K)
+        yu = rng.standard_normal(geo.K)
+        fade_ul = 0.5 * (xu**2 + yu**2)
+        h = geo.ref_gain * d ** (-geo.alpha) * fade_dl
+        g = geo.ref_gain * (geo.d_rx_m - d) ** (-geo.alpha) * fade_ul
+        if par.eta * float(np.sum(h)) >= 1.0 / par.xi:
+            continue
+        qs = [float(Q)] * geo.K if np.isscalar(Q) else [float(q) for q in Q]
+        users = tuple(
+            UserChannel.from_gains(float(hi), float(gi), qi, par) for hi, gi, qi in zip(h, g, qs)
+        )
+        return Scenario(params=par, users=users), attempt
+    raise AssertionError("no admissible attempt")
+
+
+def test_draws_match_a_fresh_generator_in_any_order():
+    # every call equals a fresh generator's draw to the bit, whichever
+    # seeds, alphas, user counts and distance ranges came before it
+    par = stock_params()
+    geos = [
+        GeometryConfig(K=K, seed=seed, alpha=alpha, d_max_m=d_max)
+        for seed in (8700, 8701)
+        for alpha in (2.0, 2.8, 3.6)
+        for K, d_max in ((10, 15.0), (3, 15.0), (10, 12.0))
+    ]
+    orders = [
+        geos,
+        sorted(geos, key=lambda g: (g.alpha, g.seed)),  # value-major
+        list(np.random.default_rng(3).permutation(np.array(geos, dtype=object))),
+    ]
+    q = [0.0, 0.05] * 5
+    for order in orders:
+        for geo in order:
+            Q = q[: geo.K]
+            assert generate_scenario(geo, par, Q=Q) == fresh_draw(geo, par, Q)[0], geo
+
+
+@pytest.mark.parametrize(
+    "geo, accepted",
+    [
+        # three attempts harvest too much at alpha 2 before an admissible
+        # one, while alpha 3 takes the first
+        (GeometryConfig(K=3, seed=22, ref_gain=12.0), {2.0: 3, 3.0: 0}),
+        # alpha 3 keeps 67 attempts and alpha 2 needs 95: the attempts
+        # past the kept ones must be new, or the cap of 100 comes first
+        (GeometryConfig(K=1, seed=118, ref_gain=12000.0), {2.0: 94, 3.0: 66}),
+    ],
+)
+def test_rejected_attempt_leads_to_the_fresh_generators_next(geo, accepted):
+    par = stock_params()
+    at = {alpha: dataclasses.replace(geo, alpha=alpha) for alpha in accepted}
+    want = {alpha: fresh_draw(g, par) for alpha, g in at.items()}
+    assert {alpha: w[1] for alpha, w in want.items()} == accepted
+    evict = dataclasses.replace(geo, seed=geo.seed + 1, ref_gain=1.0)
+    for order in ((3.0, 2.0, 3.0, 2.0), (2.0, 3.0), (3.0, 2.0)):
+        generate_scenario(evict, par)
+        for alpha in order:
+            assert generate_scenario(at[alpha], par) == want[alpha][0], order
+
+
+def test_concurrent_callers_get_their_own_draws():
+    # four threads on two cores, switching often, sweep the same draws
+    # in opposite orders, the forced rejections above among them
+    par = stock_params()
+    geos = [GeometryConfig(K=4, seed=s, alpha=a) for s, a in itertools.product(range(6), (2.0, 3.0))]
+    geos += [GeometryConfig(K=3, seed=22, ref_gain=12.0, alpha=a) for a in (3.0, 2.0)]
+    want = [fresh_draw(g, par)[0] for g in geos]
+    forward = list(range(len(geos)))
+    start = threading.Barrier(4)
+    wrong = []
+
+    def worker(order):
+        start.wait()
+        for _ in range(20):
+            for i in order:
+                if generate_scenario(geos[i], par) != want[i]:
+                    wrong.append(i)
+
+    threads = [threading.Thread(target=worker, args=(o,)) for o in (forward, forward[::-1]) * 2]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 def test_all_initial_energy_zero():
@@ -35,6 +142,22 @@ def test_batteries_are_drawn_with_the_channels():
     for q in ([0.1, 0.2], [0.0, 0.0], [0.0] * 4):
         with pytest.raises(ValueError, match="Q must be scalar or match the user count"):
             generate_scenario(geo, par, Q=q)
+
+
+def test_battery_charge_is_a_real_number_not_a_bool():
+    # numpy scalars are one shared charge (np.int64 and np.float32 used
+    # to fail as not iterable); True used to charge every user 1 J, and
+    # a bool or a string in the list used to become a number
+    geo, par = GeometryConfig(K=3, seed=5), stock_params()
+    base = generate_scenario(geo, par)
+    for q, shared in ((np.int64(0), 0.0), (np.float32(0.5), 0.5), (np.float64(0.2), 0.2)):
+        assert generate_scenario(geo, par, Q=q).Q == (shared,) * 3
+        assert with_initial_energy(base, q).Q == (shared,) * 3
+    for q in (True, False, np.True_, [0.1, True, 0.0], [np.True_, 0.0, 0.0], [0.1, "0.2", 0.0]):
+        with pytest.raises(ValueError, match="number"):
+            generate_scenario(geo, par, Q=q)
+        with pytest.raises(ValueError, match="number"):
+            with_initial_energy(base, q)
 
 
 def test_admissibility_always_holds():

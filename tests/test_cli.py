@@ -113,6 +113,9 @@ def test_config_errors_exit_one(tmp_path, capsys):
         # trial twice in the means
         ({"schemes": ["ee_optimal", "ee_optimal"]}, "scheme names must be distinct"),
         ({"schemes": ["fixed_proportion", "fixed_proportion"]}, "scheme names must be distinct"),
+        # a repeated sweep value used to write its trials' rows twice and
+        # count each trial twice in its means
+        ({"sweep": {"axis": "Pmax_dBm", "values": [30, 30.0]}}, "sweep values must be distinct"),
         ({"system": {"eta": None}}, "wrong JSON type"),
         ({"initial_energy_J": None}, "wrong JSON type"),
         # strings and booleans in numeric entries used to be converted
