@@ -16,7 +16,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .model import Scenario, SystemParams, UserChannel, _battery_vector, db_to_linear
+from .model import Scenario, SystemParams, UserChannel, _admissible, _battery_vector, db_to_linear
 
 _MAX_ATTEMPTS = 100  # admissibility redraws before generate_scenario gives up
 
@@ -113,7 +113,9 @@ def _attempts(geo: GeometryConfig) -> Iterator[tuple[np.ndarray, ...]]:
         yield drawn[-1]
 
 
-def _gains(variates: tuple[np.ndarray, ...], geo: GeometryConfig) -> tuple[np.ndarray, np.ndarray]:
+def _gains(
+    variates: tuple[np.ndarray, ...], geo: GeometryConfig
+) -> tuple[list[float], list[float]]:
     """Downlink and uplink power gains h and g of one attempt."""
     d, x, y, xu, yu = variates
 
@@ -128,7 +130,7 @@ def _gains(variates: tuple[np.ndarray, ...], geo: GeometryConfig) -> tuple[np.nd
 
     h = geo.ref_gain * d ** (-geo.alpha) * fade_dl
     g = geo.ref_gain * (geo.d_rx_m - d) ** (-geo.alpha) * fade_ul
-    return h, g
+    return h.tolist(), g.tolist()
 
 
 def generate_scenario(
@@ -145,12 +147,9 @@ def generate_scenario(
     qs = _battery_vector(Q, geo.K)
     for _, variates in zip(range(_MAX_ATTEMPTS), _attempts(geo)):
         h, g = _gains(variates, geo)
-        if params.eta * float(np.sum(h)) >= 1.0 / params.xi:
+        if not _admissible(params, h):
             continue
-        users = tuple(
-            UserChannel.from_gains(hi, gi, qi, params)
-            for hi, gi, qi in zip(h.tolist(), g.tolist(), qs)
-        )
+        users = tuple(UserChannel.from_gains(hi, gi, qi, params) for hi, gi, qi in zip(h, g, qs))
         return Scenario(params=params, users=users)
     raise RuntimeError(
         f"no admissible channel draw in {_MAX_ATTEMPTS} attempts; "

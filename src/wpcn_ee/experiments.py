@@ -32,6 +32,7 @@ from .model import (
     SystemParams,
     _bits,
     _joules,
+    _reaches_floor,
     _report,
     check_constraints,
     db_to_linear,
@@ -39,7 +40,7 @@ from .model import (
     zero_allocation,
 )
 from .oracle import GridSpec
-from .qos import _reaches_floor, solve_qos, solve_qos_detailed
+from .qos import solve_qos, solve_qos_detailed
 from .search import golden_section_max
 from .throughput_max import max_throughput
 

@@ -129,6 +129,11 @@ class UserChannel:
         return cls(h=h, g=g, Q=Q, gamma=g / (params.Gamma * params.sigma2))
 
 
+def _admissible(params: SystemParams, h: Iterable[float]) -> bool:
+    """Admissibility of downlink gains h: the fsum of eta*h_k stays below 1/xi."""
+    return params.eta * math.fsum(h) < 1.0 / params.xi
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A system parameterization plus K user channels.
@@ -150,7 +155,7 @@ class Scenario:
             expect = u.g / denom
             if abs(u.gamma - expect) > 1e-12 * expect:
                 raise ValueError(f"user {i}: gamma inconsistent with g and noise parameters")
-        if self.harvest_sum >= 1.0 / p.xi:
+        if not _admissible(p, self.h):
             raise ValueError("sum eta*h must stay below 1/xi")
 
     @property
@@ -352,10 +357,7 @@ def _joules(
 
 def system_ee(alloc: Allocation, scen: Scenario) -> float:
     """System energy efficiency in bits per joule; zero when nothing is sent."""
-    b = throughput(alloc, scen)
-    if b == 0.0:
-        return 0.0
-    return b / energy_total(alloc, scen)
+    return _figures(alloc, scen)[2]
 
 
 def _figures(alloc: Allocation, scen: Scenario) -> tuple[float, float, float]:
@@ -378,6 +380,15 @@ def _report(alloc: Allocation, scen: Scenario, mode: str, iterations: dict) -> S
         mode=mode,
         iterations=iterations,
     )
+
+
+_REL_B = 1e-12  # slack applied to the throughput floor in comparisons
+
+
+def _reaches_floor(B, rmin: float):
+    """Whether throughput B meets the floor rmin, up to the slack _REL_B;
+    elementwise for an array of throughputs."""
+    return B >= rmin * (1.0 - _REL_B)
 
 
 @dataclass(frozen=True)

@@ -25,12 +25,13 @@ from .model import (
     Allocation,
     Scenario,
     SolutionReport,
+    _reaches_floor,
     _report,
     zero_allocation,
 )
 from .user_ee import max_user_ee
 
-_REL_EPS = 1e-12  # grid feasibility slop, relative
+_REL_EPS = 1e-12  # grid energy and time slop, relative
 
 
 @dataclass(frozen=True)
@@ -103,7 +104,7 @@ def _evaluator(scen: Scenario, t_axis, p_axes):
         for u, spend_k in zip(scen.users, spends):
             ok = ok & (spend_k <= (par.eta * par.Pmax * tau0 * u.h + u.Q) * slop)
         if rmin is not None:
-            ok = ok & (B >= rmin * (1.0 - _REL_EPS))
+            ok = ok & _reaches_floor(B, rmin)
         positive = E > 0.0
         ee = np.where(positive, B / np.where(positive, E, 1.0), 0.0)
         return np.where(ok, ee, -1.0)

@@ -31,10 +31,10 @@ it from here.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .model import (
     LN2,
@@ -44,6 +44,7 @@ from .model import (
     Scenario,
     SolutionReport,
     SystemParams,
+    _reaches_floor,
     _report,
     energy_total,
     throughput,
@@ -53,7 +54,6 @@ from .model import (
 # perfbench/spans.py replace; newton_bisect is bound only for those spans.
 from .search import brentq, newton_bisect  # noqa: F401
 
-_REL_B = 1e-12  # slack applied to the throughput floor in comparisons
 _FILL_TOL = 1e-9  # relative B residual beyond which a boundary fill engages
 _CAP = 2.0**60  # largest multiplier a doubling bracket may reach
 _EPS = 1e-8  # Dinkelbach stops once |T(q)| falls below this
@@ -73,12 +73,6 @@ class DualState:
 def _stationarity(s: float, gamma: float, cln: float, W1: float, vs: float, pc: float) -> float:
     # F(s) on the p > 0 branch; strictly decreasing in s on (0, cln*gamma).
     return W1 * math.log2(gamma * cln / s) - (cln - s / gamma) / vs - s * pc
-
-
-def _stationarity_prime(s: float, gamma: float, cln: float, W1: float, vs: float, pc: float) -> float:
-    # F'(s).  `_s_root` evaluates it inline; the tests check that root
-    # against newton_bisect run on this function and `_stationarity`.
-    return -W1 / (s * LN2) + 1.0 / (gamma * vs) - pc
 
 
 def _score(gamma: float, q: float, cln: float, W1: float, vs: float, pc: float) -> float:
@@ -253,8 +247,8 @@ def _s_root(
 class _Point:
     """One assembled inner maximizer with its duals and diagnostics.
 
-    Frozen: the draw's level memo hands one point to every solve that
-    asks for its (q, W1).
+    Frozen: a draw hands one point to every solve that asks for its
+    (q, W1).
     """
 
     alloc: Allocation
@@ -266,32 +260,79 @@ class _Point:
     members: frozenset[int]
 
 
-class _Level:
-    """KKT solve at fixed (q, vartheta): picks delta and assembles the point."""
+class _Draw:
+    """One channel draw: the per-user constants its KKT levels read, and
+    the points solved on it so far, keyed by (q, W1).
 
-    def __init__(self, scen: Scenario, q: float, vartheta: float):
+    A level reads neither Rmin nor the floor multiplier t except through
+    W1 = W*(1 + t), and it is built fresh, with no warm start, so its
+    point is the same to the bit whichever solve first asked for it:
+    every floor of a draw, and the rate ceiling, share its levels.
+    """
+
+    def __init__(self, scen: Scenario):
         par = scen.params
-        self.scen = scen
-        self.par = par
-        self.q = q
-        self.W1, self.cln = _w1_cln(par, vartheta)
-        self.vs = par.varsigma
-        self.pc = par.pc
-        self.K = scen.K
+        self.scen, self.par, self.K = scen, par, scen.K
+        self.vs, self.pc = par.varsigma, par.pc
         self.gammas = [u.gamma for u in scen.users]
         self.Q = [u.Q for u in scen.users]
         self.harvest, self.wet_cost = _charging(scen)
-        self.heads = [_score(g, q, self.cln, self.W1, self.vs, self.pc) for g in self.gammas]
-        self._warm = [0.0] * scen.K
+        self.points: dict[tuple[float, float], _Point] = {}
+
+    def level(self, q: float, t: float) -> _Point:
+        """The inner maximizer at price q and floor multiplier t, built
+        on a miss."""
+        W1 = _w1_cln(self.par, t)[0]
+        pt = self.points.get((q, W1))
+        if pt is None:
+            pt = self.points[q, W1] = _Level(self, q, t).point()
+        return pt
+
+    def reaches(self, rmin: float) -> bool:
+        """Feasibility of a floor: the rate ceiling, the q = 0 level,
+        reaches it."""
+        return _reaches_floor(self.level(0.0, 0.0).B, rmin)
+
+
+# The latest draw solved, as (key, draw), the key being the scenario's
+# parameters with the floor cleared, plus its users.  Assigned whole, so
+# a solve never reads the points of another draw; two threads that miss
+# on one point both build it and store equal points.
+_latest_draw: tuple[tuple, _Draw | None] = ((), None)
+
+
+def _draw(scen: Scenario) -> _Draw:
+    """The draw of scen, shared with the latest solve of the same draw;
+    each public entry point forms its key once."""
+    global _latest_draw
+    key = (dataclasses.replace(scen.params, Rmin=None), scen.users)
+    latest, draw = _latest_draw
+    if latest != key:
+        draw = _Draw(scen)
+        _latest_draw = (key, draw)
+    return draw
+
+
+class _Level:
+    """KKT solve of a draw at fixed (q, vartheta): picks delta and
+    assembles the point."""
+
+    def __init__(self, draw: _Draw, q: float, vartheta: float):
+        self.draw = draw
+        self.q = q
+        self.W1, self.cln = _w1_cln(draw.par, vartheta)
+        self.heads = [_score(g, q, self.cln, self.W1, draw.vs, draw.pc) for g in draw.gammas]
+        # each tight user's last root, the next root's warm start (0 at first)
+        self._warm: defaultdict[int, float] = defaultdict(float)
         # dual record memo keyed on delta: repeat evaluations at one
         # delta must agree bit for bit or boundary sign tests can flip
         self._duals: dict[float, tuple[list[int], list[float]]] = {}
 
     def p_of_s(self, k: int, s: float) -> float:
-        return _power(s, self.gammas[k], self.cln)
+        return _power(s, self.draw.gammas[k], self.cln)
 
     def D_of_s(self, k: int, s: float) -> float:
-        return self.p_of_s(k, s) / self.vs + self.pc
+        return self.p_of_s(k, s) / self.draw.vs + self.draw.pc
 
     def duals(self, delta: float) -> tuple[list[int], list[float]]:
         """(tight, s) at delta: the users whose score exceeds delta, in
@@ -300,9 +341,10 @@ class _Level:
         rec = self._duals.get(delta)
         if rec is not None:
             return rec
-        heads, gammas, warm = self.heads, self.gammas, self._warm
-        q, cln, W1, vs, pc = self.q, self.cln, self.W1, self.vs, self.pc
-        tight = [k for k in range(self.K) if heads[k] > delta]
+        heads, warm, draw = self.heads, self._warm, self.draw
+        gammas, vs, pc = draw.gammas, draw.vs, draw.pc
+        q, cln, W1 = self.q, self.cln, self.W1
+        tight = [k for k in range(draw.K) if heads[k] > delta]
         s = []
         for k in tight:
             sk = warm[k] = _s_root(gammas[k], q, delta, cln, W1, vs, pc, warm[k])
@@ -312,12 +354,14 @@ class _Level:
 
     def _f0_at(self, delta: float) -> float:
         tight, s = self.duals(delta)
-        q, harvest = self.q, self.harvest
-        return _wet_gate([(sk - q) * harvest[k] for k, sk in zip(tight, s)], q, self.wet_cost, delta)
+        q, harvest = self.q, self.draw.harvest
+        gains = [(sk - q) * harvest[k] for k, sk in zip(tight, s)]
+        return _wet_gate(gains, q, self.draw.wet_cost, delta)
 
     def _base_at(self, delta: float) -> float:
         tight, s = self.duals(delta)
-        return math.fsum(self.Q[k] / self.D_of_s(k, sk) for k, sk in zip(tight, s))
+        Q = self.draw.Q
+        return math.fsum(Q[k] / self.D_of_s(k, sk) for k, sk in zip(tight, s))
 
     def point(self) -> _Point:
         """Pick the delta regime and assemble the inner maximizer."""
@@ -325,7 +369,7 @@ class _Level:
             return self.uncharged_point()
 
         # Charging pays at delta = 0: find where its gate closes.
-        Tmax = self.par.Tmax
+        Tmax, harvest = self.draw.par.Tmax, self.draw.harvest
         hi = _double_until(lambda d: self._f0_at(d) <= 0.0, 1.0, "WET gate delta")
         delta_w = brentq(self._f0_at, 0.0, hi, maxiter=200)
         base_w = self._base_at(delta_w)
@@ -333,10 +377,10 @@ class _Level:
             # Charging on; block exactly filled by the tau0 scale.
             tight_w, s_w = self.duals(delta_w)
             slope = 1.0 + math.fsum(
-                self.harvest[k] / self.D_of_s(k, sk) for k, sk in zip(tight_w, s_w)
+                harvest[k] / self.D_of_s(k, sk) for k, sk in zip(tight_w, s_w)
             )
             return self._assemble(delta_w, (Tmax - base_w) / slope, free={})
-        return self._solve_time_bound(delta_w, Tmax)
+        return self._solve_time_bound(delta_w)
 
     def uncharged_point(self) -> _Point:
         """The maximizer with the charging slot held off.
@@ -344,22 +388,17 @@ class _Level:
         Batteries alone while their drains fit the block (delta = 0),
         otherwise the time-bound regime.
         """
-        Tmax = self.par.Tmax
+        K = self.draw.K
         if not self.duals(0.0)[0]:
             # Nobody worth scheduling at this q: the zero allocation.
             return _Point(
-                alloc=zero_allocation(self.K),
-                B=0.0,
-                E=0.0,
-                delta=0.0,
-                mu=(0.0,) * self.K,
-                members=frozenset(),
+                zero_allocation(K), B=0.0, E=0.0, delta=0.0, mu=(0.0,) * K, members=frozenset()
             )
-        if self._base_at(0.0) <= Tmax:
+        if self._base_at(0.0) <= self.draw.par.Tmax:
             return self._assemble(0.0, 0.0, free={})
-        return self._solve_time_bound(0.0, Tmax)
+        return self._solve_time_bound(0.0)
 
-    def _solve_time_bound(self, delta_lo: float, Tmax: float) -> _Point:
+    def _solve_time_bound(self, delta_lo: float) -> _Point:
         """No charging; raise delta until battery drains fit the block.
 
         The fit function base(delta) decreases continuously except at
@@ -367,12 +406,9 @@ class _Level:
         target lands in such a gap, that user sits exactly at the
         threshold and its slot length is the free coordinate.
         """
+        Tmax, Q, K, heads = self.draw.par.Tmax, self.draw.Q, self.draw.K, self.heads
         jumps = sorted(
-            {
-                self.heads[k]
-                for k in range(self.K)
-                if self.Q[k] > 0.0 and delta_lo < self.heads[k] < math.inf
-            }
+            {heads[k] for k in range(K) if Q[k] > 0.0 and delta_lo < heads[k] < math.inf}
         )
 
         def crossing_inside(lo: float, hi: float) -> _Point:
@@ -382,10 +418,8 @@ class _Level:
         cur = delta_lo
         for j in jumps:
             base_r = self._base_at(j)
-            droppers = [
-                m for m in range(self.K) if self.heads[m] == j and self.Q[m] > 0.0
-            ]
-            drop_cap = {m: self.Q[m] / self.D_of_s(m, self.q) for m in droppers}
+            droppers = [m for m in range(K) if heads[m] == j and Q[m] > 0.0]
+            drop_cap = {m: Q[m] / self.D_of_s(m, self.q) for m in droppers}
             if base_r + math.fsum(drop_cap.values()) <= Tmax:
                 return crossing_inside(cur, j)
             if base_r <= Tmax:
@@ -407,12 +441,13 @@ class _Level:
 
     def _assemble(self, delta: float, tau0: float, free: dict[int, float]) -> _Point:
         """The point of the dual record at delta, plus free threshold users."""
+        draw = self.draw
         tight, s = self.duals(delta)
-        p_vec = [0.0] * self.K
-        tau_vec = [0.0] * self.K
-        mu_vec = [0.0] * self.K
+        p_vec = [0.0] * draw.K
+        tau_vec = [0.0] * draw.K
+        mu_vec = [0.0] * draw.K
         for k, sk in zip(tight, s):
-            tau_vec[k] = (self.harvest[k] * tau0 + self.Q[k]) / self.D_of_s(k, sk)
+            tau_vec[k] = (draw.harvest[k] * tau0 + draw.Q[k]) / self.D_of_s(k, sk)
             mu_vec[k] = sk - self.q
             if tau_vec[k] > 0.0:
                 p_vec[k] = max(0.0, self.p_of_s(k, sk))
@@ -420,13 +455,11 @@ class _Level:
             tau_vec[m] = t
             if t > 0.0:
                 p_vec[m] = max(0.0, self.p_of_s(m, self.q))
-        alloc = Allocation(
-            P0=self.par.Pmax, tau0=tau0, p=tuple(p_vec), tau=tuple(tau_vec)
-        )
+        alloc = Allocation(P0=draw.par.Pmax, tau0=tau0, p=tuple(p_vec), tau=tuple(tau_vec))
         return _Point(
             alloc=alloc,
-            B=throughput(alloc, self.scen),
-            E=energy_total(alloc, self.scen),
+            B=throughput(alloc, draw.scen),
+            E=energy_total(alloc, draw.scen),
             delta=delta,
             mu=tuple(mu_vec),
             members=frozenset(tight) | frozenset(free),
@@ -473,48 +506,7 @@ def _fill_to_floor(scen: Scenario, lo: _Point, hi: _Point, rmin: float) -> _Poin
     )
 
 
-_LevelFn = Callable[[float, float], _Point]  # level(q, t), see _levels
-
-
-@functools.lru_cache(maxsize=1)
-def _draw_memo(draw: tuple) -> dict[tuple[float, float], _Point]:
-    """The points solved so far on one channel draw, keyed by (q, W1).
-
-    A draw is a scenario's parameters with the floor cleared, plus its
-    users.  A level reads neither Rmin nor the floor multiplier t
-    except through W1 = W*(1 + t), and it is built fresh, with no warm
-    start, so its point is the same to the bit whichever solve first
-    asked for it: every floor of a draw, and the rate ceiling, share
-    its levels.  Only the latest draw is kept.  The cache stores a draw
-    and its dict as one entry and replaces them together, so a solve
-    never reads the levels of another draw.  Two threads that miss on
-    one key both build it and store equal points.
-    """
-    return {}
-
-
-def _levels(scen: Scenario) -> _LevelFn:
-    """level(q, t), the inner maximizer of scen at price q and floor
-    multiplier t, read from the draw's memo and built on a miss.
-
-    Each public entry point calls this once, so the draw key is formed
-    once per call rather than once per level.
-    """
-    memo = _draw_memo((dataclasses.replace(scen.params, Rmin=None), tuple(scen.users)))
-
-    def level(q: float, t: float) -> _Point:
-        W1 = _w1_cln(scen.params, t)[0]
-        pt = memo.get((q, W1))
-        if pt is None:
-            pt = memo[q, W1] = _Level(scen, q, t).point()
-        return pt
-
-    return level
-
-
-def _solve_q(
-    scen: Scenario, level: _LevelFn, q: float, rmin: float | None
-) -> tuple[_Point, float, int]:
+def _solve_q(draw: _Draw, q: float, rmin: float | None) -> tuple[_Point, float, int]:
     """Inner maximizer at fixed q: returns (point, vartheta, fill count).
 
     B as a function of the floor multiplier is nondecreasing (it is a
@@ -524,13 +516,12 @@ def _solve_q(
     f0 rounds about 0; the fill pair then depends on the search path,
     which moves the answer by at most a few ulps.
 
-    level is the draw's memo (`_levels`).  Near t = 0 distinct
-    multipliers round to one or two W1, and the bisection of a fill
-    halves its pair down to float adjacency, where neighbouring
-    multipliers share a W1: the memo solves each W1 once, across this
-    solve and every other floor of the draw.
+    Near t = 0 distinct multipliers round to one or two W1, and the
+    bisection of a fill halves its pair down to float adjacency, where
+    neighbouring multipliers share a W1: the draw solves each W1 once,
+    across this solve and every other floor of the draw.
     """
-    p0 = level(q, 0.0)
+    p0 = draw.level(q, 0.0)
     if rmin is None or _reaches_floor(p0.B, rmin):
         return p0, 0.0, 0
 
@@ -540,28 +531,30 @@ def _solve_q(
     # that moves W1 off W, rather than halving down from 1.
     start = 2.0**-52 if p0.B == 0.0 else 1.0
     hi_t = _double_until(
-        lambda t: _reaches_floor(level(q, t).B, rmin), start, f"throughput multiplier (q={q!r})"
+        lambda t: _reaches_floor(draw.level(q, t).B, rmin),
+        start,
+        f"throughput multiplier (q={q!r})",
     )
     # both ends were solved while doubling, so these are memo hits
     lo_t = 0.0 if hi_t == start else hi_t / 2.0
-    lo_pt, hi_pt = level(q, lo_t), level(q, hi_t)
+    lo_pt, hi_pt = draw.level(q, lo_t), draw.level(q, hi_t)
     if hi_pt.B < rmin:
         # A floor within the slack of the rate ceiling: hi meets it only
-        # up to _REL_B, so there is no sign change for brentq to bracket.
+        # up to that slack, so there is no sign change for brentq to bracket.
         return hi_pt, hi_t, 0
 
     # Keyed by t: the evaluated multipliers pick the fill's bracketing
     # pair and the reported vartheta.
     cache: dict[float, _Point] = {lo_t: lo_pt, hi_t: hi_pt}
 
-    def miss(t: float) -> float:
+    def at(t: float) -> _Point:
         pt = cache.get(t)
         if pt is None:
-            pt = cache[t] = level(q, t)
-        return pt.B - rmin
+            pt = cache[t] = draw.level(q, t)
+        return pt
 
     # brentq returns one of the points it evaluated, so t_hat is cached
-    t_hat = brentq(miss, lo_t, hi_t, maxiter=300)
+    t_hat = brentq(lambda t: at(t).B - rmin, lo_t, hi_t, maxiter=300)
     pt_hat = cache[t_hat]
 
     if abs(pt_hat.B - rmin) <= _FILL_TOL * max(rmin, 1.0):
@@ -576,38 +569,22 @@ def _solve_q(
         mid = 0.5 * (below + above)
         if not below < mid < above:
             break
-        if miss(mid) < -rmin * _REL_B:
-            below = mid
-        else:
+        if _reaches_floor(at(mid).B, rmin):
             above = mid
-    filled = _fill_to_floor(scen, cache[below], cache[above], rmin)
+        else:
+            below = mid
+    filled = _fill_to_floor(draw.scen, cache[below], cache[above], rmin)
     return filled, above, 1
-
-
-def _rate_ceiling(level: _LevelFn) -> _Point:
-    """The q = 0 inner maximizer of the draw: the most bits the block
-    can carry."""
-    return level(0.0, 0.0)
-
-
-def _reaches_floor(B: float, rmin: float) -> bool:
-    """Whether throughput B meets the floor rmin, up to the slack _REL_B."""
-    return B >= rmin * (1.0 - _REL_B)
-
-
-def _floor_reachable(level: _LevelFn, rmin: float) -> bool:
-    """Feasibility of a floor: the rate ceiling reaches it."""
-    return _reaches_floor(_rate_ceiling(level).B, rmin)
 
 
 def dinkelbach_T(q: float, scen: Scenario) -> tuple[float, Allocation]:
     """Value and maximizer of the subtractive inner problem at this q."""
     _require_nonnegative(q=q)
     rmin = scen.params.Rmin
-    level = _levels(scen)
-    if rmin is not None and not _floor_reachable(level, rmin):
+    draw = _draw(scen)
+    if rmin is not None and not draw.reaches(rmin):
         raise ValueError("scenario cannot meet the throughput floor")
-    pt, _, _ = _solve_q(scen, level, q, rmin)
+    pt, _, _ = _solve_q(draw, q, rmin)
     return pt.B - q * pt.E, pt.alloc
 
 
@@ -617,8 +594,8 @@ def solve_qos_detailed(scen: Scenario) -> tuple[SolutionReport, DualState, list[
     rmin = scen.params.Rmin
     if rmin is None:
         raise ValueError("solve_qos needs Rmin; use solve_best_effort without a floor")
-    level = _levels(scen)
-    if not _floor_reachable(level, rmin):
+    draw = _draw(scen)
+    if not draw.reaches(rmin):
         report = _report(zero_allocation(scen.K), scen, MODE_INFEASIBLE, {"outer": 0})
         return report, DualState(q=0.0, vartheta=0.0, delta=0.0, mu=(0.0,) * scen.K), []
 
@@ -629,7 +606,7 @@ def solve_qos_detailed(scen: Scenario) -> tuple[SolutionReport, DualState, list[
     prev: tuple[_Point, float] | None = None
     for it in range(1, _MAX_OUTER + 1):
         # at q = 0 this is the memoised rate ceiling, which meets the floor
-        pt, theta, fills = _solve_q(scen, level, q, rmin)
+        pt, theta, fills = _solve_q(draw, q, rmin)
         fills_total += fills
         T = pt.B - q * pt.E
         trace.append((it, q, T))

@@ -9,6 +9,8 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
 _XTOL = 2e-12  # brentq's absolute tolerance on x (scipy's default)
 _RTOL = 1e-15  # brentq's relative tolerance on x
+_NEWTON_RTOL = 1e-14  # newton_bisect's relative tolerance on x
+_NEWTON_MAX_ITER = 100  # newton_bisect's iteration cap
 
 
 def golden_section_max(
@@ -54,22 +56,21 @@ def newton_bisect(
     lo: float,
     hi: float,
     x0: float,
-    rtol: float = 1e-14,
-    max_iter: int = 100,
 ) -> float:
     """Root of f on a bracket [lo, hi] with f(lo), f(hi) of opposite sign.
 
     Newton steps from x0, falling back to bisection whenever a step
     leaves the bracket or fails to shrink it.  f must be monotone
     enough that the bracket stays valid (callers guarantee strict
-    monotonicity).  Tolerance is relative on x.
+    monotonicity).  The bracket shrinks to a relative width of 1e-14,
+    within 100 iterations.
     """
     a, b = lo, hi
     fa = f(a)
     if fa == 0.0:
         return a
     x = min(max(x0, a), b)
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         fx = f(x)
         if fx == 0.0:
             return x
@@ -77,7 +78,7 @@ def newton_bisect(
             a, fa = x, fx
         else:
             b = x
-        if b - a <= rtol * max(abs(a), abs(b), 1e-300):
+        if b - a <= _NEWTON_RTOL * max(abs(a), abs(b), 1e-300):
             return 0.5 * (a + b)
         d = fprime(x)
         step_ok = d != 0.0

@@ -12,7 +12,8 @@ A_k = eta*Pmax*tau0*h_k + Q_k over a block of Tmax - tau0.  R(tau0) is
 the partial maximum of a jointly concave program, hence concave.
 
 R* decides feasibility of a throughput floor: Rmin is attainable iff
-Rmin <= R*, up to the slack that `solve_qos` applies to the same test.
+Rmin <= R*, up to the floor slack of `model._reaches_floor`, which
+`solve_qos` applies too.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import dataclasses
 from dataclasses import dataclass
 
 from .model import Allocation, Scenario, with_initial_energy
-from .qos import _floor_reachable, _Level, _levels, _rate_ceiling
+from .qos import _Draw, _Level, _draw
 
 # Unused here: bound only for the layer spans in perfbench/spans.py.
 from .search import golden_section_max, newton_bisect  # noqa: F401
@@ -51,13 +52,13 @@ def inner_time_allocation(tau0: float, scen: Scenario) -> tuple[tuple[float, ...
         dataclasses.replace(scen, params=dataclasses.replace(par, Tmax=par.Tmax - tau0)),
         [par.eta * par.Pmax * tau0 * u.h + u.Q for u in scen.users],
     )
-    pt = _Level(stocked, 0.0, 0.0).uncharged_point()
+    pt = _Level(_Draw(stocked), 0.0, 0.0).uncharged_point()
     return pt.alloc.tau, pt.B
 
 
 def max_throughput(scen: Scenario) -> ThroughputSolution:
     """Maximize block throughput over (tau0, tau, p) jointly."""
-    pt = _rate_ceiling(_levels(scen))
+    pt = _draw(scen).level(0.0, 0.0)
     return ThroughputSolution(R_star=pt.B, alloc=pt.alloc)
 
 
@@ -65,4 +66,4 @@ def is_feasible(scen: Scenario) -> bool:
     """Whether the required throughput Rmin is attainable at all."""
     if scen.params.Rmin is None:
         raise ValueError("is_feasible needs Rmin set in the system parameters")
-    return _floor_reachable(_levels(scen), scen.params.Rmin)
+    return _draw(scen).reaches(scen.params.Rmin)

@@ -1,4 +1,7 @@
-"""Shared scenario factories for the test suite."""
+"""Shared scenario factories and file helpers for the test suite."""
+
+import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -49,6 +52,19 @@ def random_scenario(rng, K, params=None, q_mode="zero"):
     else:
         raise ValueError(q_mode)
     return scenario_from_values(params, h, gamma, Q)
+
+
+def with_floor(scen, rmin):
+    """The scenario's channels and batteries under the throughput floor rmin."""
+    par = dataclasses.replace(scen.params, Rmin=rmin)
+    return scenario_from_values(par, scen.h, scen.gamma, scen.Q)
+
+
+def cfg_file(tmp_path, payload: dict, name: str = "cfg.json") -> str:
+    """Write payload as a JSON configuration file; returns its path."""
+    path = tmp_path / name
+    path.write_text(json.dumps(payload))
+    return str(path)
 
 
 @pytest.fixture

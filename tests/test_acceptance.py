@@ -45,18 +45,13 @@ from wpcn_ee import (
 from wpcn_ee.cli import main as cli_main
 from wpcn_ee.model import LN2
 
-from conftest import random_scenario, stock_params
+from conftest import random_scenario, stock_params, with_floor
 from test_throughput_max import grid_best_rate
 
 
 def verdict(tag: str, ok: bool, detail: str) -> None:
     print(f"criterion {tag}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"criterion {tag}: {detail}"
-
-
-def with_floor(scen, rmin):
-    par = dataclasses.replace(scen.params, Rmin=rmin)
-    return scenario_from_values(par, list(scen.h), list(scen.gamma), list(scen.Q))
 
 
 def test_criterion_01_user_ee_matches_dense_scan():

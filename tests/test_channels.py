@@ -40,7 +40,7 @@ def fresh_draw(geo, par, Q=0.0):
         fade_ul = 0.5 * (xu**2 + yu**2)
         h = geo.ref_gain * d ** (-geo.alpha) * fade_dl
         g = geo.ref_gain * (geo.d_rx_m - d) ** (-geo.alpha) * fade_ul
-        if par.eta * float(np.sum(h)) >= 1.0 / par.xi:
+        if par.eta * math.fsum(h.tolist()) >= 1.0 / par.xi:
             continue
         qs = [float(Q)] * geo.K if np.isscalar(Q) else [float(q) for q in Q]
         users = tuple(
@@ -213,6 +213,26 @@ def test_uplink_mean_matches_pathloss_average():
     assert mean == pytest.approx(expected, rel=0.02)
 
 
+@pytest.mark.parametrize(
+    "seed, ref_gain, accepted",
+    [
+        # the first attempt sums to 1/xi exactly in fsum and one ulp below
+        # it in numpy's sum: it used to pass the draw's test and then
+        # fail Scenario's, raising instead of drawing on to the third
+        (18, 30.641747524949988, 2),
+        # one ulp below 1/xi in fsum and exactly 1/xi in numpy's sum: it
+        # used to be redrawn, though Scenario accepts it
+        (16, 13.232655680783743, 0),
+    ],
+)
+def test_draw_and_scenario_share_the_admissibility_test(seed, ref_gain, accepted):
+    par = stock_params(xi=0.6666666666666666)
+    geo = GeometryConfig(K=7, seed=seed, ref_gain=ref_gain)
+    want, attempt = fresh_draw(geo, par)
+    assert attempt == accepted
+    assert generate_scenario(geo, par) == want
+
+
 def test_rejection_error_when_inadmissible():
     # huge reference gain forces the harvest sum over the cap every draw
     geo = GeometryConfig(K=8, seed=0, ref_gain=1e6)
@@ -227,8 +247,9 @@ def test_geometry_validation():
         GeometryConfig(K=2, d_min_m=5.0, d_max_m=2.0)
     with pytest.raises(ValueError):
         GeometryConfig(K=2, d_max_m=400.0, d_rx_m=300.0)
-    with pytest.raises(ValueError):
-        GeometryConfig(K=2, ref_gain=0.0)
+    for ref_gain in (0.0, -1.0):
+        with pytest.raises(ValueError, match="ref_gain must be positive"):
+            GeometryConfig(K=2, ref_gain=ref_gain)
     # K and seed must be integers (numpy's included, bools not), and the
     # seed non-negative; each used to fail inside numpy at the draw
     for bad, message in (

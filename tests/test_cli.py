@@ -1,7 +1,6 @@
 """Exit codes, CSV emission, and determinism of the command line tool."""
 
 import argparse
-import json
 import math
 import subprocess
 import sys
@@ -12,11 +11,7 @@ import pytest
 from wpcn_ee import MODE_IELCN, MODE_PWPCN, MODE_QOS, RAW_COLUMNS, cli, experiments
 from wpcn_ee.cli import _build_parser, main
 
-
-def cfg_file(tmp_path: Path, payload: dict, name: str = "cfg.json") -> str:
-    path = tmp_path / name
-    path.write_text(json.dumps(payload))
-    return str(path)
+from conftest import cfg_file
 
 
 def test_solve_best_effort_to_stdout(capsys):
@@ -116,6 +111,9 @@ def test_config_errors_exit_one(tmp_path, capsys):
         # a repeated sweep value used to write its trials' rows twice and
         # count each trial twice in its means
         ({"sweep": {"axis": "Pmax_dBm", "values": [30, 30.0]}}, "sweep values must be distinct"),
+        ({"sweep": {"axis": "eta", "values": []}}, "sweep needs at least one value"),
+        ({"sweep": {"axis": "eta", "values": [0.5], "trials": 0}}, "trials must be >= 1"),
+        ([{"geometry": {"K": 2}}], "configuration must be a JSON object"),
         ({"system": {"eta": None}}, "wrong JSON type"),
         ({"initial_energy_J": None}, "wrong JSON type"),
         # strings and booleans in numeric entries used to be converted

@@ -33,24 +33,13 @@ from wpcn_ee import (
 )
 from wpcn_ee import experiments
 from wpcn_ee.experiments import SWEEP_AXES, _apply_axis
-from wpcn_ee.model import Allocation, scenario_from_values
+from wpcn_ee.model import Allocation
 
-from conftest import random_scenario, stock_params
-
-
-def write_cfg(tmp_path: Path, payload: dict, name: str = "cfg.json") -> Path:
-    path = tmp_path / name
-    path.write_text(json.dumps(payload))
-    return path
-
-
-def with_floor(scen, rmin):
-    par = dataclasses.replace(scen.params, Rmin=rmin)
-    return scenario_from_values(par, list(scen.h), list(scen.gamma), list(scen.Q))
+from conftest import cfg_file, random_scenario, stock_params, with_floor
 
 
 def test_empty_config_gives_stock_defaults(tmp_path):
-    cfg = load_config(write_cfg(tmp_path, {}))
+    cfg = load_config(cfg_file(tmp_path, {}))
     assert cfg.params.W == 20e3
     assert cfg.params.Pmax == pytest.approx(19.952623149688797, rel=1e-15)
     assert cfg.params.sigma2 == pytest.approx(1e-14, rel=1e-12)
@@ -64,7 +53,7 @@ def test_empty_config_gives_stock_defaults(tmp_path):
 
 def test_decibel_fields_convert_once(tmp_path):
     cfg = load_config(
-        write_cfg(
+        cfg_file(
             tmp_path,
             {"system": {"Pmax_dBm": 30.0, "noise_dBm": -100.0, "snr_gap_dB": 3.0}},
         )
@@ -83,13 +72,13 @@ def test_unknown_keys_fail_loudly(tmp_path):
         {"grid": {"n_taus": 10}},
     ):
         with pytest.raises(ValueError, match="unknown"):
-            load_config(write_cfg(tmp_path, payload))
+            load_config(cfg_file(tmp_path, payload))
     with pytest.raises(ValueError):
-        load_config(write_cfg(tmp_path, {"schemes": ["nope"]}))
+        load_config(cfg_file(tmp_path, {"schemes": ["nope"]}))
     with pytest.raises(ValueError):
-        load_config(write_cfg(tmp_path, {"sweep": {"axis": "frequency", "values": [1.0]}}))
+        load_config(cfg_file(tmp_path, {"sweep": {"axis": "frequency", "values": [1.0]}}))
     with pytest.raises(ValueError):
-        load_config(write_cfg(tmp_path, {"rho_list": [1.5]}))
+        load_config(cfg_file(tmp_path, {"rho_list": [1.5]}))
 
 
 def test_a_sweep_with_nothing_to_run_is_rejected(tmp_path):
@@ -104,10 +93,10 @@ def test_a_sweep_with_nothing_to_run_is_rejected(tmp_path):
         ),
     ):
         with pytest.raises(ValueError, match=message):
-            load_config(write_cfg(tmp_path, {**sweep, **extra}))
+            load_config(cfg_file(tmp_path, {**sweep, **extra}))
     assert not (tmp_path / "r.csv").exists()
     # an empty rho list is fine when no scheme reads it
-    cfg = load_config(write_cfg(tmp_path, {**sweep, "rho_list": []}))
+    cfg = load_config(cfg_file(tmp_path, {**sweep, "rho_list": []}))
     assert expand_schemes(cfg.schemes, cfg.rho_list) == ("ee_optimal",)
 
 
@@ -186,7 +175,7 @@ def test_fixed_proportion_reports_a_missed_floor_as_infeasible(tmp_path):
         "rho_list": [0.5],
         "output": str(tmp_path / "floor.csv"),
     }
-    raw_path, mean_path = run_sweep(load_config(write_cfg(tmp_path, payload)))
+    raw_path, mean_path = run_sweep(load_config(cfg_file(tmp_path, payload)))
     _, rows = read_csv(raw_path)
     assert len(rows) == 4
     assert all(r[4] == MODE_INFEASIBLE and r[11] == "0" for r in rows)
@@ -244,14 +233,14 @@ def test_every_rho_runs_at_its_configured_value(tmp_path):
         "rho_list": rhos,
         "output": str(tmp_path / "rho.csv"),
     }
-    _, mean_path = run_sweep(load_config(write_cfg(tmp_path, payload)))
+    _, mean_path = run_sweep(load_config(cfg_file(tmp_path, payload)))
     _, m_rows = read_csv(mean_path)
     assert [(r[2], r[3]) for r in m_rows] == [(n, "1") for n in names[:2]]
     assert m_rows[0][5] != m_rows[1][5]
 
     payload["rho_list"] = [0.5, 0.25, 0.5]
     with pytest.raises(ValueError, match="rho values must be distinct"):
-        load_config(write_cfg(tmp_path, payload, "dup.json"))
+        load_config(cfg_file(tmp_path, payload, "dup.json"))
 
 
 def sweep_payload(tmp_path: Path, out_name: str) -> dict:
@@ -276,7 +265,7 @@ def read_csv(path: Path):
 
 
 def test_run_sweep_end_to_end(tmp_path):
-    cfg = load_config(write_cfg(tmp_path, sweep_payload(tmp_path, "out.csv")))
+    cfg = load_config(cfg_file(tmp_path, sweep_payload(tmp_path, "out.csv")))
     raw_path, mean_path = run_sweep(cfg)
     assert raw_path.exists() and mean_path.exists()
     assert mean_path.name == "out_mean.csv"
@@ -302,8 +291,8 @@ def test_run_sweep_end_to_end(tmp_path):
 
 
 def test_run_sweep_reruns_byte_identical(tmp_path):
-    cfg_a = load_config(write_cfg(tmp_path, sweep_payload(tmp_path, "a.csv"), "a.json"))
-    cfg_b = load_config(write_cfg(tmp_path, sweep_payload(tmp_path, "b.csv"), "b.json"))
+    cfg_a = load_config(cfg_file(tmp_path, sweep_payload(tmp_path, "a.csv"), "a.json"))
+    cfg_b = load_config(cfg_file(tmp_path, sweep_payload(tmp_path, "b.csv"), "b.json"))
     raw_a, mean_a = run_sweep(cfg_a)
     raw_b, mean_b = run_sweep(cfg_b)
     assert raw_a.read_bytes() == raw_b.read_bytes()
@@ -322,7 +311,7 @@ def test_trial_major_sweep_writes_value_major_rows(tmp_path):
         "schemes": schemes,
         "output": str(tmp_path / "swept.csv"),
     }
-    cfg = load_config(write_cfg(tmp_path, payload))
+    cfg = load_config(cfg_file(tmp_path, payload))
     raw_path, mean_path = run_sweep(cfg)
 
     rows, groups = [], {}
@@ -349,7 +338,7 @@ def test_trial_major_sweep_writes_value_major_rows(tmp_path):
 
 
 def test_trials_draw_distinct_scenarios(tmp_path):
-    cfg = load_config(write_cfg(tmp_path, sweep_payload(tmp_path, "c.csv")))
+    cfg = load_config(cfg_file(tmp_path, sweep_payload(tmp_path, "c.csv")))
     raw_path, _ = run_sweep(cfg)
     _, rows = read_csv(raw_path)
     first = [r for r in rows if r[1] == "30" and r[3] == "ee_optimal"]
@@ -363,7 +352,7 @@ def test_infeasible_trials_counted_not_averaged(tmp_path):
         "schemes": ["ee_optimal"],
         "output": str(tmp_path / "rmin.csv"),
     }
-    raw_path, mean_path = run_sweep(load_config(write_cfg(tmp_path, payload)))
+    raw_path, mean_path = run_sweep(load_config(cfg_file(tmp_path, payload)))
     _, rows = read_csv(raw_path)
     hopeless = [r for r in rows if r[1] == "1000000000"]
     assert all(r[4] == "INFEASIBLE" and r[11] == "0" for r in hopeless)
@@ -375,7 +364,7 @@ def test_infeasible_trials_counted_not_averaged(tmp_path):
 
 
 def test_run_sweep_requires_a_sweep_block(tmp_path):
-    cfg = load_config(write_cfg(tmp_path, {"geometry": {"K": 2}}))
+    cfg = load_config(cfg_file(tmp_path, {"geometry": {"K": 2}}))
     with pytest.raises(ValueError):
         run_sweep(cfg)
 
@@ -398,7 +387,7 @@ def test_run_sweep_aborts_on_an_allocation_that_breaks_the_constraints(tmp_path,
         "output": str(tmp_path / "broken.csv"),
     }
     with pytest.raises(RuntimeError) as exc:
-        run_sweep(load_config(write_cfg(tmp_path, payload)))
+        run_sweep(load_config(cfg_file(tmp_path, payload)))
     message = str(exc.value)
     assert message.startswith("scheme ee_optimal emitted an infeasible allocation")
     assert message.endswith("at eta=0.9, trial 0")
@@ -444,14 +433,14 @@ def test_sweep_point_draws_the_configured_scenario(tmp_path, axis, block, key, x
     fixed = json.loads(json.dumps(base))
     fixed.setdefault(block, {})[key] = x
     fixed["geometry"]["seed"] = 17
-    sweep_cfg = load_config(write_cfg(tmp_path, swept, "swept.json"))
+    sweep_cfg = load_config(cfg_file(tmp_path, swept, "swept.json"))
     point = _apply_axis(sweep_cfg, sweep_cfg.sweep.values[0], sweep_cfg.sweep.base_seed)
-    assert point == _apply_axis(load_config(write_cfg(tmp_path, fixed, "fixed.json")))
+    assert point == _apply_axis(load_config(cfg_file(tmp_path, fixed, "fixed.json")))
 
 
 def test_initial_energy_list_parses(tmp_path):
     cfg = load_config(
-        write_cfg(tmp_path, {"geometry": {"K": 2}, "initial_energy_J": [0.1, 0.2]})
+        cfg_file(tmp_path, {"geometry": {"K": 2}, "initial_energy_J": [0.1, 0.2]})
     )
     assert cfg.initial_energy == (0.1, 0.2)
 
@@ -559,7 +548,7 @@ def test_tie_rows_are_pinned(tmp_path, axis, seed):
     payload = copy.deepcopy(TIE_SWEEPS[axis])
     payload["sweep"]["base_seed"] = seed
     payload["output"] = str(tmp_path / "tie.csv")
-    raw_path, _ = run_sweep(load_config(write_cfg(tmp_path, payload)))
+    raw_path, _ = run_sweep(load_config(cfg_file(tmp_path, payload)))
     with open(raw_path, newline="") as fh:
         rows = [
             (r["sweep_value"], r["scheme"], float(r["ee_bits_per_joule"]), float(r["throughput_bits"]))
@@ -595,7 +584,7 @@ BATTERY_ROWS = [
 
 def test_battery_sweep_rows_are_pinned(tmp_path):
     payload = {**BATTERY_SWEEP, "output": str(tmp_path / "battery.csv")}
-    raw_path, _ = run_sweep(load_config(write_cfg(tmp_path, payload)))
+    raw_path, _ = run_sweep(load_config(cfg_file(tmp_path, payload)))
     with open(raw_path, newline="") as fh:
         rows = [
             (

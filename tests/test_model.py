@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from wpcn_ee import (
     Allocation,
     Scenario,
+    SolutionReport,
     SystemParams,
     UserChannel,
     check_constraints,
@@ -37,16 +38,21 @@ def test_unit_conversions():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        stock_params(W=0.0)
-    with pytest.raises(ValueError):
-        stock_params(eta=1.5)
-    with pytest.raises(ValueError):
-        stock_params(Gamma=0.5)
-    with pytest.raises(ValueError):
-        stock_params(pc=0.0)
-    with pytest.raises(ValueError):
-        stock_params(Rmin=-1.0)
+    for bad, message in (
+        ({"W": 0.0}, "bandwidth must be positive"),
+        ({"sigma2": 0.0}, "noise power must be positive"),
+        ({"sigma2": -1e-14}, "noise power must be positive"),
+        ({"eta": 1.5}, "eta must lie in"),
+        ({"Gamma": 0.5}, "SNR gap must be >= 1"),
+        ({"Pc": -0.1}, "Pc must be nonnegative"),
+        ({"pc": 0.0}, "pc must be positive"),
+        ({"Pmax": 0.0}, "Pmax must be positive"),
+        ({"Tmax": 0.0}, "Tmax must be positive"),
+        ({"Tmax": -1.0}, "Tmax must be positive"),
+        ({"Rmin": -1.0}, "Rmin must be nonnegative"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            stock_params(**bad)
     assert stock_params(Rmin=0.0).Rmin == 0.0
     for name in ("W", "sigma2", "eta", "Pc", "pc", "Pmax", "Tmax", "Rmin"):
         for bad in (math.nan, math.inf):
@@ -68,6 +74,22 @@ def test_non_finite_channels_and_batteries_rejected():
             with_initial_energy(scen, [0.1, bad])
         with pytest.raises(ValueError):
             with_initial_energy(scen, bad)
+
+
+def test_channel_and_scenario_validation():
+    par = stock_params()
+    for bad, message in (
+        ({"h": 0.0}, "channel gains must be positive"),
+        ({"g": -1e-8}, "channel gains must be positive"),
+        ({"Q": -0.1}, "initial energy must be nonnegative"),
+        ({"gamma": 0.0}, "gamma must be positive"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            UserChannel(**{"h": 0.01, "g": 1e-8, "Q": 0.0, "gamma": 1.0, **bad})
+    with pytest.raises(ValueError, match="scenario needs at least one user"):
+        Scenario(params=par, users=())
+    with pytest.raises(ValueError, match="h and gamma must have equal length"):
+        scenario_from_values(par, [0.01, 0.02], [1.0])
 
 
 def test_gamma_consistency_enforced():
@@ -130,13 +152,20 @@ def test_bookkeeping_rejects_a_user_count_mismatch():
 
 
 def test_allocation_validation():
+    z = zero_allocation(3)
     with pytest.raises(ValueError):
         Allocation(P0=-1.0, tau0=0.0, p=(0.0,), tau=(0.0,))
     with pytest.raises(ValueError):
         Allocation(P0=0.0, tau0=-0.1, p=(0.0,), tau=(0.0,))
     with pytest.raises(ValueError):
         Allocation(P0=0.0, tau0=0.0, p=(0.0, 0.0), tau=(0.0,))
-    z = zero_allocation(3)
+    for p, tau in (((-0.1, 0.0), (0.2, 0.2)), ((0.1, 0.1), (0.2, -1e-3))):
+        with pytest.raises(ValueError, match="powers and times must be nonnegative"):
+            Allocation(P0=1.0, tau0=0.1, p=p, tau=tau)
+    with pytest.raises(ValueError, match="unknown mode 'QoS'"):
+        SolutionReport(
+            alloc=z, ee=0.0, throughput=0.0, energy=0.0, scheduled=(), mode="QoS", iterations={}
+        )
     assert z.K == 3 and z.tau0 == 0.0
 
 

@@ -21,17 +21,10 @@ from wpcn_ee import (
     solve_best_effort,
     solve_qos,
 )
-from wpcn_ee.model import Allocation, energy_total, scenario_from_values, throughput
+from wpcn_ee.model import Allocation, energy_total, throughput
 from wpcn_ee.oracle import _axes
 
-from conftest import random_scenario, stock_params
-
-
-def with_floor(scen, rmin):
-    import dataclasses
-
-    par = dataclasses.replace(scen.params, Rmin=rmin)
-    return scenario_from_values(par, list(scen.h), list(scen.gamma), list(scen.Q))
+from conftest import random_scenario, stock_params, with_floor
 
 
 def test_grid_allocation_is_feasible():

@@ -32,15 +32,20 @@ from wpcn_ee import (
 )
 from wpcn_ee import qos
 from wpcn_ee.model import LN2
-from wpcn_ee.qos import _s_root, _stationarity, _stationarity_prime
+from wpcn_ee.qos import _s_root, _stationarity
 from wpcn_ee.search import newton_bisect
 
-from conftest import random_scenario, stock_params
+from conftest import random_scenario, stock_params, with_floor
 
 
-def with_floor(scen, rmin):
-    par = dataclasses.replace(scen.params, Rmin=rmin)
-    return scenario_from_values(par, scen.h, scen.gamma, scen.Q)
+def _stationarity_prime(s, gamma, cln, W1, vs, pc):
+    # F'(s), the slope `_s_root` evaluates inline
+    return -W1 / (s * LN2) + 1.0 / (gamma * vs) - pc
+
+
+def forget_draws():
+    # empty the solver's draw record, as a cold process has it
+    qos._latest_draw = ((), None)
 
 
 def score(gamma, q, vartheta, delta, par):
@@ -178,7 +183,7 @@ def test_public_helpers_return_the_levels_doubles():
             scen = generate_scenario(default_geometry(K=K, seed=seed), par, Q=Q)
             for q in (1e3, 3e4, 1e5):
                 for vartheta in (0.0, 0.3):
-                    lvl = qos._Level(scen, q, vartheta)
+                    lvl = qos._Level(qos._Draw(scen), q, vartheta)
                     pt = lvl.point()
                     assert f0_wet_gate(pt.mu, q, pt.delta, scen) == lvl._f0_at(pt.delta)
                     for k in lvl.duals(pt.delta)[0]:
@@ -399,7 +404,6 @@ def reference_s_root(gamma, q, delta, cln, W1, vs, pc, warm):
         lo,
         hi,
         x0,
-        rtol=1e-14,
     )
 
 
@@ -446,9 +450,9 @@ def test_inline_root_matches_the_newton_bisect_reference():
 
 def record_levels(monkeypatch):
     # the (q, W1) key of every KKT level the solver builds, in order,
-    # from an empty level memo: the counts must not depend on what an
+    # from an empty draw record: the counts must not depend on what an
     # earlier test solved on the same draw
-    qos._draw_memo.cache_clear()
+    forget_draws()
     built = []
     point = qos._Level.point
 
@@ -524,7 +528,7 @@ def test_second_floor_of_a_draw_builds_only_new_levels(monkeypatch):
     warm = solve_qos_detailed(with_floor(base, 0.6 * r_star))
     second = list(built)
 
-    qos._draw_memo.cache_clear()
+    forget_draws()
     built.clear()
     cold = solve_qos_detailed(with_floor(base, 0.6 * r_star))
     assert second and len(second) == len(set(second))
@@ -533,35 +537,35 @@ def test_second_floor_of_a_draw_builds_only_new_levels(monkeypatch):
 
 
 def test_level_memo_holds_one_draw(monkeypatch):
-    # every public entry point shares the memo, and it keeps only the
-    # latest draw: a draw solved again after another is built again
+    # every public entry point shares the draw record, and it keeps only
+    # the latest draw: a draw solved again after another is built again
     built = record_levels(monkeypatch)
     par = default_system_params()
     a, b = (generate_scenario(default_geometry(K=3, seed=s), par) for s in (1, 2))
     r_a = max_throughput(a).R_star
-    for call in (
-        lambda: solve_qos(with_floor(a, 0.5 * r_a)),
-        lambda: max_throughput(b),
-        lambda: is_feasible(with_floor(a, r_a)),
-        lambda: dinkelbach_T(1e4, b),
+    for call, scen in (
+        (solve_qos, with_floor(a, 0.5 * r_a)),
+        (max_throughput, b),
+        (is_feasible, with_floor(a, r_a)),
+        (lambda s: dinkelbach_T(1e4, s), b),
     ):
-        call()
-        assert qos._draw_memo.cache_info().currsize == 1
+        call(scen)
+        assert qos._latest_draw[1].scen.users == scen.users
     built.clear()
     max_throughput(a)
     assert built == [(0.0, par.W)]
 
 
 def test_concurrent_solves_on_different_draws_match_serial_ones():
-    # four threads, each solving two floors of its own draw, evict one
-    # another's memo entry at every switch; each must still answer as a
+    # four threads, each solving two floors of its own draw, replace one
+    # another's draw record at every switch; each must still answer as a
     # cold serial solve does
     par = default_system_params()
     draws = [generate_scenario(default_geometry(K=3, seed=s), par) for s in range(4)]
     jobs = [[with_floor(d, f * max_throughput(d).R_star) for f in (0.9, 0.5)] for d in draws]
     want = []
     for floors in jobs:
-        qos._draw_memo.cache_clear()
+        forget_draws()
         want.append([repr(solve_qos_detailed(s)) for s in floors])
     got = [[] for _ in jobs]
 
@@ -581,7 +585,7 @@ def test_concurrent_solves_on_different_draws_match_serial_ones():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert got == [w * 3 for w in want]
-    assert qos._draw_memo.cache_info().currsize == 1
+    assert qos._latest_draw[1].scen.users in [floors[0].users for floors in jobs]
 
 
 def test_level_solves_each_root_once_per_delta(monkeypatch):
@@ -603,14 +607,14 @@ def test_level_solves_each_root_once_per_delta(monkeypatch):
 
     # empty batteries, q at half the best-effort EE: the charging slot is on
     zero = random_scenario(np.random.default_rng(0), 6, q_mode="zero")
-    pt = qos._Level(zero, 0.5 * solve_best_effort(zero).ee, 0.0).point()
+    pt = qos._Level(qos._Draw(zero), 0.5 * solve_best_effort(zero).ee, 0.0).point()
     assert pt.alloc.tau0 > 0.0 and not time_bound
     assert roots and len(roots) == len(set(roots))
 
     # mixed batteries at a low q: the drains overfill the block
     roots.clear()
     mixed = random_scenario(np.random.default_rng(0), 6, q_mode="mixed")
-    pt = qos._Level(mixed, 2e4, 0.0).point()
+    pt = qos._Level(qos._Draw(mixed), 2e4, 0.0).point()
     assert pt.alloc.tau0 == 0.0 and time_bound and pt.delta > 0.0
     assert roots and len(roots) == len(set(roots))
 
@@ -679,6 +683,7 @@ def test_dual_helpers_reject_non_finite_inputs(call):
         lambda p, s: power_from_duals(1e6, -1.0, 2e4, 0.0, p),
         lambda p, s: power_from_duals(1e6, 0.0, 2e4, -0.5, p),
         lambda p, s: power_from_duals(1e6, 10.0, -5.0, 0.0, p),
+        lambda p, s: power_from_duals(1e6, 0.0, 0.0, 0.0, p),
         lambda p, s: kkt_threshold_x(2e4, -1.0, 0.0, p),
         lambda p, s: kkt_threshold_x(2e4, -2.0, 0.0, p),
         lambda p, s: kkt_threshold_x(2e4, 0.0, -1e3, p),
@@ -695,6 +700,7 @@ def test_dual_helpers_reject_non_finite_inputs(call):
         "power-negative-mu",
         "power-negative-vartheta",
         "power-negative-q",
+        "power-zero-q-and-mu",
         "threshold-vartheta-minus-one",
         "threshold-vartheta-minus-two",
         "threshold-negative-delta",

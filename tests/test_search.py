@@ -174,8 +174,7 @@ def _names(node):
 
 def test_every_private_helper_has_a_caller():
     # a module-level private function or class that nothing in src/
-    # references outside its own definition is dead code; the one
-    # exception is the tests' reference for the inline KKT root
+    # references outside its own definition is dead code
     package = Path(__file__).resolve().parent.parent / "src" / "wpcn_ee"
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
     unused = []
@@ -194,7 +193,7 @@ def test_every_private_helper_has_a_caller():
                 if not (other == module and id(node) in inside)
             ):
                 unused.append(f"{module}.{definition.name}")
-    assert unused == ["qos._stationarity_prime"]
+    assert unused == []
 
 
 def _counted(f):
