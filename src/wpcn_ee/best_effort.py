@@ -184,12 +184,14 @@ def solve_best_effort(scen: Scenario) -> SolutionReport:
     """Max-combine the PWPCN and IELCN branches, one of which is always
     feasible (every user is in exactly one); ties go to PWPCN.
 
-    One user-EE pass serves both branches, and only the winner is
-    reported."""
+    One user-EE pass serves both branches, the figures of each are
+    taken once, and only the winner is reported."""
     peaks = user_ee_peaks(scen.gamma, scen.params)
     a, b = _pwpcn(scen, peaks), _ielcn(scen, peaks)
-    ee_a, ee_b = _figures(a[0], scen)[2], _figures(b[0], scen)[2]
-    alloc, mode, iterations = a if ee_a >= ee_b and a[1] != MODE_INFEASIBLE else b
-    return _report(
-        alloc, scen, mode, {**iterations, "pwpcn_branch_ee": ee_a, "ielcn_branch_ee": ee_b}
+    fig_a, fig_b = _figures(a[0], scen), _figures(b[0], scen)
+    ee_a, ee_b = fig_a[2], fig_b[2]
+    (alloc, mode, iterations), figures = (
+        (a, fig_a) if ee_a >= ee_b and a[1] != MODE_INFEASIBLE else (b, fig_b)
     )
+    iterations = {**iterations, "pwpcn_branch_ee": ee_a, "ielcn_branch_ee": ee_b}
+    return _report(alloc, scen, mode, iterations, figures)

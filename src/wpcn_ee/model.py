@@ -126,12 +126,20 @@ class UserChannel:
 
     @classmethod
     def from_gains(cls, h: float, g: float, Q: float, params: SystemParams) -> "UserChannel":
-        return cls(h=h, g=g, Q=Q, gamma=g / (params.Gamma * params.sigma2))
+        # positional, in field order: a keyword call costs a quarter more,
+        # once per user of every drawn scenario
+        return cls(h, g, Q, g / (params.Gamma * params.sigma2))
+
+
+def _harvest_sum(params: SystemParams, h: Iterable[float]) -> float:
+    """sum_k eta * h_k, the harvested fraction of radiated power: eta
+    times the fsum of the downlink gains h."""
+    return params.eta * math.fsum(h)
 
 
 def _admissible(params: SystemParams, h: Iterable[float]) -> bool:
-    """Admissibility of downlink gains h: the fsum of eta*h_k stays below 1/xi."""
-    return params.eta * math.fsum(h) < 1.0 / params.xi
+    """Admissibility of downlink gains h: their harvest sum stays below 1/xi."""
+    return _harvest_sum(params, h) < 1.0 / params.xi
 
 
 @dataclass(frozen=True)
@@ -179,7 +187,7 @@ class Scenario:
     @cached_property
     def harvest_sum(self) -> float:
         """sum_k eta * h_k, the harvested fraction of radiated power."""
-        return self.params.eta * math.fsum(u.h for u in self.users)
+        return _harvest_sum(self.params, self.h)
 
     @cached_property
     def wet_deficit(self) -> float:
@@ -279,7 +287,8 @@ class SolutionReport:
     mode is one of PWPCN (harvesting users carry the optimum), IELCN
     (a battery-powered user alone does), QOS (throughput-constrained
     solve), INFEASIBLE.  iterations maps diagnostic names to numbers,
-    e.g. outer loop counts.
+    e.g. outer loop counts, and for solve_qos "stop" to why its loop
+    stopped.
     """
 
     alloc: Allocation
@@ -367,10 +376,18 @@ def _figures(alloc: Allocation, scen: Scenario) -> tuple[float, float, float]:
     return bits, joules, bits / joules if bits != 0.0 else 0.0
 
 
-def _report(alloc: Allocation, scen: Scenario, mode: str, iterations: dict) -> SolutionReport:
+def _report(
+    alloc: Allocation,
+    scen: Scenario,
+    mode: str,
+    iterations: dict,
+    figures: tuple[float, float, float] | None = None,
+) -> SolutionReport:
     """The report of an allocation: bits, joules, EE and schedule all come
-    from the accounting above, so every solver's figures mean the same."""
-    bits, joules, ee = _figures(alloc, scen)
+    from the accounting above, so every solver's figures mean the same.
+    A caller that has already taken the allocation's _figures passes
+    them in."""
+    bits, joules, ee = _figures(alloc, scen) if figures is None else figures
     return SolutionReport(
         alloc=alloc,
         ee=ee,

@@ -294,9 +294,12 @@ class _Draw:
         return _reaches_floor(self.level(0.0, 0.0).B, rmin)
 
 
-# The latest draw solved, as (key, draw), the key being the scenario's
-# parameters with the floor cleared, plus its users.  Assigned whole, so
-# a solve never reads the points of another draw; two threads that miss
+# The latest draw solved, as (key, draw), the key being what a level
+# reads: the scenario's parameters with the floor cleared, plus each
+# user's (gamma, h, Q).  The uplink gain g is left out, as no level reads
+# it: a scenario rebuilt from (h, gamma, Q) shares the draw even where
+# its back-computed g differs in the last bit.  Assigned whole, so a
+# solve never reads the points of another draw; two threads that miss
 # on one point both build it and store equal points.
 _latest_draw: tuple[tuple, _Draw | None] = ((), None)
 
@@ -305,7 +308,10 @@ def _draw(scen: Scenario) -> _Draw:
     """The draw of scen, shared with the latest solve of the same draw;
     each public entry point forms its key once."""
     global _latest_draw
-    key = (dataclasses.replace(scen.params, Rmin=None), scen.users)
+    key = (
+        dataclasses.replace(scen.params, Rmin=None),
+        tuple((u.gamma, u.h, u.Q) for u in scen.users),
+    )
     latest, draw = _latest_draw
     if latest != key:
         draw = _Draw(scen)
@@ -590,7 +596,14 @@ def dinkelbach_T(q: float, scen: Scenario) -> tuple[float, Allocation]:
 
 def solve_qos_detailed(scen: Scenario) -> tuple[SolutionReport, DualState, list[tuple[int, float, float]]]:
     """Full solve returning the report, converged duals, and the
-    per-iteration (iteration, q, T) trace."""
+    per-iteration (iteration, q, T) trace.
+
+    The Dinkelbach loop stops when |T| falls below _EPS ("converged"),
+    when q stops rising ("stalled"), or after _MAX_OUTER iterations
+    ("cap"); the report's iterations name the reason under "stop".  On a
+    stall the previous iterate is reported, with its duals and the q it
+    was solved at, and the last row's T is that iterate's at the last q.
+    """
     rmin = scen.params.Rmin
     if rmin is None:
         raise ValueError("solve_qos needs Rmin; use solve_best_effort without a floor")
@@ -603,7 +616,8 @@ def solve_qos_detailed(scen: Scenario) -> tuple[SolutionReport, DualState, list[
     trace: list[tuple[int, float, float]] = []
     fills_total = 0
     pt, theta = None, 0.0
-    prev: tuple[_Point, float] | None = None
+    prev: tuple[_Point, float, float] | None = None  # (point, vartheta, q) of the last iterate
+    stop = "cap"
     for it in range(1, _MAX_OUTER + 1):
         # at q = 0 this is the memoised rate ceiling, which meets the floor
         pt, theta, fills = _solve_q(draw, q, rmin)
@@ -611,18 +625,30 @@ def solve_qos_detailed(scen: Scenario) -> tuple[SolutionReport, DualState, list[
         T = pt.B - q * pt.E
         trace.append((it, q, T))
         if abs(T) < _EPS or pt.E <= 0.0:
+            stop = "converged"
             break
-        prev = (pt, theta)
+        if prev is not None and pt.B / pt.E <= q:
+            # q stalls: past the inner solve's resolution T reads short of
+            # the previous iterate's, whose ratio is q and whose T at q is 0
+            # up to rounding.  That iterate is the better one: keep it.
+            stop = "stalled"
+            trace[-1] = (it, q, prev[0].B - q * prev[0].E)
+            break
+        prev = (pt, theta, q)
         q = pt.B / pt.E
 
     assert pt is not None
-    if pt.E <= 0.0 and prev is not None:
+    q_duals = q
+    if stop == "stalled":
+        pt, theta, q_duals = prev
+    elif pt.E <= 0.0 and prev is not None:
         # At the fixed point a zero floor admits the empty allocation with
         # T exactly 0; the previous iterate is the supporting maximizer and
         # its ratio equals the converged q.
-        pt, theta = prev
-    report = _report(pt.alloc, scen, MODE_QOS, {"outer": len(trace), "fills": fills_total})
-    duals = DualState(q=q, vartheta=theta, delta=pt.delta, mu=pt.mu)
+        pt, theta, _ = prev
+    iterations = {"outer": len(trace), "fills": fills_total, "stop": stop}
+    report = _report(pt.alloc, scen, MODE_QOS, iterations)
+    duals = DualState(q=q_duals, vartheta=theta, delta=pt.delta, mu=pt.mu)
     return report, duals, trace
 
 

@@ -1,15 +1,21 @@
-"""Channel generation: determinism, geometry, fading statistics."""
+"""Channel generation: determinism, geometry, fading statistics, and the
+plain-Python copy of numpy's default_rng stream the draws run on."""
 
 import dataclasses
 import itertools
+import json
 import math
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wpcn_ee import GeometryConfig, Scenario, UserChannel, generate_scenario, with_initial_energy
+from wpcn_ee import channels
 
 from conftest import stock_params
 
@@ -265,3 +271,205 @@ def test_geometry_validation():
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match=name):
                 GeometryConfig(K=2, **{name: bad})
+
+
+# numpy's PCG64 stepped by hand: the LCG multiplier and its inverse
+MULT = 0x2360ED051FC65DA44385DF649FCCF645
+MULT_INV = pow(MULT, -1, 2**128)
+MASK128 = 2**128 - 1
+
+
+def steered(first, second=None):
+    """A PCG64 (state, increment) whose next raw outputs are the 64-bit
+    words first and, if given, second.
+
+    A state whose high half H is below 2**58 rotates by 0, so its output
+    is H ^ L: state `first` outputs first, and (H << 64) | (second ^ H)
+    outputs second.  The increment links the two states (it must be odd,
+    which H in {0, 1} arranges), and the state before them is one
+    inverse step back.
+    """
+    s1 = first
+    if second is None:
+        inc = 0x5851F42D4C957F2D14057B7EF767814F  # any odd stream
+    else:
+        h = 0 if (second ^ first) & 1 else 1
+        inc = ((h << 64 | (second ^ h)) - s1 * MULT) & MASK128
+    return ((s1 - inc) * MULT_INV) & MASK128, inc
+
+
+def numpy_at(state):
+    """A numpy Generator and its PCG64 at a (state, increment)."""
+    bg = np.random.PCG64()
+    bg.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state[0], "inc": state[1]},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return np.random.Generator(bg), bg
+
+
+def one_normal(state):
+    """(numpy's standard normal, its state after) and the port's, from
+    one steered state."""
+    gen, bg = numpy_at(state)
+    want = (gen.standard_normal(), bg.state["state"]["state"])
+    rng = channels._PCG64(*state)
+    return want, (rng.standard_normal(1)[0], rng.state)
+
+
+def recovered_ziggurat():
+    """numpy's ziggurat (ki, wi) tables, read off the installed numpy.
+
+    A word with strip index i, sign 0 and 52-bit magnitude m gives
+    x = m * wi[i] when m < ki[i], in one raw output.  So m = 1 reads
+    wi[i] (a zero double follows, which passes the density test where
+    1 is already past the strip's bound), and a bisection on whether
+    the draw took one output finds ki[i], the least m that does not.
+    """
+    ki, wi = [], []
+    for idx in range(256):
+        gen, _ = numpy_at(steered(idx | 1 << 9, 0))
+        wi.append(gen.standard_normal())
+        lo, hi = -1, 2**52  # m = lo is taken at once (or lo = -1), m = hi is not
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            word = idx | mid << 9
+            gen, bg = numpy_at(steered(word))
+            gen.standard_normal()
+            if bg.state["state"]["state"] == word:
+                lo = mid
+            else:
+                hi = mid
+        ki.append(hi)
+    return tuple(ki), tuple(wi)
+
+
+def port_attempt(seed, K):
+    """The variates of a channel attempt from the port's generator at
+    seed: K distances uniform on [2, 15], then four times K normals."""
+    rng = channels._PCG64(*channels._seed_state(seed))
+    return (rng.uniform(2.0, 15.0, K), *(rng.standard_normal(K) for _ in range(4)))
+
+
+def test_seeding_and_stream_match_numpy():
+    # SeedSequence, including seeds of more than four 32-bit words and
+    # numpy integers, then raw doubles
+    for seed in (0, 1, 8700, 2**32, 2**40 + 3, 2**64 + 1, 2**70 + 5, 2**128 + 7, 2**200 + 99,
+                 np.int64(5), np.uint32(77), np.uint64(2**63 + 11)):
+        st = np.random.PCG64(seed).state["state"]
+        assert channels._seed_state(seed) == (st["state"], st["inc"]), seed
+        rng = channels._PCG64(*channels._seed_state(seed))
+        want = np.random.default_rng(seed).random(64).tolist()
+        assert [rng.next_double() for _ in range(64)] == want, seed
+
+
+def test_draws_match_numpys_default_rng():
+    # the attempt default_rng(seed) draws, uniform(d_min, d_max, K) then
+    # four standard_normal(K), over 20,400 seeds: 20,000 small ones, 200
+    # above 2**64 and 200 given as numpy integers, each K in turn
+    seeds = list(range(20_000)) + [2**64 + 977 * i for i in range(200)]
+    seeds += [np.int64(10**12 + i) for i in range(200)]
+    for i, seed in enumerate(seeds):
+        K = (1, 2, 5, 10, 20, 50)[i % 6]
+        gen = np.random.default_rng(seed)
+        want = (gen.uniform(2.0, 15.0, size=K).tolist(),)
+        want += tuple(gen.standard_normal(K).tolist() for _ in range(4))
+        assert tuple(map(list, port_attempt(seed, K))) == want, seed
+
+
+def test_seed_8700_stream_is_pinned():
+    # literal values, so the stream stays put even if numpy's changes
+    assert channels._seed_state(8700) == (
+        0x8212928BB3AEBE0BA07635C8C9CB2335,
+        0x8D5A1F54317ED1CC968102997057E5E5,
+    )
+    assert port_attempt(8700, 2) == (
+        (9.865323669149621, 11.005593066640438),
+        (1.048142907206408, 1.3167873931800287),
+        (0.24811578536654239, -1.3630271768991982),
+        (-0.7262743601748796, 0.9119496383843448),
+        (0.8041792535658264, -0.9714301460049769),
+    )
+
+
+def test_stored_ziggurat_tables_are_numpys():
+    assert recovered_ziggurat() == (channels._KI, channels._WI)
+    # a draw at each strip's bound ki, and just under it, as numpy's
+    for idx, bound in enumerate(channels._KI):
+        for mag in {max(bound - 1, 0), bound}:
+            for sign in (0, 1):
+                want, got = one_normal(steered(idx | sign << 8 | mag << 9))
+                assert got == want, (idx, mag, sign)
+    # fi is the density exp(-x^2/2) at each strip edge x = wi * 2**52,
+    # within an ulp: numpy's entries are not all exp's doubles
+    assert channels._FI[0] == 1.0
+    for w, f in zip(channels._WI[1:], channels._FI[1:]):
+        exact = math.exp(-0.5 * (w * 2.0**52) ** 2)
+        assert abs(f - exact) <= math.ulp(exact)
+
+
+def test_tail_draws_match_numpy():
+    # strip 0 past its bound: the tail beyond r, whose loop takes one or
+    # more pairs of doubles; both signs, both loop lengths
+    rng = np.random.default_rng(11)
+    taken = set()
+    for _ in range(400):
+        mag = int(rng.integers(channels._KI[0], 2**52))
+        word = mag << 9 | int(rng.integers(2)) << 8
+        state, inc = steered(word)
+        want, got = one_normal((state, inc))
+        assert got == want and abs(want[0]) > channels._ZIG_R
+        # raw outputs taken: the word, then two per pass of the tail loop
+        outputs = 0
+        while state != want[1]:
+            state = (state * MULT + inc) & MASK128
+            outputs += 1
+        taken.add((outputs, want[0] > 0))
+    assert {(3, True), (3, False)} <= taken
+    assert any(outputs >= 5 for outputs, _ in taken)
+
+
+def test_density_test_matches_numpy_at_its_threshold():
+    # strips 1-255 past their bound, halfway to the strip's edge: a second
+    # word u sets the density test (fi[i-1] - fi[i]) * u + fi[i] < exp(-x^2/2).
+    # Bisect u with numpy for where it turns from accept to reject; the
+    # port must agree on both sides, which holds only if every fi entry
+    # and the test's rounding are numpy's to the bit
+    for idx in range(1, 256):
+        mag = (channels._KI[idx] + 2**52) // 2
+        word = idx | mag << 9
+
+        def accepts(m):
+            gen, bg = numpy_at(steered(word, m << 11))
+            x = gen.standard_normal()
+            return x == mag * channels._WI[idx]
+
+        lo, hi = 0, 2**53 - 1
+        assert accepts(lo) and not accepts(hi), idx
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if accepts(mid) else (lo, mid)
+        for m in (lo, hi):
+            want, got = one_normal(steered(word, m << 11))
+            assert got == want, (idx, m)
+
+
+def test_a_sweep_never_loads_numpy_random(tmp_path):
+    # the package, its command line and a small sweep run on the port
+    sweep = {"axis": "alpha", "values": [2.0, 3.0], "trials": 2}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"geometry": {"K": 3}, "sweep": sweep}))
+    argv = ["sweep", "--config", str(cfg), "--out", str(tmp_path / "out.csv")]
+    code = (
+        "import sys, wpcn_ee, wpcn_ee.cli\n"
+        f"assert wpcn_ee.cli.main({argv!r}) == 0\n"
+        "print('numpy.random' in sys.modules, 'numpy' in sys.modules)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.split()[-2:] == ["False", "True"]

@@ -264,6 +264,35 @@ def test_dinkelbach_trace_monotone():
         assert len(trace) <= 10
 
 
+def test_near_ceiling_floor_stops_when_q_stalls():
+    # K = 2, seed 9002, Rmin = 0.999999 R*: q reaches its fixed point at
+    # row 3, where the new maximizer's T reads -3e-8, the inner solve's
+    # resolution, and its ratio falls below q.  The loop used to cycle in
+    # the last digits up to its cap of 30 rows; it now stops there and
+    # keeps the previous iterate, so the trace has criterion 6's shape
+    par = default_system_params()
+    base = generate_scenario(default_geometry(K=2, seed=9002), par)
+    scen = with_floor(base, 0.999999 * max_throughput(base).R_star)
+    rep, duals, trace = solve_qos_detailed(scen)
+    qs = [row[1] for row in trace]
+    assert all(b > a for a, b in zip(qs, qs[1:]))
+    assert abs(trace[-1][2]) <= 1e-8
+    assert len(trace) <= 10
+    assert rep.iterations == {"outer": 3, "fills": 0, "stop": "stalled"}
+    # the kept iterate's ratio is the last q, and it meets the floor
+    assert rep.ee == qs[-1]
+    assert check_constraints(rep.alloc, scen, tol=1e-7).feasible
+    # its duals were solved at the q before: each tight user's root
+    W1 = par.W * (1.0 + duals.vartheta)
+    cln = W1 * par.varsigma / LN2
+    assert duals.q == qs[-2]
+    for k in rep.scheduled:
+        if duals.mu[k] > 0.0:
+            s = duals.q + duals.mu[k]
+            resid = _stationarity(s, scen.gamma[k], cln, W1, par.varsigma, par.pc) - duals.delta
+            assert abs(resid) <= 1e-6 * W1
+
+
 def test_converged_duals_satisfy_kkt():
     rng = np.random.default_rng(103)
     for _ in range(10):
@@ -480,7 +509,7 @@ def test_loose_floor_builds_each_level_once(monkeypatch):
     # the answer of the solver that rebuilt levels (94 builds, 40 distinct)
     assert rep.ee == 2550733.306713835
     assert rep.throughput == 50000.00000000001
-    assert rep.iterations == {"outer": 7, "fills": 1}
+    assert rep.iterations == {"outer": 7, "fills": 1, "stop": "converged"}
 
 
 def test_zero_point_floor_search_brackets_from_the_smallest_multiplier(monkeypatch):
@@ -495,7 +524,7 @@ def test_zero_point_floor_search_brackets_from_the_smallest_multiplier(monkeypat
     assert len(built) <= 10
     assert rep.ee == 2550733.3067138335
     assert rep.throughput == 119999.99999999997
-    assert rep.iterations == {"outer": 7, "fills": 1}
+    assert rep.iterations == {"outer": 7, "fills": 1, "stop": "converged"}
 
 
 def test_k2_probe_fill_keeps_its_multiplier(monkeypatch):
@@ -536,6 +565,11 @@ def test_second_floor_of_a_draw_builds_only_new_levels(monkeypatch):
     assert repr(warm) == repr(cold)
 
 
+def read_by_levels(scen):
+    """Each user's (gamma, h, Q): what a KKT level reads of a draw."""
+    return [(u.gamma, u.h, u.Q) for u in scen.users]
+
+
 def test_level_memo_holds_one_draw(monkeypatch):
     # every public entry point shares the draw record, and it keeps only
     # the latest draw: a draw solved again after another is built again
@@ -550,10 +584,31 @@ def test_level_memo_holds_one_draw(monkeypatch):
         (lambda s: dinkelbach_T(1e4, s), b),
     ):
         call(scen)
-        assert qos._latest_draw[1].scen.users == scen.users
+        assert read_by_levels(qos._latest_draw[1].scen) == read_by_levels(scen)
     built.clear()
     max_throughput(a)
     assert built == [(0.0, par.W)]
+
+
+def test_rebuilt_scenario_reuses_the_kept_draw(monkeypatch):
+    # scenario_from_values back-computes g = gamma * Gamma * sigma2, one
+    # ulp off the drawn g of user 1 at seed 1, K = 3.  No level reads g,
+    # so the rebuilt scenario is the same draw: its solves build no level
+    # and answer as the drawn scenario's do
+    par = default_system_params()
+    drawn = generate_scenario(default_geometry(K=3, seed=1), par)
+    rebuilt = scenario_from_values(par, drawn.h, drawn.gamma, drawn.Q)
+    assert rebuilt.users[1].g != drawn.users[1].g
+    built = record_levels(monkeypatch)
+    r_star = max_throughput(drawn).R_star
+    floored = with_floor(drawn, 0.5 * r_star)
+    want = solve_qos_detailed(dataclasses.replace(drawn, params=floored.params))
+    draw = qos._latest_draw[1]
+    assert draw.scen is drawn and built
+    built.clear()
+    assert max_throughput(rebuilt).R_star == r_star
+    assert repr(solve_qos_detailed(floored)) == repr(want)
+    assert built == [] and qos._latest_draw[1] is draw
 
 
 def test_concurrent_solves_on_different_draws_match_serial_ones():
@@ -629,7 +684,7 @@ def test_threshold_gap_solve_is_pinned():
     assert rep.alloc.tau[3] > 0.0 and duals.mu[3] == 0.0
     assert rep.ee == 302666.99567325483
     assert rep.throughput == 71113.11594700714
-    assert rep.iterations == {"outer": 4, "fills": 0}
+    assert rep.iterations == {"outer": 4, "fills": 0, "stop": "converged"}
 
 
 @pytest.mark.parametrize(
