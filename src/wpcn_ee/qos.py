@@ -268,13 +268,15 @@ class _Draw:
     W1 = W*(1 + t), and it is built fresh, with no warm start, so its
     point is the same to the bit whichever solve first asked for it:
     every floor of a draw, and the rate ceiling, share its levels.
+    The rate ceiling's level also shares its WET-gate ladder with the
+    ceilings of other draws that read the same roots (`_latest_ladder`).
     """
 
     def __init__(self, scen: Scenario):
         par = scen.params
         self.scen, self.par, self.K = scen, par, scen.K
         self.vs, self.pc = par.varsigma, par.pc
-        self.gammas = [u.gamma for u in scen.users]
+        self.gammas = tuple(u.gamma for u in scen.users)
         self.Q = [u.Q for u in scen.users]
         self.harvest, self.wet_cost = _charging(scen)
         self.points: dict[tuple[float, float], _Point] = {}
@@ -319,6 +321,21 @@ def _draw(scen: Scenario) -> _Draw:
     return draw
 
 
+# The latest rate ceiling's WET-gate ladder, as (key, rungs).  The rungs
+# map delta = 0, 1, 2, 4, ... to the q = 0 level's dual record (tight, s)
+# there, each rung's roots warm-started from the rung below, as
+# `_Level.point` climbs them.  At q = 0 every user is tight and its root
+# reads only W1, varsigma, pc and its gamma, the key; not Pmax, eta, h
+# or Q.  So every ceiling of a channel draw swept over Pmax or eta
+# climbs one ladder, and only the f0 sign test of a rung, which reads
+# the harvest, is the draw's own.  A q > 0 level keeps its ladder to
+# itself: there q is a Dinkelbach iterate of one draw's harvest and
+# never recurs.  Assigned whole, and a published rungs dict is never
+# changed, so a level never reads a ladder of other roots; two threads
+# that extend one ladder both publish equal rungs.
+_latest_ladder: tuple[tuple, dict[float, tuple[list[int], list[float]]]] = ((), {})
+
+
 class _Level:
     """KKT solve of a draw at fixed (q, vartheta): picks delta and
     assembles the point."""
@@ -333,6 +350,16 @@ class _Level:
         # dual record memo keyed on delta: repeat evaluations at one
         # delta must agree bit for bit or boundary sign tests can flip
         self._duals: dict[float, tuple[list[int], list[float]]] = {}
+        # the WET-gate ladder this level climbs: at q = 0 the one shared
+        # under the key its roots read (`_latest_ladder`); at q > 0 the
+        # key is None and the ladder stays empty
+        self._ladder: dict[float, tuple[list[int], list[float]]] = {}
+        self._ladder_key = None
+        if q == 0.0:
+            self._ladder_key = (self.W1, draw.vs, draw.pc, draw.gammas)
+            latest, rungs = _latest_ladder
+            if latest == self._ladder_key:
+                self._ladder = rungs
 
     def p_of_s(self, k: int, s: float) -> float:
         return _power(s, self.draw.gammas[k], self.cln)
@@ -369,14 +396,45 @@ class _Level:
         Q = self.draw.Q
         return math.fsum(Q[k] / self.D_of_s(k, sk) for k, sk in zip(tight, s))
 
+    def _climb(self, delta: float) -> float:
+        """f0 at delta, the next rung of the level's WET-gate ladder.
+
+        A rung already on the ladder goes into the memo, and its roots
+        become the warm starts, as solving it would leave them.  At
+        q = 0 a rung above the top is solved, and the ladder with it
+        added is published.
+        """
+        global _latest_ladder
+        rec = self._ladder.get(delta)
+        if rec is not None:
+            self._duals[delta] = rec
+            warm = self._warm
+            for k, sk in zip(*rec):
+                warm[k] = sk
+        elif self._ladder_key is not None:
+            self._ladder = {**self._ladder, delta: self.duals(delta)}
+            _latest_ladder = (self._ladder_key, self._ladder)
+        return self._f0_at(delta)
+
     def point(self) -> _Point:
-        """Pick the delta regime and assemble the inner maximizer."""
-        if self._f0_at(0.0) <= 0.0:
+        """Pick the delta regime and assemble the inner maximizer.
+
+        The charging gate is tested on the WET-gate ladder: the dual
+        records at delta = 0, 1, 2, 4, ..., each rung's roots
+        warm-started from the rung below, up to the first rung where the
+        gate is shut.  At q = 0 those roots read neither Pmax, eta, h nor
+        Q (`_latest_ladder`), so a ceiling copies the rungs an earlier
+        ceiling of the same gammas solved and tests only their f0 signs.
+        The climb stops at the rung a cold climb stops at, with the same
+        memo and warm starts, so brentq and the assembly read the same
+        doubles.
+        """
+        if self._climb(0.0) <= 0.0:
             return self.uncharged_point()
 
         # Charging pays at delta = 0: find where its gate closes.
         Tmax, harvest = self.draw.par.Tmax, self.draw.harvest
-        hi = _double_until(lambda d: self._f0_at(d) <= 0.0, 1.0, "WET gate delta")
+        hi = _double_until(lambda d: self._climb(d) <= 0.0, 1.0, "WET gate delta")
         delta_w = brentq(self._f0_at, 0.0, hi, maxiter=200)
         base_w = self._base_at(delta_w)
         if base_w <= Tmax:

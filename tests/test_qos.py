@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import random
 import sys
 import threading
 
@@ -19,12 +20,15 @@ from wpcn_ee import (
     f0_wet_gate,
     grid_search_qos,
     GridSpec,
+    dbm_to_watts,
     is_feasible,
     kkt_threshold_x,
+    load_config,
     max_throughput,
     max_user_ee,
     multiplier_mu,
     power_from_duals,
+    run_sweep,
     scenario_from_values,
     solve_best_effort,
     solve_qos,
@@ -32,10 +36,10 @@ from wpcn_ee import (
 )
 from wpcn_ee import qos
 from wpcn_ee.model import LN2
-from wpcn_ee.qos import _s_root, _stationarity
+from wpcn_ee.qos import DualState, _s_root, _stationarity
 from wpcn_ee.search import newton_bisect
 
-from conftest import random_scenario, stock_params, with_floor
+from conftest import cfg_file, random_scenario, stock_params, with_floor
 
 
 def _stationarity_prime(s, gamma, cln, W1, vs, pc):
@@ -44,8 +48,10 @@ def _stationarity_prime(s, gamma, cln, W1, vs, pc):
 
 
 def forget_draws():
-    # empty the solver's draw record, as a cold process has it
+    # empty the solver's draw record and ceiling ladder, as a cold
+    # process has them
     qos._latest_draw = ((), None)
+    qos._latest_ladder = ((), {})
 
 
 def score(gamma, q, vartheta, delta, par):
@@ -643,21 +649,142 @@ def test_concurrent_solves_on_different_draws_match_serial_ones():
     assert qos._latest_draw[1].scen.users in [floors[0].users for floors in jobs]
 
 
-def test_level_solves_each_root_once_per_delta(monkeypatch):
-    # every read of a user's dual at one delta (charging gate, block fit,
-    # assembly) must reuse one root, or boundary sign tests can flip
-    roots, time_bound = [], []
-    s_root, solve_time_bound = qos._s_root, qos._Level._solve_time_bound
+def ceiling(scen):
+    """repr of the rate ceiling and of its q = 0 duals."""
+    sol = max_throughput(scen)
+    pt = qos._draw(scen).level(0.0, 0.0)
+    return repr((sol, DualState(q=0.0, vartheta=0.0, delta=pt.delta, mu=pt.mu)))
+
+
+def count_roots(monkeypatch):
+    # the (gamma, delta) of every KKT root solved, in order
+    roots = []
+    s_root = qos._s_root
 
     def recording_s_root(gamma, q, delta, *rest):
         roots.append((gamma, delta))
         return s_root(gamma, q, delta, *rest)
 
+    monkeypatch.setattr(qos, "_s_root", recording_s_root)
+    return roots
+
+
+PMAX_DBM = (10.0, 20.0, 25.0, 30.0, 35.0, 40.0, 43.0, 50.0, 60.0)
+ETA = (0.05, 0.2, 0.4, 0.6, 0.75, 0.9)
+
+
+@pytest.mark.parametrize("K", [2, 5, 10])
+@pytest.mark.parametrize("q_mode", ["zero", "mixed"])
+@pytest.mark.parametrize("axis", ["Pmax", "eta"])
+def test_ceilings_swept_over_pmax_or_eta_match_cold_solves(monkeypatch, K, q_mode, axis):
+    # the ceilings of one draw share the WET-gate ladder across Pmax and
+    # eta; in any sweep order each must equal a cold solve to the bit
+    values = [dbm_to_watts(x) for x in PMAX_DBM] if axis == "Pmax" else list(ETA)
+    base = random_scenario(np.random.default_rng(1000 + K), K, q_mode=q_mode)
+    scens = {
+        v: scenario_from_values(
+            dataclasses.replace(base.params, **{axis: v}), base.h, base.gamma, base.Q
+        )
+        for v in values
+    }
+    roots = count_roots(monkeypatch)
+    cold = {}
+    for v, scen in scens.items():
+        forget_draws()
+        cold[v] = ceiling(scen)
+    cold_roots = len(roots)
+    shuffled = list(values)
+    random.Random(K).shuffle(shuffled)
+    for order in (values, values[::-1], shuffled):
+        forget_draws()
+        roots.clear()
+        assert [ceiling(scens[v]) for v in order] == [cold[v] for v in order]
+        # the ladder was shared: fewer roots than the cold solves took
+        assert len(roots) < cold_roots
+    assert len(qos._latest_ladder[1]) > 1
+
+
+def test_pmax_round_solves_each_ladder_root_once(monkeypatch, tmp_path):
+    # the benchmark's pmax_sweep round: K = 5, two trials from seed
+    # 8700, six station powers.  Without the shared ladder it solved
+    # 1,700 roots; the 12 ceilings and their 364 gate evaluations stay
+    levels = record_levels(monkeypatch)
+    roots = count_roots(monkeypatch)
+    gates = []
+    f0_at = qos._Level._f0_at
+
+    def recording_f0_at(self, delta):
+        gates.append(delta)
+        return f0_at(self, delta)
+
+    monkeypatch.setattr(qos._Level, "_f0_at", recording_f0_at)
+    payload = {
+        "geometry": {"K": 5},
+        "initial_energy_J": 0.0,
+        "sweep": {
+            "axis": "Pmax_dBm",
+            "values": [20, 25, 30, 35, 40, 43],
+            "trials": 2,
+            "base_seed": 8700,
+        },
+        "schemes": ["ee_optimal", "throughput_optimal", "fixed_proportion"],
+        "rho_list": [1.0],
+        "output": str(tmp_path / "out.csv"),
+    }
+    run_sweep(load_config(cfg_file(tmp_path, payload)))
+    assert len(levels) == 12 and len(gates) == 364
+    assert len(roots) == 705
+
+
+def test_concurrent_ceilings_at_different_pmax_match_cold_ones():
+    # four threads sweep one draw's ceilings over Pmax in different
+    # orders, extending and replacing one another's ladder at every
+    # switch; each must still answer as a cold solve does
+    base = random_scenario(np.random.default_rng(5), 5, q_mode="mixed")
+    scens = [
+        scenario_from_values(
+            dataclasses.replace(base.params, Pmax=dbm_to_watts(x)), base.h, base.gamma, base.Q
+        )
+        for x in PMAX_DBM
+    ]
+    want = []
+    for scen in scens:
+        forget_draws()
+        want.append(ceiling(scen))
+    orders = [list(range(len(scens))) for _ in range(4)]
+    for i, order in enumerate(orders):
+        random.Random(i).shuffle(order)
+    got = [[] for _ in orders]
+
+    def work(i):
+        for _ in range(3):
+            got[i].extend(ceiling(scens[j]) for j in orders[i])
+
+    forget_draws()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(orders))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[want[j] for j in order] * 3 for order in orders]
+
+
+def test_level_solves_each_root_once_per_delta(monkeypatch):
+    # every read of a user's dual at one delta (charging gate, block fit,
+    # assembly) must reuse one root, or boundary sign tests can flip
+    roots, time_bound = count_roots(monkeypatch), []
+    solve_time_bound = qos._Level._solve_time_bound
+
     def recording_time_bound(self, *args):
         time_bound.append(args)
         return solve_time_bound(self, *args)
 
-    monkeypatch.setattr(qos, "_s_root", recording_s_root)
     monkeypatch.setattr(qos._Level, "_solve_time_bound", recording_time_bound)
 
     # empty batteries, q at half the best-effort EE: the charging slot is on
