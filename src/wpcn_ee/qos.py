@@ -584,6 +584,10 @@ def _solve_q(draw: _Draw, q: float, rmin: float | None) -> tuple[_Point, float, 
     bisection of a fill halves its pair down to float adjacency, where
     neighbouring multipliers share a W1: the draw solves each W1 once,
     across this solve and every other floor of the draw.
+
+    A Dinkelbach solve calls this only until the floor binds (vartheta
+    > 0); later iterates reprice that point (`_reprice`), so a solve
+    searches vartheta, and fills, at most once.
     """
     p0 = draw.level(q, 0.0)
     if rmin is None or _reaches_floor(p0.B, rmin):
@@ -641,6 +645,20 @@ def _solve_q(draw: _Draw, q: float, rmin: float | None) -> tuple[_Point, float, 
     return filled, above, 1
 
 
+def _reprice(pt: _Point, q_b: float, q: float) -> _Point:
+    """The point where the floor first bound, at q_b, as the inner
+    maximizer at a later q.
+
+    While the floor binds, the inner problem at any q is to meet Rmin at
+    least energy, so the allocation stays; only the multipliers move.
+    F is homogeneous in (W1, s): F_{c*W1}(c*s) = c*F_{W1}(s).  So at
+    c = q/q_b the same allocation solves the KKT system of q with
+    W1 scaled by c, delta and every mu scaled by c.
+    """
+    c = q / q_b
+    return dataclasses.replace(pt, delta=c * pt.delta, mu=tuple(c * m for m in pt.mu))
+
+
 def dinkelbach_T(q: float, scen: Scenario) -> tuple[float, Allocation]:
     """Value and maximizer of the subtractive inner problem at this q."""
     _require_nonnegative(q=q)
@@ -661,6 +679,14 @@ def solve_qos_detailed(scen: Scenario) -> tuple[SolutionReport, DualState, list[
     ("cap"); the report's iterations name the reason under "stop".  On a
     stall the previous iterate is reported, with its duals and the q it
     was solved at, and the last row's T is that iterate's at the last q.
+
+    Only the iterates before the floor binds solve the inner problem.
+    The first one whose floor multiplier is positive, at q_b with
+    vartheta_b, fixes the point: it maximizes B - q_eff*E with
+    q_eff = q_b/(1 + vartheta_b), and every later iterate q reports it
+    with vartheta = q/q_eff - 1 and its duals scaled by q/q_b, building
+    no KKT level.  The point is kept for this solve only, so each floor
+    of a draw is solved as it would be alone.
     """
     rmin = scen.params.Rmin
     if rmin is None:
@@ -675,11 +701,18 @@ def solve_qos_detailed(scen: Scenario) -> tuple[SolutionReport, DualState, list[
     fills_total = 0
     pt, theta = None, 0.0
     prev: tuple[_Point, float, float] | None = None  # (point, vartheta, q) of the last iterate
+    bound: tuple[_Point, float, float] | None = None  # (point, q, q_eff) where the floor first bound
     stop = "cap"
     for it in range(1, _MAX_OUTER + 1):
-        # at q = 0 this is the memoised rate ceiling, which meets the floor
-        pt, theta, fills = _solve_q(draw, q, rmin)
-        fills_total += fills
+        if bound is None:
+            # at q = 0 this is the memoised rate ceiling, which meets the floor
+            pt, theta, fills = _solve_q(draw, q, rmin)
+            fills_total += fills
+            if theta > 0.0:
+                bound = (pt, q, q / (1.0 + theta))
+        else:
+            pt_b, q_b, q_eff = bound
+            pt, theta = _reprice(pt_b, q_b, q), q / q_eff - 1.0
         T = pt.B - q * pt.E
         trace.append((it, q, T))
         if abs(T) < _EPS or pt.E <= 0.0:

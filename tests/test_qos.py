@@ -270,12 +270,12 @@ def test_dinkelbach_trace_monotone():
         assert len(trace) <= 10
 
 
-def test_near_ceiling_floor_stops_when_q_stalls():
-    # K = 2, seed 9002, Rmin = 0.999999 R*: q reaches its fixed point at
-    # row 3, where the new maximizer's T reads -3e-8, the inner solve's
-    # resolution, and its ratio falls below q.  The loop used to cycle in
-    # the last digits up to its cap of 30 rows; it now stops there and
-    # keeps the previous iterate, so the trace has criterion 6's shape
+def test_near_ceiling_floor_converges_on_its_binding_point():
+    # K = 2, seed 9002, Rmin = 0.999999 R*: the floor binds at row 2, and
+    # row 3 reads that point at the new q, where T is -3e-11, so the
+    # loop converges there; a fresh floor search at row 3 finds a
+    # maximizer whose ratio falls below q, within the inner solve's
+    # resolution
     par = default_system_params()
     base = generate_scenario(default_geometry(K=2, seed=9002), par)
     scen = with_floor(base, 0.999999 * max_throughput(base).R_star)
@@ -283,20 +283,50 @@ def test_near_ceiling_floor_stops_when_q_stalls():
     qs = [row[1] for row in trace]
     assert all(b > a for a, b in zip(qs, qs[1:]))
     assert abs(trace[-1][2]) <= 1e-8
-    assert len(trace) <= 10
-    assert rep.iterations == {"outer": 3, "fills": 0, "stop": "stalled"}
-    # the kept iterate's ratio is the last q, and it meets the floor
+    assert rep.iterations == {"outer": 3, "fills": 0, "stop": "converged"}
+    # row 2's allocation, to the bit
+    assert rep.alloc.tau0 == 0.14132575951543322
+    assert rep.alloc.p == (0.005090612790043962, 0.0316001721782482)
+    assert rep.alloc.tau == (0.20962923945499393, 0.6490450010295731)
     assert rep.ee == qs[-1]
     assert check_constraints(rep.alloc, scen, tol=1e-7).feasible
-    # its duals were solved at the q before: each tight user's root
+    # its duals, rescaled to the last q: each tight user's root
     W1 = par.W * (1.0 + duals.vartheta)
     cln = W1 * par.varsigma / LN2
-    assert duals.q == qs[-2]
+    assert duals.q == qs[-1]
     for k in rep.scheduled:
-        if duals.mu[k] > 0.0:
-            s = duals.q + duals.mu[k]
-            resid = _stationarity(s, scen.gamma[k], cln, W1, par.varsigma, par.pc) - duals.delta
-            assert abs(resid) <= 1e-6 * W1
+        assert duals.mu[k] > 0.0
+        s = duals.q + duals.mu[k]
+        resid = _stationarity(s, scen.gamma[k], cln, W1, par.varsigma, par.pc) - duals.delta
+        assert abs(resid) <= 1e-6 * W1
+
+
+def test_dinkelbach_keeps_the_previous_iterate_when_q_stalls(monkeypatch):
+    # the stall stop, with an inner solve that hands row 3 the rate
+    # ceiling again: its ratio is row 2's q, below row 3's, and its T is
+    # far from 0.  The loop stops there and keeps row 2's maximizer,
+    # with the duals solved at row 2's q; row 3's T is that iterate's
+    # at row 3's q
+    par = default_system_params()
+    base = generate_scenario(default_geometry(K=2, seed=9002), par)
+    scen = with_floor(base, 0.5 * solve_best_effort(base).throughput)
+    solved = []
+    solve_q = qos._solve_q
+
+    def stalling_solve_q(draw, q, rmin):
+        solved.append(solve_q(draw, q, rmin))
+        return solved[0] if len(solved) == 3 else solved[-1]
+
+    monkeypatch.setattr(qos, "_solve_q", stalling_solve_q)
+    rep, duals, trace = solve_qos_detailed(scen)
+    qs = [row[1] for row in trace]
+    assert rep.iterations == {"outer": 3, "fills": 0, "stop": "stalled"}
+    assert len(solved) == 3 and all(theta == 0.0 for _, theta, _ in solved)
+    kept = solved[1][0]
+    assert rep.alloc == kept.alloc and rep.ee == qs[-1] == kept.B / kept.E
+    assert trace[-1] == (3, qs[-1], kept.B - qs[-1] * kept.E)
+    assert abs(trace[-1][2]) <= 1e-8
+    assert duals == DualState(q=qs[-2], vartheta=0.0, delta=kept.delta, mu=kept.mu)
 
 
 def test_converged_duals_satisfy_kkt():
@@ -571,6 +601,38 @@ def test_second_floor_of_a_draw_builds_only_new_levels(monkeypatch):
     assert repr(warm) == repr(cold)
 
 
+def test_binding_floor_builds_no_level_after_it_binds(monkeypatch):
+    # seed 8700, K = 10, Rmin = 220 kbit: the floor first binds at row 4.
+    # Row 5 reads row 4's point, rescaled to its q, and builds no level;
+    # the loop still takes 5 rows.  The answer agrees with a cold inner
+    # solve at the reported EE
+    built = record_levels(monkeypatch)
+    base = generate_scenario(default_geometry(K=10, seed=8700), default_system_params())
+    scen = with_floor(base, 220e3)
+    rep, duals, trace = solve_qos_detailed(scen)
+    qs = [row[1] for row in trace]
+    assert rep.iterations == {"outer": 5, "fills": 0, "stop": "converged"}
+    assert any(q == qs[-2] and W1 > base.params.W for q, W1 in built)
+    assert {q for q, _ in built} <= set(qs[:-1])
+    assert duals.q == qs[-1] and duals.vartheta > 0.0
+    forget_draws()
+    T, _ = dinkelbach_T(rep.ee, scen)
+    assert abs(T) <= 1e-8
+
+
+def test_sweep_floors_solved_cold_match_the_sweep():
+    # the six floors of a seed-8700 rmin sweep trial, solved back to back
+    # on one draw as the sweep solves them, then each from a cold process
+    # state: report, duals and trace agree to the bit
+    draw = generate_scenario(default_geometry(K=10, seed=8700), default_system_params())
+    floors = [with_floor(draw, r) for r in (50e3, 120e3, 190e3, 220e3, 245e3, 255e3)]
+    forget_draws()
+    in_sweep = [repr(solve_qos_detailed(scen)) for scen in floors]
+    for scen, want in zip(floors, in_sweep):
+        forget_draws()
+        assert repr(solve_qos_detailed(scen)) == want
+
+
 def read_by_levels(scen):
     """Each user's (gamma, h, Q): what a KKT level reads of a draw."""
     return [(u.gamma, u.h, u.Q) for u in scen.users]
@@ -802,14 +864,14 @@ def test_level_solves_each_root_once_per_delta(monkeypatch):
 
 
 def test_threshold_gap_solve_is_pinned():
-    # mixed batteries, Rmin = 0.7 R*: 15 of the solve's 17 KKT levels
+    # mixed batteries, Rmin = 0.7 R*: 7 of the solve's 9 KKT levels
     # land in the gap of the time-bound regime, and so does the answer:
     # user 3 sits at the threshold (mu = 0) with a free slot, no fill
     base = random_scenario(np.random.default_rng(0), 6, q_mode="mixed")
     scen = with_floor(base, 0.7 * max_throughput(base).R_star)
     rep, duals, _ = solve_qos_detailed(scen)
     assert rep.alloc.tau[3] > 0.0 and duals.mu[3] == 0.0
-    assert rep.ee == 302666.99567325483
+    assert rep.ee == 302666.99567325495
     assert rep.throughput == 71113.11594700714
     assert rep.iterations == {"outer": 4, "fills": 0, "stop": "converged"}
 
