@@ -25,7 +25,15 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .model import Scenario, SystemParams, UserChannel, _admissible, _battery_vector, db_to_linear
+from .model import (
+    Scenario,
+    SystemParams,
+    UserChannel,
+    _admissible,
+    _battery_vector,
+    _require_integer,
+    db_to_linear,
+)
 
 _MAX_ATTEMPTS = 100  # admissibility redraws before generate_scenario gives up
 
@@ -54,10 +62,8 @@ class GeometryConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("K", "seed"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
+        _require_integer("K", self.K)
+        _require_integer("seed", self.seed)
         if self.seed < 0:
             raise ValueError(f"expected non-negative integer seed, got {self.seed!r}")
         for f in fields(self):

@@ -34,6 +34,7 @@ from .model import (
     _joules,
     _reaches_floor,
     _report,
+    _require_integer,
     check_constraints,
     db_to_linear,
     dbm_to_watts,
@@ -124,10 +125,16 @@ class SweepSpec:
             raise ValueError(f"unknown sweep axis {self.axis!r}; pick one of {SWEEP_AXES}")
         if not self.values:
             raise ValueError("sweep needs at least one value")
+        if not all(map(math.isfinite, self.values)):
+            raise ValueError(f"sweep values must be finite, got {self.values!r}")
         if len(set(self.values)) != len(self.values):
             raise ValueError("sweep values must be distinct")
+        _require_integer("trials", self.trials)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        _require_integer("base_seed", self.base_seed)
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be non-negative, got {self.base_seed!r}")
 
 
 @dataclass(frozen=True)

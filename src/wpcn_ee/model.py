@@ -202,6 +202,12 @@ def _is_charge(x) -> bool:
     return isinstance(x, (float, int)) or isinstance(x, numbers.Real)
 
 
+def _require_integer(name: str, v) -> None:
+    """Reject anything but an integer, numpy's included; a bool is not 1."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+
+
 def _battery_vector(Q: Iterable[float] | float, K: int) -> tuple[float, ...]:
     """One initial charge per user from a real scalar shared by every
     user or a sequence of K of them."""

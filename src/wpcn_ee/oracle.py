@@ -27,6 +27,7 @@ from .model import (
     SolutionReport,
     _reaches_floor,
     _report,
+    _require_integer,
     zero_allocation,
 )
 from .user_ee import max_user_ee
@@ -42,6 +43,8 @@ class GridSpec:
     n_p: int = 25
 
     def __post_init__(self) -> None:
+        _require_integer("n_tau", self.n_tau)
+        _require_integer("n_p", self.n_p)
         if self.n_tau < 2 or self.n_p < 2:
             raise ValueError("need at least 2 points per axis")
 

@@ -268,8 +268,13 @@ class _Draw:
     W1 = W*(1 + t), and it is built fresh, with no warm start, so its
     point is the same to the bit whichever solve first asked for it:
     every floor of a draw, and the rate ceiling, share its levels.
-    The rate ceiling's level also shares its WET-gate ladder with the
-    ceilings of other draws that read the same roots (`_latest_ladder`).
+
+    The rate ceiling also climbs the draw's WET-gate ladder, its dual
+    records at delta = 0, 1, 2, 4, ... (`_Level.point`).  At q = 0 those
+    roots read only `roots`, so `_draw` passes the ladder on to the next
+    draw of equal roots: the ceilings of a draw swept over Pmax or eta
+    solve each rung once.  A stored rung never changes and is the same to
+    the bit whichever ceiling solved it, so the shared ladder only grows.
     """
 
     def __init__(self, scen: Scenario):
@@ -280,6 +285,9 @@ class _Draw:
         self.Q = [u.Q for u in scen.users]
         self.harvest, self.wet_cost = _charging(scen)
         self.points: dict[tuple[float, float], _Point] = {}
+        # everything a q = 0 root reads
+        self.roots = (par.W, self.vs, self.pc, self.gammas)
+        self.ladder: dict[float, tuple[list[int], list[float]]] = {}
 
     def level(self, q: float, t: float) -> _Point:
         """The inner maximizer at price q and floor multiplier t, built
@@ -302,13 +310,15 @@ class _Draw:
 # it: a scenario rebuilt from (h, gamma, Q) shares the draw even where
 # its back-computed g differs in the last bit.  Assigned whole, so a
 # solve never reads the points of another draw; two threads that miss
-# on one point both build it and store equal points.
+# on one point both build it and store equal points, and two that
+# extend one ladder store equal rungs.
 _latest_draw: tuple[tuple, _Draw | None] = ((), None)
 
 
 def _draw(scen: Scenario) -> _Draw:
     """The draw of scen, shared with the latest solve of the same draw;
-    each public entry point forms its key once."""
+    each public entry point forms its key once.  A new draw takes over
+    the previous draw's ladder when their roots are equal."""
     global _latest_draw
     key = (
         dataclasses.replace(scen.params, Rmin=None),
@@ -316,24 +326,11 @@ def _draw(scen: Scenario) -> _Draw:
     )
     latest, draw = _latest_draw
     if latest != key:
-        draw = _Draw(scen)
+        prev, draw = draw, _Draw(scen)
+        if prev is not None and prev.roots == draw.roots:
+            draw.ladder = prev.ladder
         _latest_draw = (key, draw)
     return draw
-
-
-# The latest rate ceiling's WET-gate ladder, as (key, rungs).  The rungs
-# map delta = 0, 1, 2, 4, ... to the q = 0 level's dual record (tight, s)
-# there, each rung's roots warm-started from the rung below, as
-# `_Level.point` climbs them.  At q = 0 every user is tight and its root
-# reads only W1, varsigma, pc and its gamma, the key; not Pmax, eta, h
-# or Q.  So every ceiling of a channel draw swept over Pmax or eta
-# climbs one ladder, and only the f0 sign test of a rung, which reads
-# the harvest, is the draw's own.  A q > 0 level keeps its ladder to
-# itself: there q is a Dinkelbach iterate of one draw's harvest and
-# never recurs.  Assigned whole, and a published rungs dict is never
-# changed, so a level never reads a ladder of other roots; two threads
-# that extend one ladder both publish equal rungs.
-_latest_ladder: tuple[tuple, dict[float, tuple[list[int], list[float]]]] = ((), {})
 
 
 class _Level:
@@ -350,16 +347,9 @@ class _Level:
         # dual record memo keyed on delta: repeat evaluations at one
         # delta must agree bit for bit or boundary sign tests can flip
         self._duals: dict[float, tuple[list[int], list[float]]] = {}
-        # the WET-gate ladder this level climbs: at q = 0 the one shared
-        # under the key its roots read (`_latest_ladder`); at q > 0 the
-        # key is None and the ladder stays empty
-        self._ladder: dict[float, tuple[list[int], list[float]]] = {}
-        self._ladder_key = None
-        if q == 0.0:
-            self._ladder_key = (self.W1, draw.vs, draw.pc, draw.gammas)
-            latest, rungs = _latest_ladder
-            if latest == self._ladder_key:
-                self._ladder = rungs
+        # the draw's WET-gate ladder, climbed by the rate ceiling only:
+        # a floor level's q is a Dinkelbach iterate and never recurs
+        self._ladder = draw.ladder if q == 0.0 and vartheta == 0.0 else None
 
     def p_of_s(self, k: int, s: float) -> float:
         return _power(s, self.draw.gammas[k], self.cln)
@@ -397,23 +387,22 @@ class _Level:
         return math.fsum(Q[k] / self.D_of_s(k, sk) for k, sk in zip(tight, s))
 
     def _climb(self, delta: float) -> float:
-        """f0 at delta, the next rung of the level's WET-gate ladder.
+        """f0 at delta, the next rung of the rate ceiling's WET-gate ladder.
 
         A rung already on the ladder goes into the memo, and its roots
-        become the warm starts, as solving it would leave them.  At
-        q = 0 a rung above the top is solved, and the ladder with it
-        added is published.
+        become the warm starts, as solving it would leave them; a rung
+        above the top is solved and stored.  Other levels climb no ladder.
         """
-        global _latest_ladder
-        rec = self._ladder.get(delta)
-        if rec is not None:
-            self._duals[delta] = rec
-            warm = self._warm
-            for k, sk in zip(*rec):
-                warm[k] = sk
-        elif self._ladder_key is not None:
-            self._ladder = {**self._ladder, delta: self.duals(delta)}
-            _latest_ladder = (self._ladder_key, self._ladder)
+        ladder = self._ladder
+        if ladder is not None:
+            rec = ladder.get(delta)
+            if rec is None:
+                ladder[delta] = self.duals(delta)
+            else:
+                self._duals[delta] = rec
+                warm = self._warm
+                for k, sk in zip(*rec):
+                    warm[k] = sk
         return self._f0_at(delta)
 
     def point(self) -> _Point:
@@ -423,8 +412,8 @@ class _Level:
         records at delta = 0, 1, 2, 4, ..., each rung's roots
         warm-started from the rung below, up to the first rung where the
         gate is shut.  At q = 0 those roots read neither Pmax, eta, h nor
-        Q (`_latest_ladder`), so a ceiling copies the rungs an earlier
-        ceiling of the same gammas solved and tests only their f0 signs.
+        Q (`_Draw`), so a ceiling copies the rungs an earlier ceiling of
+        the same roots solved and tests only their f0 signs.
         The climb stops at the rung a cold climb stops at, with the same
         memo and warm starts, so brentq and the assembly read the same
         doubles.
@@ -679,6 +668,10 @@ def solve_qos_detailed(scen: Scenario) -> tuple[SolutionReport, DualState, list[
     ("cap"); the report's iterations name the reason under "stop".  On a
     stall the previous iterate is reported, with its duals and the q it
     was solved at, and the last row's T is that iterate's at the last q.
+    The _EPS stop holds along this solve's path only: T at the reported
+    q, solved from a cold draw record, can exceed _EPS, and the bound it
+    meets is relative, |T| <= 1e-12*B (at most 2.5e-13*B over 523
+    binding floors, K = 2 to 20).
 
     Only the iterates before the floor binds solve the inner problem.
     The first one whose floor multiplier is positive, at q_b with

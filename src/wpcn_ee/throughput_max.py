@@ -22,7 +22,7 @@ import dataclasses
 from dataclasses import dataclass
 
 from .model import Allocation, Scenario, with_initial_energy
-from .qos import _Draw, _Level, _draw
+from .qos import _Draw, _Level, _draw, _require_nonnegative
 
 # Unused here: bound only for the layer spans in perfbench/spans.py.
 from .search import golden_section_max, newton_bisect  # noqa: F401
@@ -40,11 +40,11 @@ def inner_time_allocation(tau0: float, scen: Scenario) -> tuple[tuple[float, ...
     """Optimal uplink time split for a given charging time.
 
     Returns (tau, R(tau0)).  tau0 at or beyond Tmax leaves no uplink
-    time and yields R = 0.  Time the users cannot use profitably stays
-    idle rather than being forced on them.
+    time and yields R = 0; a negative or non-finite tau0 is an error.
+    Time the users cannot use profitably stays idle rather than being
+    forced on them.
     """
-    if tau0 < 0.0:
-        raise ValueError("tau0 must be nonnegative")
+    _require_nonnegative(tau0=tau0)
     par = scen.params
     if tau0 >= par.Tmax:
         return (0.0,) * scen.K, 0.0

@@ -253,9 +253,10 @@ def test_geometry_validation():
         GeometryConfig(K=2, d_min_m=5.0, d_max_m=2.0)
     with pytest.raises(ValueError):
         GeometryConfig(K=2, d_max_m=400.0, d_rx_m=300.0)
-    for ref_gain in (0.0, -1.0):
-        with pytest.raises(ValueError, match="ref_gain must be positive"):
-            GeometryConfig(K=2, ref_gain=ref_gain)
+    for name in ("alpha", "ref_gain"):
+        for bad in (0.0, -1.0):
+            with pytest.raises(ValueError, match=f"{name} must be positive"):
+                GeometryConfig(K=2, **{name: bad})
     # K and seed must be integers (numpy's included, bools not), and the
     # seed non-negative; each used to fail inside numpy at the draw
     for bad, message in (

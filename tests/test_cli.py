@@ -113,6 +113,12 @@ def test_config_errors_exit_one(tmp_path, capsys):
         ({"sweep": {"axis": "Pmax_dBm", "values": [30, 30.0]}}, "sweep values must be distinct"),
         ({"sweep": {"axis": "eta", "values": []}}, "sweep needs at least one value"),
         ({"sweep": {"axis": "eta", "values": [0.5], "trials": 0}}, "trials must be >= 1"),
+        # a NaN value and a negative base seed used to fail only at the draw
+        ({"sweep": {"axis": "eta", "values": [math.nan]}}, "sweep values must be finite"),
+        (
+            {"sweep": {"axis": "eta", "values": [0.5], "base_seed": -1}},
+            "base_seed must be non-negative, got -1",
+        ),
         ([{"geometry": {"K": 2}}], "configuration must be a JSON object"),
         ({"system": {"eta": None}}, "wrong JSON type"),
         ({"initial_energy_J": None}, "wrong JSON type"),

@@ -17,6 +17,7 @@ from wpcn_ee import (
     MODE_PWPCN,
     MODE_QOS,
     RAW_COLUMNS,
+    SweepSpec,
     baseline_fixed_proportion,
     check_constraints,
     expand_schemes,
@@ -98,6 +99,38 @@ def test_a_sweep_with_nothing_to_run_is_rejected(tmp_path):
     # an empty rho list is fine when no scheme reads it
     cfg = load_config(cfg_file(tmp_path, {**sweep, "rho_list": []}))
     assert expand_schemes(cfg.schemes, cfg.rho_list) == ("ee_optimal",)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"trials": 2.5}, "trials must be an integer"),
+        ({"trials": True}, "trials must be an integer"),
+        ({"base_seed": -1}, "base_seed must be non-negative"),
+        ({"base_seed": 1.5}, "base_seed must be an integer"),
+        ({"values": (math.nan,)}, "sweep values must be finite"),
+    ],
+    ids=["fractional-trials", "bool-trials", "negative-seed", "fractional-seed", "nan-value"],
+)
+def test_sweep_spec_rejects_bad_fields(bad, message):
+    # each used to be accepted, and then failed at the draw or swept a
+    # NaN axis value into every row
+    fields = {"axis": "eta", "values": (0.9,), "trials": 1, "base_seed": 0, **bad}
+    with pytest.raises(ValueError, match=message):
+        SweepSpec(**fields)
+
+
+def test_benchmark_workloads_load_and_run_their_schemes():
+    # the benchmark's sweep configurations pass the configuration checks,
+    # and every scheme they expand to solves their first sweep point
+    workloads = Path(__file__).resolve().parent.parent / "perfbench" / "workloads"
+    paths = sorted(workloads.glob("*.json"))
+    assert paths
+    for path in paths:
+        cfg = load_config(path)
+        scen = _apply_axis(cfg, cfg.sweep.values[0], cfg.sweep.base_seed)
+        for scheme in expand_schemes(cfg.schemes, cfg.rho_list):
+            run_scheme(scheme, scen)
 
 
 def test_fixed_proportion_never_beats_the_optimum():

@@ -2,6 +2,7 @@
 better be trustworthy before the solvers are judged against it."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -176,6 +177,10 @@ def test_gridspec_validation():
         GridSpec(n_tau=1)
     with pytest.raises(ValueError):
         GridSpec(n_p=1)
+    # n_tau = inf used to pass and fail later in the grid walk
+    for bad in ({"n_tau": math.inf}, {"n_tau": 40.0}, {"n_p": True}):
+        with pytest.raises(ValueError, match=f"{next(iter(bad))} must be an integer"):
+            GridSpec(**bad)
 
 
 def test_size_cap_enforced():

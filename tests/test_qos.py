@@ -48,10 +48,9 @@ def _stationarity_prime(s, gamma, cln, W1, vs, pc):
 
 
 def forget_draws():
-    # empty the solver's draw record and ceiling ladder, as a cold
-    # process has them
+    # empty the solver's draw record, and with it the ceiling's ladder,
+    # as a cold process has them
     qos._latest_draw = ((), None)
-    qos._latest_ladder = ((), {})
 
 
 def score(gamma, q, vartheta, delta, par):
@@ -101,6 +100,11 @@ def test_threshold_bracket_doubles_for_a_large_time_price():
     x = kkt_threshold_x(q, 0.0, delta, par)
     assert x > 32.0 * q * LN2 / (par.W * par.varsigma)
     assert score(x, q, 0.0, delta, par) == pytest.approx(0.0, abs=1e-9 * delta)
+
+
+def test_doubling_bracket_overflows_past_the_cap():
+    with pytest.raises(RuntimeError, match="^probe bracket overflow$"):
+        qos._double_until(lambda x: False, 1.0, "probe")
 
 
 def test_threshold_requires_positive_q():
@@ -268,6 +272,21 @@ def test_dinkelbach_trace_monotone():
         assert all(b > a for a, b in zip(qs, qs[1:]))
         assert abs(trace[-1][2]) < 1e-8
         assert len(trace) <= 10
+
+
+def test_cold_T_at_a_converged_floor_is_within_its_relative_bound():
+    # K = 2, seed 9004, batteries 0 and 0.05 J, Rmin = 0.999 R*: the loop
+    # stops with |T| < 1e-8 along its own path, but T at the reported EE,
+    # solved from a cold draw record, reads 9.2e-8; the stop holds cold
+    # only relative to B, within 1e-12 of it
+    par = default_system_params()
+    base = generate_scenario(default_geometry(K=2, seed=9004), par, Q=(0.0, 0.05))
+    scen = with_floor(base, 0.999 * max_throughput(base).R_star)
+    rep, _, trace = solve_qos_detailed(scen)
+    assert rep.iterations["stop"] == "converged" and abs(trace[-1][2]) < 1e-8
+    forget_draws()
+    T, _ = dinkelbach_T(rep.ee, scen)
+    assert 1e-8 < abs(T) <= 1e-12 * rep.throughput
 
 
 def test_near_ceiling_floor_converges_on_its_binding_point():
@@ -732,16 +751,22 @@ def count_roots(monkeypatch):
 
 
 PMAX_DBM = (10.0, 20.0, 25.0, 30.0, 35.0, 40.0, 43.0, 50.0, 60.0)
-ETA = (0.05, 0.2, 0.4, 0.6, 0.75, 0.9)
+SWEEPS = {
+    "Pmax": [dbm_to_watts(x) for x in PMAX_DBM],
+    "eta": [0.05, 0.2, 0.4, 0.6, 0.75, 0.9],
+    # pc is read by every root: no two of these ceilings share a rung
+    "pc": [1e-3, 2e-3, 5e-3, 1e-2, 2e-2],
+}
 
 
 @pytest.mark.parametrize("K", [2, 5, 10])
 @pytest.mark.parametrize("q_mode", ["zero", "mixed"])
-@pytest.mark.parametrize("axis", ["Pmax", "eta"])
+@pytest.mark.parametrize("axis", list(SWEEPS))
 def test_ceilings_swept_over_pmax_or_eta_match_cold_solves(monkeypatch, K, q_mode, axis):
     # the ceilings of one draw share the WET-gate ladder across Pmax and
-    # eta; in any sweep order each must equal a cold solve to the bit
-    values = [dbm_to_watts(x) for x in PMAX_DBM] if axis == "Pmax" else list(ETA)
+    # eta, and not across pc; in any sweep order each must equal a cold
+    # solve to the bit
+    values = SWEEPS[axis]
     base = random_scenario(np.random.default_rng(1000 + K), K, q_mode=q_mode)
     scens = {
         v: scenario_from_values(
@@ -761,9 +786,13 @@ def test_ceilings_swept_over_pmax_or_eta_match_cold_solves(monkeypatch, K, q_mod
         forget_draws()
         roots.clear()
         assert [ceiling(scens[v]) for v in order] == [cold[v] for v in order]
-        # the ladder was shared: fewer roots than the cold solves took
-        assert len(roots) < cold_roots
-    assert len(qos._latest_ladder[1]) > 1
+        if axis == "pc":
+            # no rung was shared across roots: as many as the cold solves took
+            assert len(roots) == cold_roots
+        else:
+            # the ladder was shared: fewer roots than the cold solves took
+            assert len(roots) < cold_roots
+    assert len(qos._latest_draw[1].ladder) > 1
 
 
 def test_pmax_round_solves_each_ladder_root_once(monkeypatch, tmp_path):

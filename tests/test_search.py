@@ -13,7 +13,7 @@ import pytest
 from scipy.optimize import brentq as scipy_brentq
 
 import wpcn_ee
-from wpcn_ee.search import brentq, golden_section_max
+from wpcn_ee.search import brentq, golden_section_max, newton_bisect
 
 
 def _outcome(solver, f, a, b, maxiter):
@@ -194,6 +194,13 @@ def test_every_private_helper_has_a_caller():
             ):
                 unused.append(f"{module}.{definition.name}")
     assert unused == []
+
+
+def test_newton_bisect_returns_a_root_at_the_left_end():
+    # f(lo) == 0 is answered with lo itself, before any step
+    f, calls = _counted(lambda x: x - 1.0)
+    assert newton_bisect(f, lambda x: 1.0, 1.0, 3.0, 2.0) == 1.0
+    assert calls == [1.0]
 
 
 def _counted(f):

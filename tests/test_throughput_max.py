@@ -116,8 +116,12 @@ def test_inner_allocation_consistency():
         p = max(0.0, par.varsigma * (A / t - par.pc))
         acc += t * par.W * math.log2(1.0 + p * scen.gamma[k])
     assert R == pytest.approx(acc, rel=1e-9)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="tau0 must be nonnegative"):
         inner_time_allocation(-0.1, scen)
+    # inf used to return an empty split with R = 0, and nan to blame Tmax
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="tau0 must be finite"):
+            inner_time_allocation(bad, scen)
 
 
 def test_rate_curve_unimodal():
