@@ -165,6 +165,19 @@ class ExperimentConfig:
                 raise ValueError("rho values must lie in [0, 1]")
         if len(set(self.rho_list)) != len(self.rho_list):
             raise ValueError("rho values must be distinct")
+        if isinstance(self.initial_energy, tuple):
+            # every user count the config is solved at: the geometry's
+            # (the single-solve commands) and each K a sweep visits
+            n = len(self.initial_energy)
+            counts = [self.geometry.K]
+            if self.sweep is not None and self.sweep.axis == "K":
+                counts += self.sweep.values
+            for K in counts:
+                if K != n:
+                    raise ValueError(
+                        "Q must be scalar or match the user count: initial_energy_J "
+                        f"has {n} entries, but K = {K:g}"
+                    )
 
 
 def _integer(key: str, v) -> int:

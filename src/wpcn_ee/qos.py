@@ -265,9 +265,13 @@ class _Draw:
     the points solved on it so far, keyed by (q, W1).
 
     A level reads neither Rmin nor the floor multiplier t except through
-    W1 = W*(1 + t), and it is built fresh, with no warm start, so its
-    point is the same to the bit whichever solve first asked for it:
-    every floor of a draw, and the rate ceiling, share its levels.
+    W1 = W*(1 + t).  A level at W1 = W (an anchor) is built from scratch;
+    a level at W1 != W starts its WET-gate climb at a rung read from its
+    anchor, the level at (q, W), if the anchor charges (its delta is then
+    its gate's root), and at 1 otherwise (`_start_rung`).  So each point
+    depends only on (draw, q, W1) and is the same to the bit whichever
+    solve first asked for it: every floor of a draw, and the rate ceiling,
+    share its levels, and no anchor reads a level at another W1.
 
     The rate ceiling also climbs the draw's WET-gate ladder, its dual
     records at delta = 0, 1, 2, 4, ... (`_Level.point`).  At q = 0 those
@@ -295,7 +299,14 @@ class _Draw:
         W1 = _w1_cln(self.par, t)[0]
         pt = self.points.get((q, W1))
         if pt is None:
-            pt = self.points[q, W1] = _Level(self, q, t).point()
+            start = 1.0
+            if W1 != self.par.W:
+                # the anchor, which _solve_q builds before any floor search;
+                # its delta is its gate's root only where it charges
+                anchor = self.level(q, 0.0)
+                if anchor.alloc.tau0 > 0.0:
+                    start = _start_rung(W1 / self.par.W * anchor.delta)
+            pt = self.points[q, W1] = _Level(self, q, t, start).point()
         return pt
 
     def reaches(self, rmin: float) -> bool:
@@ -313,6 +324,22 @@ class _Draw:
 # on one point both build it and store equal points, and two that
 # extend one ladder store equal rungs.
 _latest_draw: tuple[tuple, _Draw | None] = ((), None)
+
+
+def _start_rung(delta: float) -> float:
+    """The smallest power of two at or above max(1, delta): the first
+    WET-gate rung a level at W1 != W tests, delta being its anchor's
+    delta scaled by W1/W.
+
+    F_{c*W1}(c*s) = c*F_{W1}(s), so the gate of (q, c*W) closes at
+    c times that of (q/c, W), which is at least c times that of (q, W):
+    where the anchor's delta is its gate's root (the anchor charges),
+    the climb starts at or below its closing rung and doubles up to it.
+    """
+    if not delta > 1.0:
+        return 1.0
+    m, e = math.frexp(delta)
+    return math.ldexp(1.0, e - 1 if m == 0.5 else e)
 
 
 def _draw(scen: Scenario) -> _Draw:
@@ -337,9 +364,10 @@ class _Level:
     """KKT solve of a draw at fixed (q, vartheta): picks delta and
     assembles the point."""
 
-    def __init__(self, draw: _Draw, q: float, vartheta: float):
+    def __init__(self, draw: _Draw, q: float, vartheta: float, start: float = 1.0):
         self.draw = draw
         self.q = q
+        self.start = start  # the WET-gate rung the climb tests first
         self.W1, self.cln = _w1_cln(draw.par, vartheta)
         self.heads = [_score(g, q, self.cln, self.W1, draw.vs, draw.pc) for g in draw.gammas]
         # each tight user's last root, the next root's warm start (0 at first)
@@ -408,13 +436,17 @@ class _Level:
     def point(self) -> _Point:
         """Pick the delta regime and assemble the inner maximizer.
 
-        The charging gate is tested on the WET-gate ladder: the dual
-        records at delta = 0, 1, 2, 4, ..., each rung's roots
-        warm-started from the rung below, up to the first rung where the
-        gate is shut.  At q = 0 those roots read neither Pmax, eta, h nor
-        Q (`_Draw`), so a ceiling copies the rungs an earlier ceiling of
-        the same roots solved and tests only their f0 signs.
-        The climb stops at the rung a cold climb stops at, with the same
+        The charging gate is open at delta = 0 and tested on the WET-gate
+        ladder delta = 1, 2, 4, ...: brentq finds its root in [0, hi],
+        hi being the first rung where the gate is shut.  The climb starts
+        at rung `start` (`_Draw.level`), at or below the rung a climb
+        from 1 stops at, and doubles while the gate is open.  Each
+        record's roots are warm-started from the record solved before it.
+
+        An anchor (W1 = W) starts at 1.  At q = 0 its roots read neither
+        Pmax, eta, h nor Q (`_Draw`), so a ceiling copies the rungs an
+        earlier ceiling of the same roots solved and tests only their f0
+        signs; it stops at the rung a cold climb stops at, with the same
         memo and warm starts, so brentq and the assembly read the same
         doubles.
         """
@@ -423,7 +455,7 @@ class _Level:
 
         # Charging pays at delta = 0: find where its gate closes.
         Tmax, harvest = self.draw.par.Tmax, self.draw.harvest
-        hi = _double_until(lambda d: self._climb(d) <= 0.0, 1.0, "WET gate delta")
+        hi = _double_until(lambda d: self._climb(d) <= 0.0, self.start, "WET gate delta")
         delta_w = brentq(self._f0_at, 0.0, hi, maxiter=200)
         base_w = self._base_at(delta_w)
         if base_w <= Tmax:

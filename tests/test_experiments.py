@@ -101,6 +101,31 @@ def test_a_sweep_with_nothing_to_run_is_rejected(tmp_path):
     assert expand_schemes(cfg.schemes, cfg.rho_list) == ("ee_optimal",)
 
 
+def test_battery_list_must_match_every_k_it_is_solved_at(tmp_path):
+    # both used to load: the first failed at its first solve, the second
+    # solved K = 2 and failed only when the sweep reached K = 3
+    for payload, message in (
+        ({"initial_energy_J": [0.1, 0.2]}, "2 entries, but K = 5"),
+        (
+            {
+                "geometry": {"K": 2},
+                "initial_energy_J": [0.1, 0.2],
+                "sweep": {"axis": "K", "values": [2, 3], "trials": 2},
+            },
+            "2 entries, but K = 3",
+        ),
+    ):
+        with pytest.raises(ValueError, match="Q must be scalar or match the user count") as err:
+            load_config(cfg_file(tmp_path, payload))
+        assert "initial_energy_J" in str(err.value) and message in str(err.value)
+    # the single-solve commands solve a K sweep's config at the geometry's K
+    payload = {"initial_energy_J": [0.1, 0.2], "sweep": {"axis": "K", "values": [2], "trials": 2}}
+    with pytest.raises(ValueError, match="2 entries, but K = 5"):
+        load_config(cfg_file(tmp_path, payload))
+    payload["geometry"] = {"K": 2}
+    assert load_config(cfg_file(tmp_path, payload)).initial_energy == (0.1, 0.2)
+
+
 @pytest.mark.parametrize(
     "bad, message",
     [
@@ -457,10 +482,11 @@ def test_sweep_axes_keep_their_order():
 
 @pytest.mark.parametrize("axis, block, key, x", AXIS_CASES)
 def test_sweep_point_draws_the_configured_scenario(tmp_path, axis, block, key, x):
-    # mixed batteries; the K case starts from another user count
+    # mixed batteries; the K case starts from another user count, so its
+    # batteries are one charge for every user
     base = {
         "geometry": {"K": 2 if axis == "K" else 4, "seed": 3},
-        "initial_energy_J": [0.0, 0.01, 0.0, 0.03],
+        "initial_energy_J": 0.01 if axis == "K" else [0.0, 0.01, 0.0, 0.03],
     }
     swept = dict(base, sweep={"axis": axis, "values": [x], "trials": 1, "base_seed": 17})
     fixed = json.loads(json.dumps(base))

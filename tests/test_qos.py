@@ -304,9 +304,9 @@ def test_near_ceiling_floor_converges_on_its_binding_point():
     assert abs(trace[-1][2]) <= 1e-8
     assert rep.iterations == {"outer": 3, "fills": 0, "stop": "converged"}
     # row 2's allocation, to the bit
-    assert rep.alloc.tau0 == 0.14132575951543322
-    assert rep.alloc.p == (0.005090612790043962, 0.0316001721782482)
-    assert rep.alloc.tau == (0.20962923945499393, 0.6490450010295731)
+    assert rep.alloc.tau0 == 0.14132575951551885
+    assert rep.alloc.p == (0.005090612790046864, 0.031600172178278985)
+    assert rep.alloc.tau == (0.20962923945506065, 0.6490450010294203)
     assert rep.ee == qs[-1]
     assert check_constraints(rep.alloc, scen, tol=1e-7).feasible
     # its duals, rescaled to the last q: each tight user's root
@@ -318,6 +318,10 @@ def test_near_ceiling_floor_converges_on_its_binding_point():
         s = duals.q + duals.mu[k]
         resid = _stationarity(s, scen.gamma[k], cln, W1, par.varsigma, par.pc) - duals.delta
         assert abs(resid) <= 1e-6 * W1
+    # T at the reported EE, solved again from a cold draw record
+    forget_draws()
+    T, _ = dinkelbach_T(rep.ee, scen)
+    assert abs(T) <= 1e-12 * rep.throughput
 
 
 def test_dinkelbach_keeps_the_previous_iterate_when_q_stalls(monkeypatch):
@@ -650,6 +654,110 @@ def test_sweep_floors_solved_cold_match_the_sweep():
     for scen, want in zip(floors, in_sweep):
         forget_draws()
         assert repr(solve_qos_detailed(scen)) == want
+
+
+SWEEP_FLOORS = (50e3, 120e3, 190e3, 220e3, 245e3, 255e3)
+
+
+def sweep_trial():
+    """The seed-8700 K = 10 draw of the rmin sweep and its six floors."""
+    base = generate_scenario(default_geometry(K=10, seed=8700), default_system_params())
+    return base, [with_floor(base, rmin) for rmin in SWEEP_FLOORS]
+
+
+def mixed_battery_floor():
+    """K = 5 with mixed batteries at 0.6 R*: some anchors are time-bound,
+    their delta above their gate's root, so their floor levels climb
+    from 1."""
+    base = random_scenario(np.random.default_rng(2), 5, q_mode="mixed")
+    return base, [with_floor(base, 0.6 * max_throughput(base).R_star)]
+
+
+@pytest.mark.parametrize("case", [sweep_trial, mixed_battery_floor])
+def test_floor_levels_close_the_gate_on_the_rung_a_climb_from_one_finds(monkeypatch, case):
+    # each level off W1 = W whose anchor, the level at (q, W), charges
+    # starts its WET-gate climb at a rung read from the anchor's delta,
+    # and any other at 1.  It must hand brentq the bracket a climb from 1
+    # on a fresh draw hands it, and agree with that level within 1e-12
+    base, floors = case()
+    W = base.params.W
+    brackets, asked = {}, {}
+    brentq, level = qos.brentq, qos._Draw.level
+
+    def recording_brentq(f, a, b, **kw):
+        if getattr(f, "__func__", None) is qos._Level._f0_at:
+            brackets[f.__self__.q, f.__self__.W1] = (f.__self__.start, b)
+        return brentq(f, a, b, **kw)
+
+    def recording_level(self, q, t):
+        asked.setdefault((q, qos._w1_cln(self.par, t)[0]), t)
+        return level(self, q, t)
+
+    monkeypatch.setattr(qos, "brentq", recording_brentq)
+    monkeypatch.setattr(qos._Draw, "level", recording_level)
+    forget_draws()
+    for scen in floors:
+        solve_qos(scen)
+    draw = qos._latest_draw[1]
+    seeded = unseeded = 0  # levels that climbed from a rung above 1, and
+    # levels of an uncharged anchor whose scaled delta exceeds 1
+    for q, W1 in [key for key in asked if key[1] != W]:
+        got = brackets.pop((q, W1), None)
+        cold = qos._Level(qos._Draw(base), q, asked[q, W1]).point()
+        want = brackets.pop((q, W1), None)
+        assert (got and got[1]) == (want and want[1])
+        anchor = draw.points[q, W]
+        if got is not None:
+            start, rung = got
+            assert start <= rung
+            seeded += start > 1.0
+            if anchor.alloc.tau0 == 0.0:
+                assert start == 1.0
+                unseeded += W1 / W * anchor.delta > 1.0
+        pt = draw.points[q, W1]
+        assert abs(pt.B - cold.B) <= 1e-12 * max(cold.B, 1.0)
+        assert abs(pt.E - cold.E) <= 1e-12 * cold.E
+    if case is sweep_trial:
+        assert seeded >= 10
+    else:
+        assert unseeded >= 1
+
+
+def test_start_rung_is_the_power_of_two_at_or_above_max_1_delta():
+    deltas = (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 2.0**40 + 1.0)
+    assert [qos._start_rung(d) for d in deltas] == [1.0, 1.0, 1.0, 2.0, 2.0, 4.0, 4.0, 2.0**41]
+
+
+def test_multipliers_sharing_a_w1_share_one_point():
+    # two floor multipliers near 2**-52 that round to one W1: the level's
+    # start rung reads W1, not the multiplier, so whichever is asked
+    # first, both get one point, to the bit
+    base = generate_scenario(default_geometry(K=10, seed=8700), default_system_params())
+    q = 0.5 * solve_best_effort(base).ee
+    t1 = 2.0**-52
+    t2 = math.nextafter(t1, 1.0)
+    assert qos._w1_cln(base.params, t1)[0] == qos._w1_cln(base.params, t2)[0] != base.params.W
+    got = []
+    for order in ((t1, t2), (t2, t1)):
+        draw = qos._Draw(base)
+        first, second = (draw.level(q, t) for t in order)
+        assert first is second
+        assert qos._start_rung(draw.level(q, 0.0).delta) > 1.0
+        got.append(repr(first))
+    assert got[0] == got[1]
+
+
+def test_sweep_trial_solves_fewer_roots_on_the_same_levels(monkeypatch):
+    # the seed-8700 K = 10 trial's six floors from a cold draw record:
+    # 6,969 roots when every level climbed its WET gate from 1, at most
+    # 3,700 with floor levels starting at their anchor's rung; the 28
+    # levels stay
+    levels = record_levels(monkeypatch)
+    roots = count_roots(monkeypatch)
+    for scen in sweep_trial()[1]:
+        solve_qos(scen)
+    assert len(levels) == len(set(levels)) == 28
+    assert len(roots) <= 3700
 
 
 def read_by_levels(scen):
