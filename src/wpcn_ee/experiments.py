@@ -18,7 +18,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .best_effort import solve_best_effort
 from .channels import GeometryConfig, generate_scenario
@@ -41,9 +41,7 @@ from .model import (
     zero_allocation,
 )
 from .oracle import GridSpec
-from .qos import solve_qos, solve_qos_detailed
-from .search import golden_section_max
-from .throughput_max import max_throughput
+from .qos import max_throughput, solve_qos, solve_qos_detailed
 
 # Unused here: bound only for the layer spans in perfbench/spans.py.
 from .model import with_initial_energy  # noqa: F401
@@ -165,6 +163,12 @@ class ExperimentConfig:
                 raise ValueError("rho values must lie in [0, 1]")
         if len(set(self.rho_list)) != len(self.rho_list):
             raise ValueError("rho values must be distinct")
+        if self.sweep is not None:
+            # each sweep value is checked as the entry it overrides would
+            # be, before any point is solved
+            for value in self.sweep.values:
+                block, name, v = _axis_entry(self.sweep.axis, value)
+                dataclasses.replace(self.params if block == "system" else self.geometry, **{name: v})
         if isinstance(self.initial_energy, tuple):
             # every user count the config is solved at: the geometry's
             # (the single-solve commands) and each K a sweep visits
@@ -325,6 +329,45 @@ def _parse_config(raw) -> ExperimentConfig:
     )
 
 
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
+_INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
+
+
+def golden_section_max(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float, int]:
+    """Maximize a unimodal f on [lo, hi] by golden-section search.
+
+    Returns (x_best, f(x_best), evaluations).  The bracket shrinks to
+    1e-9 of its starting width.  The endpoints are always among the
+    candidates, so a maximum at the boundary is found exactly.
+    """
+    a, b = lo, hi
+    h = b - a
+    tol = 1e-9 * h
+    c = a + _INVPHI2 * h
+    d = a + _INVPHI * h
+    fc = f(c)
+    fd = f(d)
+    n = 2
+    while h > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            h = b - a
+            c = a + _INVPHI2 * h
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            h = b - a
+            d = a + _INVPHI * h
+            fd = f(d)
+        n += 1
+    # Compare interior best with the original endpoints: boundary optima
+    # (e.g. tau0 = 0) must not be lost to the shrinking bracket.
+    cands = [(c, fc), (d, fd), (lo, f(lo)), (hi, f(hi))]
+    n += 2
+    x, fx = max(cands, key=lambda t: t[1])
+    return x, fx, n
+
+
 def baseline_fixed_proportion(scen: Scenario, rho: float) -> SolutionReport:
     """Naive policy: every user spends the fraction rho of its harvest.
 
@@ -430,17 +473,24 @@ def run_scheme(scheme: str, scen: Scenario) -> SolutionReport:
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
+def _axis_entry(axis: str, value: float) -> tuple[str, str, object]:
+    """(config block, dataclass field, converted value) of one sweep value,
+    through the key table of the entry it overrides."""
+    block, key = _AXIS_KEYS[axis]
+    name, convert = _KEY_TABLES[block][key]
+    return block, name, convert(key, value)
+
+
 def _apply_axis(cfg: ExperimentConfig, value: float | None = None, seed: int | None = None) -> Scenario:
-    """The configured scenario, with the sweep axis at value (through the key
-    table of the entry it overrides) and the geometry seed at seed, if given."""
+    """The configured scenario, with the sweep axis at value (`_axis_entry`)
+    and the geometry seed at seed, if given."""
     params, geometry = cfg.params, {} if seed is None else {"seed": seed}
     if value is not None:
-        block, key = _AXIS_KEYS[cfg.sweep.axis]
-        name, convert = _KEY_TABLES[block][key]
+        block, name, v = _axis_entry(cfg.sweep.axis, value)
         if block == "system":
-            params = dataclasses.replace(params, **{name: convert(key, value)})
+            params = dataclasses.replace(params, **{name: v})
         else:
-            geometry[name] = convert(key, value)
+            geometry[name] = v
     return generate_scenario(dataclasses.replace(cfg.geometry, **geometry), params, Q=cfg.initial_energy)
 
 

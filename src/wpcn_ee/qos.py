@@ -23,9 +23,13 @@ vartheta is discontinuous exactly where a gate flips; at such a root
 the optimal face is a segment between the two bracketing maximizers,
 and the solver mixes them to land on the floor exactly.
 
-At q = vartheta = 0 the inner maximum is the largest block throughput
-R*, the rate ceiling; `throughput_max` and every feasibility test read
-it from here.
+The rate ceiling R* (`max_throughput`) is the q = 0 case of the inner
+problem: with no energy price every user is scheduled and spends its
+whole energy stock, and the charging slot stays on until its marginal
+value meets the time multiplier.  The maximum is global, and the power,
+energy and time constraints all end up tight.  R* decides feasibility
+of a floor (`is_feasible`): Rmin is attainable iff Rmin <= R*, up to
+the floor slack of `model._reaches_floor`, which `solve_qos` applies too.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import dataclasses
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .model import (
     LN2,
@@ -48,16 +52,18 @@ from .model import (
     _report,
     energy_total,
     throughput,
+    with_initial_energy,
     zero_allocation,
 )
-# brentq is called through this module global, which the layer spans in
-# perfbench/spans.py replace; newton_bisect is bound only for those spans.
-from .search import brentq, newton_bisect  # noqa: F401
 
 _FILL_TOL = 1e-9  # relative B residual beyond which a boundary fill engages
 _CAP = 2.0**60  # largest multiplier a doubling bracket may reach
 _EPS = 1e-8  # Dinkelbach stops once |T(q)| falls below this
 _MAX_OUTER = 30  # Dinkelbach iteration cap
+_XTOL = 2e-12  # brentq's absolute tolerance on x (scipy's default)
+_RTOL = 1e-15  # brentq's relative tolerance on x
+_NEWTON_RTOL = 1e-14  # newton_bisect's relative tolerance on x
+_NEWTON_MAX_ITER = 100  # newton_bisect's iteration cap
 
 
 @dataclass(frozen=True)
@@ -182,6 +188,117 @@ def _double_until(done, x: float, what: str) -> float:
     return x
 
 
+def newton_bisect(
+    f: Callable[[float], float],
+    fprime: Callable[[float], float],
+    lo: float,
+    hi: float,
+    x0: float,
+) -> float:
+    """Root of f on a bracket [lo, hi] with f(lo), f(hi) of opposite sign.
+
+    Newton steps from x0, falling back to bisection whenever a step
+    leaves the bracket or fails to shrink it.  f must be monotone
+    enough that the bracket stays valid (callers guarantee strict
+    monotonicity).  The bracket shrinks to a relative width of 1e-14,
+    within 100 iterations.  The tests' reference for `_s_root`.
+    """
+    a, b = lo, hi
+    fa = f(a)
+    if fa == 0.0:
+        return a
+    x = min(max(x0, a), b)
+    for _ in range(_NEWTON_MAX_ITER):
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if (fx > 0.0) == (fa > 0.0):
+            a, fa = x, fx
+        else:
+            b = x
+        if b - a <= _NEWTON_RTOL * max(abs(a), abs(b), 1e-300):
+            return 0.5 * (a + b)
+        d = fprime(x)
+        step_ok = d != 0.0
+        if step_ok:
+            xn = x - fx / d
+            step_ok = a < xn < b
+        x = xn if step_ok else 0.5 * (a + b)
+    return 0.5 * (a + b)
+
+
+def _value(f: Callable[[float], float], x: float) -> float:
+    fx = float(f(x))
+    if fx != fx:
+        raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+    return fx
+
+
+# The solvers here call brentq through this module global, which the
+# layer spans in perfbench/spans.py replace.
+def brentq(f: Callable[[float], float], a: float, b: float, maxiter: int) -> float:
+    """Root of f on [a, b] by Brent's method (Brent 1973, ch. 4).
+
+    An operation-for-operation port of scipy.optimize.brentq (its
+    brentq.c) at xtol = 2e-12 and rtol = 1e-15: the same evaluation
+    points, the same root to the bit.  Raises ValueError when f is NaN
+    or f(a) and f(b) share a sign, RuntimeError after maxiter
+    iterations without convergence.
+    """
+    xpre, xcur = float(a), float(b)
+    fpre = _value(f, xpre)
+    fcur = _value(f, xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    # f is never NaN and the bracket ends are nonzero here, so a sign
+    # test stands in for C's signbit.
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (_XTOL + _RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                # C divides an underflowed den to inf or NaN, and either
+                # fails the acceptance test below: a bisection step.
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den != 0.0 else math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = _value(f, xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
 def _s_root(
     gamma: float,
     q: float,
@@ -200,7 +317,7 @@ def _s_root(
     the bracket's positive end; at q = 0 the score is +inf and the left
     end shrinks until F exceeds delta.
 
-    The root is `search.newton_bisect` (rtol 1e-14) on F(s) - delta with
+    The root is `newton_bisect` (rtol 1e-14) on F(s) - delta with
     F and F' written out inline: the same operations in the same order,
     so the same doubles, without two Python calls per iteration.
     """
@@ -549,6 +666,50 @@ class _Level:
             mu=tuple(mu_vec),
             members=frozenset(tight) | frozenset(free),
         )
+
+
+@dataclass(frozen=True)
+class ThroughputSolution:
+    """Maximum block throughput and an allocation achieving it."""
+
+    R_star: float
+    alloc: Allocation
+
+
+def inner_time_allocation(tau0: float, scen: Scenario) -> tuple[tuple[float, ...], float]:
+    """Optimal uplink time split for a given charging time: the q = 0
+    level with the charging slot held off, user k owning the stock
+    A_k = eta*Pmax*tau0*h_k + Q_k over a block of Tmax - tau0.  R(tau0)
+    is the partial maximum of a jointly concave program, hence concave.
+
+    Returns (tau, R(tau0)).  tau0 at or beyond Tmax leaves no uplink
+    time and yields R = 0; a negative or non-finite tau0 is an error.
+    Time the users cannot use profitably stays idle rather than being
+    forced on them.
+    """
+    _require_nonnegative(tau0=tau0)
+    par = scen.params
+    if tau0 >= par.Tmax:
+        return (0.0,) * scen.K, 0.0
+    stocked = with_initial_energy(
+        dataclasses.replace(scen, params=dataclasses.replace(par, Tmax=par.Tmax - tau0)),
+        [par.eta * par.Pmax * tau0 * u.h + u.Q for u in scen.users],
+    )
+    pt = _Level(_Draw(stocked), 0.0, 0.0).uncharged_point()
+    return pt.alloc.tau, pt.B
+
+
+def max_throughput(scen: Scenario) -> ThroughputSolution:
+    """Maximize block throughput over (tau0, tau, p) jointly."""
+    pt = _draw(scen).level(0.0, 0.0)
+    return ThroughputSolution(R_star=pt.B, alloc=pt.alloc)
+
+
+def is_feasible(scen: Scenario) -> bool:
+    """Whether the required throughput Rmin is attainable at all."""
+    if scen.params.Rmin is None:
+        raise ValueError("is_feasible needs Rmin set in the system parameters")
+    return _draw(scen).reaches(scen.params.Rmin)
 
 
 def _fill_to_floor(scen: Scenario, lo: _Point, hi: _Point, rmin: float) -> _Point:

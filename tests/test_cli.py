@@ -2,6 +2,7 @@
 
 import argparse
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -301,8 +302,10 @@ def test_convergence_reports_configuration_errors_as_solve_qos_does(tmp_path, ca
 
 
 def test_module_entry_point_runs():
+    src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-m", "wpcn_ee.cli", "solve-best-effort", "--seed", "1"],
+        env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
     )

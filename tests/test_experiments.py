@@ -126,6 +126,19 @@ def test_battery_list_must_match_every_k_it_is_solved_at(tmp_path):
     assert load_config(cfg_file(tmp_path, payload)).initial_energy == (0.1, 0.2)
 
 
+def test_sweep_values_are_checked_as_the_entries_they_override(tmp_path):
+    # both used to load, and run_sweep raised only after solving the
+    # points of trial 0 that come before the bad value
+    for sweep, message in (
+        ({"axis": "eta", "values": [0.5, 1.5]}, "eta must lie in (0, 1]"),
+        ({"axis": "K", "values": [2, 2.5]}, "'K' must be an integer, got 2.5"),
+    ):
+        payload = {"geometry": {"K": 2}, "sweep": sweep, "output": str(tmp_path / "r.csv")}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_config(cfg_file(tmp_path, payload))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 @pytest.mark.parametrize(
     "bad, message",
     [

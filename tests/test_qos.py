@@ -36,8 +36,7 @@ from wpcn_ee import (
 )
 from wpcn_ee import qos
 from wpcn_ee.model import LN2
-from wpcn_ee.qos import DualState, _s_root, _stationarity
-from wpcn_ee.search import newton_bisect
+from wpcn_ee.qos import DualState, _s_root, _stationarity, newton_bisect
 
 from conftest import cfg_file, random_scenario, stock_params, with_floor
 
@@ -473,7 +472,7 @@ def test_boundary_fills_meet_the_floor():
 
 def reference_s_root(gamma, q, delta, cln, W1, vs, pc, warm):
     # the KKT root as it was before it ran inline: the same bracket, then
-    # search.newton_bisect on the stationarity function and its slope
+    # newton_bisect on the stationarity function and its slope
     hi = gamma * cln
     if q > 0.0:
         if hi <= q:

@@ -1,5 +1,5 @@
-"""Scalar searches: golden section, the brentq port against scipy's, and
-the package's import of scipy (none)."""
+"""Scalar searches: golden section, the brentq port against scipy's; the
+package's import of scipy (none) and the imports between its modules."""
 
 import ast
 import math
@@ -13,7 +13,10 @@ import pytest
 from scipy.optimize import brentq as scipy_brentq
 
 import wpcn_ee
-from wpcn_ee.search import brentq, golden_section_max, newton_bisect
+from wpcn_ee.experiments import golden_section_max
+from wpcn_ee.qos import brentq, newton_bisect
+
+from test_spans import span_bindings
 
 
 def _outcome(solver, f, a, b, maxiter):
@@ -144,13 +147,7 @@ def test_numpy_is_imported_only_for_the_draws_and_the_grid():
 
     # an import kept only for the benchmark's layer spans must name a
     # binding the spans install
-    spans = ast.parse((root / "perfbench" / "spans.py").read_text())
-    bindings = next(
-        ast.literal_eval(node.value)
-        for node in spans.body
-        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["BINDINGS"]
-    )
-    bound = {(module, attr) for module, attr, _ in bindings}
+    bound = {(module, attr) for module, attr, _ in span_bindings()}
     span_only = []
     for path in sorted((root / "src").rglob("*.py")):
         lines = path.read_text().splitlines()
@@ -159,6 +156,33 @@ def test_numpy_is_imported_only_for_the_draws_and_the_grid():
                 span_only += [(path.stem, name) for name in names]
     assert span_only
     assert [pair for pair in span_only if pair not in bound] == []
+
+
+def test_only_qos_reads_its_private_names():
+    # the draw record and the helpers behind it are qos's own: the rate
+    # ceiling and the feasibility test read them from inside qos
+    package = Path(__file__).resolve().parent.parent / "src" / "wpcn_ee"
+    reached = [
+        (path.name, alias.name)
+        for path in sorted(package.glob("*.py"))
+        if path.name != "qos.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module in ("qos", "wpcn_ee.qos")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert reached == []
+
+    # throughput_max is its docstring plus the imports the spans bind
+    path = package / "throughput_max.py"
+    lines = path.read_text().splitlines()
+    docstring, *imports = ast.parse(path.read_text()).body
+    assert isinstance(docstring, ast.Expr) and isinstance(docstring.value, ast.Constant)
+    assert imports and all(isinstance(node, ast.ImportFrom) for node in imports)
+    assert all(lines[node.end_lineno - 1].endswith("# noqa: F401") for node in imports)
+    bound = {(module, attr) for module, attr, _ in span_bindings()}
+    names = [alias.asname or alias.name for node in imports for alias in node.names]
+    assert [name for name in names if ("throughput_max", name) not in bound] == []
 
 
 def _names(node):
