@@ -169,6 +169,8 @@ class ExperimentConfig:
             for value in self.sweep.values:
                 block, name, v = _axis_entry(self.sweep.axis, value)
                 dataclasses.replace(self.params if block == "system" else self.geometry, **{name: v})
+            # and so is the seed of the last trial
+            dataclasses.replace(self.geometry, seed=self.sweep.base_seed + self.sweep.trials - 1)
         if isinstance(self.initial_energy, tuple):
             # every user count the config is solved at: the geometry's
             # (the single-solve commands) and each K a sweep visits
@@ -277,13 +279,16 @@ def load_config(path: str | Path) -> ExperimentConfig:
     Every key is optional and overrides a stock default.  Unknown keys
     are rejected so misspelled fields fail loudly instead of silently
     using defaults, and a value of the wrong JSON type, such as null for
-    a number, raises ValueError as a bad value does.
+    a number, raises ValueError as a bad value does; so does an integer
+    too large for a float.
     """
     raw = json.loads(Path(path).read_text())
     try:
         return _parse_config(raw)
     except TypeError as exc:
         raise ValueError(f"wrong JSON type in configuration: {exc}") from exc
+    except OverflowError as exc:
+        raise ValueError(f"number out of range in configuration: {exc}") from exc
 
 
 def _parse_config(raw) -> ExperimentConfig:

@@ -86,23 +86,22 @@ def _evaluator(scen: Scenario, t_axis, p_axes):
     The uplink arrays do not depend on tau0, so they are built once,
     broadcast over the 2K axes (tau_1..tau_K, p_1..p_K).  ee_at(i, rmin)
     is the EE over those axes at tau0 = t_axis[i], -1 where a constraint
-    fails.
+    fails.  Bits and joules follow model._bits' and model._joules' order
+    of operations, so that, up to numpy's log2 against math.log2, a
+    point's EE here is the EE its report states, and ties rank alike.
     """
     par = scen.params
     slop = 1.0 + _REL_EPS
     mesh = np.ix_(*([t_axis] * scen.K + list(p_axes)))
     taus, powers = mesh[: scen.K], mesh[scen.K :]
-    bits = [
-        t * (par.W * np.log2(1.0 + p * u.gamma)) for t, p, u in zip(taus, powers, scen.users)
-    ]
+    bits = [t * par.W * np.log2(1.0 + p * u.gamma) for t, p, u in zip(taus, powers, scen.users)]
     spends = [t * (p / par.varsigma + par.pc) for t, p in zip(taus, powers)]
     B = sum(bits[1:], bits[0])
-    spend = sum(spends[1:], spends[0])
     tsum = sum(taus[1:], taus[0])
 
     def ee_at(i: int, rmin: float | None):
         tau0 = t_axis[i]
-        E = par.Pmax * tau0 * scen.wet_deficit + par.Pc * tau0 + spend
+        E = sum(spends, par.Pmax * tau0 * scen.wet_deficit + par.Pc * tau0)
         ok = tau0 + tsum <= par.Tmax * slop
         for u, spend_k in zip(scen.users, spends):
             ok = ok & (spend_k <= (par.eta * par.Pmax * tau0 * u.h + u.Q) * slop)

@@ -83,6 +83,7 @@ def test_usage_errors_exit_one(capsys):
 
 
 WRONG = "wrong JSON type in configuration: "  # load_config's prefix for a TypeError
+OUT_OF_RANGE = "number out of range in configuration: int too large to convert to float"
 
 
 def test_config_errors_exit_one(tmp_path, capsys):
@@ -122,6 +123,12 @@ def test_config_errors_exit_one(tmp_path, capsys):
         ),
         ([{"geometry": {"K": 2}}], "configuration must be a JSON object"),
         ({"system": {"eta": None}}, "wrong JSON type"),
+        # integers too large for a float used to end in an OverflowError
+        # traceback
+        ({"geometry": {"K": 10**400}}, OUT_OF_RANGE),
+        ({"system": {"eta": 10**400}}, OUT_OF_RANGE),
+        # and a base seed that large used to fail only at the first draw
+        ({"sweep": {"axis": "eta", "values": [0.5], "base_seed": 10**400}}, OUT_OF_RANGE),
         ({"initial_energy_J": None}, "wrong JSON type"),
         # strings and booleans in numeric entries used to be converted
         ({"system": {"Pmax_dBm": "30"}}, WRONG + "'Pmax_dBm' must be a number, got '30'"),

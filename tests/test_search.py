@@ -104,8 +104,8 @@ def test_brentq_matches_scipy_on_random_brackets():
 
 
 def test_importing_the_package_loads_no_scipy():
-    # scipy is the tests' reference for the brentq and Lambert W ports,
-    # not a runtime dependency
+    # scipy is the tests' reference for the brentq port and the user-EE
+    # peak, not a runtime dependency
     src = Path(wpcn_ee.__file__).resolve().parent.parent
     code = (
         "import sys, wpcn_ee, wpcn_ee.cli; "

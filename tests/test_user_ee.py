@@ -1,18 +1,19 @@
 """Single-user EE: closed analytic case, scan agreement, shape, the
-closed form against a bisection reference, and the Lambert W port against
-scipy's."""
+peak against a bisection reference, a high-precision root and scipy's
+Lambert W formula, and the Newton iteration's start and step count."""
 
 import math
+import statistics
 from decimal import Decimal, localcontext
-from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.special import lambertw
 
+import wpcn_ee.user_ee as user_ee_module
 from wpcn_ee import SystemParams, max_user_ee, user_ee_at
 from wpcn_ee.model import LN2
-from wpcn_ee.user_ee import _BRANCH_SERIES, _SERIES_BELOW, _fma, _lambertw0, user_ee_peaks
+from wpcn_ee.user_ee import _BRANCH_SERIES, _SERIES_BELOW, user_ee_peaks
 
 from conftest import stock_params
 
@@ -142,6 +143,10 @@ def test_edge_cases():
             max_user_ee(bad, par)
     with pytest.raises(ValueError):
         user_ee_peaks([1.0, math.nan], par)
+    # gamma*pc*varsigma overflows: this used to return p_star = inf and
+    # ee_star = nan
+    with pytest.raises(ValueError, match="gamma\\*pc\\*varsigma must be finite"):
+        max_user_ee(1e308, stock_params(pc=10.0))
 
 
 def sweep_gammas(params, lo=1e-6, hi=1e7, n=261):
@@ -182,7 +187,7 @@ def test_vector_and_scalar_agree_bit_for_bit():
 
 
 def test_finite_positive_near_the_branch_point():
-    # gamma*pc*varsigma -> 0 drives s -> 1 and the W0 argument to -1/e
+    # gamma*pc*varsigma -> 0 drives s -> 1, where Newton's residual cancels
     par = unit_params()
     xs = np.array([1e-300, 1e-30, 1e-16, 1e-10, 1e-6, 9.99e-4, 1e-3, 1.001e-3, 1e-2])
     p, ee = map(np.asarray, user_ee_peaks(xs, par))
@@ -192,87 +197,13 @@ def test_finite_positive_near_the_branch_point():
         assert stationarity_residual(pk, x, par) < 1e-13
     # p_star -> sqrt(2x)/gamma as x -> 0
     assert p[0] == pytest.approx(math.sqrt(2.0 / 1e-300), rel=1e-12)
-    # no jump where the series hands over to W0
+    # no jump where the series hands over to Newton
     assert p[5:8] * xs[5:8] == pytest.approx(np.sqrt(2.0 * xs[5:8]), rel=3e-2)
     assert np.all(np.diff(p * xs) > 0.0)
 
 
-def _scipy_w0(z):
-    return lambertw(np.asarray(z, dtype=float), 0).real
-
-
-def _z_at(x):
-    """The W0 argument user_ee_peaks forms from x = gamma*pc*varsigma."""
-    return (x - 1.0) / math.e
-
-
-_EDGE = -1.0 / math.e + 0.3  # the branch-point guess's disc ends here
-LAMBERTW_CASES = {
-    "zero": 0.0,
-    "one": 1.0,
-    "branch-point": -0.3,
-    "pade": 0.5,
-    "asymptotic": 10.0,
-    "below-branch-edge": math.nextafter(_EDGE, -1.0),
-    "branch-edge": _EDGE,
-    "above-branch-edge": math.nextafter(_EDGE, 1.0),
-    "below-pade-low-edge": math.nextafter(-0.2, -1.0),
-    "pade-low-edge": -0.2,
-    "above-pade-low-edge": math.nextafter(-0.2, 1.0),
-    "below-pade-high-edge": math.nextafter(1.5, 0.0),
-    "pade-high-edge": 1.5,
-    "above-pade-high-edge": math.nextafter(1.5, 2.0),
-    "series-cutoff": _z_at(_SERIES_BELOW),
-    "above-series-cutoff": _z_at(math.nextafter(_SERIES_BELOW, 1.0)),
-    # ln z in clog's log1p band 1 < z < 2, then ln w for w = ln z - ln ln z
-    # in its band 0.5 <= w < 1, at w == 1 (z = e) and in 1 < w < 2
-    "log1p-band-z": 1.6,
-    "log1p-band-w-below-one": 1.9,
-    "w-exactly-one": math.e,
-    "log1p-band-w-above-one": 5.0,
-    "huge": 1e300,
-    "infinite": math.inf,
-}
-
-
-@pytest.mark.parametrize("z", LAMBERTW_CASES.values(), ids=LAMBERTW_CASES.keys())
-def test_lambertw0_matches_scipy_bit_for_bit(z):
-    got = _lambertw0(z)
-    assert type(got) is float
-    assert got.hex() == float(_scipy_w0(z)).hex()
-
-
-def test_lambertw0_matches_scipy_on_random_arguments():
-    # the reachable domain: x >= the series cutoff, up to z near DBL_MAX/2
-    rng = np.random.default_rng(1996)
-    x = np.concatenate(
-        [
-            10.0 ** rng.uniform(-3.0, 12.0, 50_000),
-            rng.uniform(_SERIES_BELOW, 5.0, 30_000),
-            10.0 ** rng.uniform(12.0, 308.0, 20_000),
-        ]
-    )
-    z = _z_at(x)
-    want = _scipy_w0(z)
-    got = np.array([_lambertw0(zk) for zk in z.tolist()])
-    mismatched = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
-    assert mismatched.size == 0, z[mismatched[:5]]
-
-
-def test_fma_rounds_once():
-    # x*y = 1 + 2^-29 + 2^-60: rounding the product first drops 2^-60
-    x = y = 1.0 + 2.0**-30
-    z = -(1.0 + 2.0**-29)
-    assert x * y + z == 0.0
-    assert _fma(x, y, z) == 2.0**-60
-    rng = np.random.default_rng(3)
-    for x, y, z in (10.0 ** rng.uniform(-20.0, 20.0, (2000, 3)) * rng.choice([-1.0, 1.0], (2000, 3))).tolist():
-        assert _fma(x, y, z) == float(Fraction(x) * Fraction(y) + Fraction(z))
-
-
 def scipy_user_ee_peaks(gamma, params):
-    """user_ee_peaks as it stood with scipy.special.lambertw: the
-    reference for the port."""
+    """user_ee_peaks through scipy.special.lambertw: ln s = 1 + W0((x - 1)/e)."""
     g = np.array(gamma, dtype=float, ndmin=1)
     x = g * (params.pc * params.varsigma)
     log_s = 1.0 + lambertw((x - 1.0) / math.e, 0).real
@@ -285,12 +216,25 @@ def scipy_user_ee_peaks(gamma, params):
 
 
 @pytest.mark.parametrize("par", [unit_params(), stock_params(), stock_params(varsigma=0.5)])
-def test_peaks_match_the_scipy_version_bit_for_bit(par):
+def test_peaks_match_the_scipy_version(par):
+    # scipy's argument (x - 1)/e rounds away the low bits of x: just above
+    # x = 1e-3 its p_star is off by up to ~1.2e-13 relative, so a denser
+    # set of gammas there would need a wider bound
     gammas = np.concatenate([sweep_gammas(par), sweep_gammas(par, 1e-12, 1e9, 97)])
     for got, want in zip(user_ee_peaks(gammas, par), scipy_user_ee_peaks(gammas, par)):
-        got = np.asarray(got)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def newton_log_s(x):
+    """ln s for x >= _SERIES_BELOW by the module's Newton iteration, with
+    the residual and slope at full size."""
+    log_s = 1.0 + math.log1p(x / (1.0 + math.log1p(x)))
+    while True:
+        em = math.expm1(log_s)
+        nxt = log_s - (em * (log_s - 1.0) + log_s - x) / ((em + 1.0) * log_s)
+        if not nxt < log_s:
+            return log_s
+        log_s = nxt
 
 
 @pytest.mark.parametrize("par", [unit_params(), stock_params()])
@@ -308,5 +252,97 @@ def test_peak_power_is_math_expm1_of_log_s_over_gamma(par):
             for c in _BRANCH_SERIES:
                 log_s = log_s * t + c
         else:
-            log_s = 1.0 + _lambertw0((x - 1.0) / math.e)
+            log_s = newton_log_s(x)
         assert pk.hex() == (math.expm1(log_s) / g).hex()
+
+
+def decimal_log_s(x, digits=60):
+    """The root of e^L (L - 1) + 1 - x to `digits` significant digits, by
+    Newton's method; the start only sets the number of steps."""
+    with localcontext() as ctx:
+        ctx.prec = digits + 10
+        X, L = Decimal(x), Decimal(1.0 + math.log1p(x / (1.0 + math.log1p(x))))
+        for _ in range(100):
+            e = L.exp()
+            step = (e * (L - 1) + 1 - X) / (e * L)
+            L -= step
+            if abs(step) <= abs(L) * Decimal(10) ** -digits:
+                return L
+    raise AssertionError(f"no decimal root at x = {x!r}")
+
+
+# The error of p_star in ulps (median, max) on the sample below as the
+# scipy Lambert W port this module used to carry returned it (62.823 and
+# 500.076), rounded up in the second decimal.
+PORT_ULPS = (62.83, 500.08)
+
+
+def test_peak_power_matches_a_decimal_root():
+    # gamma = x (pc = varsigma = 1), so p_star = expm1(ln s)/x.  At large
+    # x, half an ulp of ln s is hundreds of ulps of p_star, so these
+    # figures are dominated by the rounding of ln s itself.
+    par = unit_params()
+    xs = (10.0 ** np.random.default_rng(27).uniform(-3.0, 300.0, 3000)).tolist()
+    p, _ = user_ee_peaks(xs, par)
+    ulps = []
+    with localcontext() as ctx:
+        ctx.prec = 70
+        for x, pk in zip(xs, p):
+            want = (decimal_log_s(x).exp() - 1) / Decimal(x)
+            ulps.append(float(abs(Decimal(pk) - want) / Decimal(math.ulp(float(want)))))
+    assert statistics.median(ulps) <= PORT_ULPS[0]
+    assert max(ulps) <= PORT_ULPS[1]
+
+
+class _RecordingMath:
+    """The math module with every argument of expm1 recorded."""
+
+    def __init__(self):
+        self.expm1_args = []
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def expm1(self, v):
+        self.expm1_args.append(v)
+        return math.expm1(v)
+
+
+def newton_iterates(monkeypatch, x):
+    """The iterates of user_ee_peaks' Newton pass at gamma = x (unit
+    params), start first, and the ln s it returns.  expm1 runs once per
+    pass and once more for p_star."""
+    rec = _RecordingMath()
+    monkeypatch.setattr(user_ee_module, "math", rec)
+    user_ee_peaks([x], unit_params())
+    monkeypatch.undo()
+    *iterates, log_s = rec.expm1_args
+    return iterates, log_s
+
+
+def test_newton_starts_above_the_root_and_falls_to_it(monkeypatch):
+    # up to the largest double, where the start's e^L * L overflows
+    top = 1.7976931348623157e308
+    xs = np.concatenate([10.0 ** np.linspace(-3.0, 308.0, 800), [1.0, 22.1, top]]).tolist()
+    for x in xs:
+        iterates, log_s = newton_iterates(monkeypatch, x)
+        assert iterates[-1] == log_s, x
+        assert all(b < a for a, b in zip(iterates, iterates[1:])), x
+        root = decimal_log_s(x, digits=30)
+        start = Decimal(iterates[0])
+        with localcontext() as ctx:
+            ctx.prec = 400
+            assert start.exp() * (start - 1) + 1 - Decimal(x) > 0, x
+        assert start - root > Decimal("0.25"), x
+        assert abs(Decimal(log_s) - root) <= Decimal(1e-14) * root, x
+
+
+def test_newton_pass_count(monkeypatch):
+    # Seven passes for most x.  Near x = 1e-3, where the residual cancels
+    # to (ln s)^2 / 2 from terms of size ln s, rounding lets the iterate
+    # creep down by a few ulps per pass before it stops.
+    xs = np.concatenate([np.geomspace(_SERIES_BELOW, 1.0, 3000), np.geomspace(1.0, 1e300, 3000)])
+    passes = np.array([len(newton_iterates(monkeypatch, x)[0]) for x in xs.tolist()])
+    assert np.median(passes) <= 7
+    assert passes[xs >= 1.0].max() <= 8
+    assert passes.max() <= 40
