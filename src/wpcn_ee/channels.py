@@ -380,7 +380,8 @@ def generate_scenario(
     one per user; it is checked before the draw, and each user's channel
     is built once with its charge.  Draws violating the admissibility
     bound sum eta*h < 1/xi are rejected and redrawn (vanishingly rare at
-    realistic gains), erroring out after _MAX_ATTEMPTS.
+    realistic gains); a ValueError after _MAX_ATTEMPTS, as the geometry
+    itself is then at fault.
     """
     qs = _battery_vector(Q, geo.K)
     for _, attempt in zip(range(_MAX_ATTEMPTS), _attempts(geo)):
@@ -389,7 +390,7 @@ def generate_scenario(
             continue
         users = tuple(UserChannel.from_gains(hi, gi, qi, params) for hi, gi, qi in zip(h, g, qs))
         return Scenario(params=params, users=users)
-    raise RuntimeError(
+    raise ValueError(
         f"no admissible channel draw in {_MAX_ATTEMPTS} attempts; "
         "the geometry harvests more than the station radiates"
     )

@@ -57,7 +57,6 @@ from .model import (
 )
 
 _FILL_TOL = 1e-9  # relative B residual beyond which a boundary fill engages
-_CAP = 2.0**60  # largest multiplier a doubling bracket may reach
 _EPS = 1e-8  # Dinkelbach stops once |T(q)| falls below this
 _MAX_OUTER = 30  # Dinkelbach iteration cap
 _XTOL = 2e-12  # brentq's absolute tolerance on x (scipy's default)
@@ -180,10 +179,11 @@ def f0_wet_gate(mu: Sequence[float], q: float, delta: float, scen: Scenario) -> 
 
 def _double_until(done, x: float, what: str) -> float:
     """The first of x, 2x, 4x, ... at which done holds; a RuntimeError
-    naming what once the doubling passes _CAP."""
+    naming what once x overflows to inf.  Multipliers scale with W (delta
+    is in bits per second), so no finite cap would serve every W."""
     while not done(x):
         x *= 2.0
-        if x > _CAP:
+        if x == math.inf:
             raise RuntimeError(f"{what} bracket overflow")
     return x
 
@@ -317,7 +317,7 @@ def _s_root(
     the bracket's positive end; at q = 0 the score is +inf and the left
     end shrinks until F exceeds delta.
 
-    The root is `newton_bisect` (rtol 1e-14) on F(s) - delta with
+    The root is `newton_bisect` (_NEWTON_RTOL) on F(s) - delta with
     F and F' written out inline: the same operations in the same order,
     so the same doubles, without two Python calls per iteration.
     """
@@ -328,7 +328,7 @@ def _s_root(
     else:
         lo = hi * 1e-20
         for _ in range(60):
-            if W1 * log2(hi / lo) - (cln - lo / gamma) / vs - lo * pc > delta:
+            if _stationarity(lo, gamma, cln, W1, vs, pc) > delta:
                 break
             lo *= 1e-6
         else:  # pragma: no cover - F blows up as s -> 0+
@@ -340,7 +340,7 @@ def _s_root(
     a, b = lo, hi
     x = warm if lo < warm < hi else min(max(math.sqrt(lo * hi), lo), hi)
     neg_W1, ln2, inv_gvs = -W1, LN2, 1.0 / (gamma * vs)
-    for _ in range(100):
+    for _ in range(_NEWTON_MAX_ITER):
         fx = W1 * log2(hi / x) - (cln - x / gamma) / vs - x * pc - delta
         if fx == 0.0:
             return x
@@ -348,7 +348,7 @@ def _s_root(
             a = x
         else:
             b = x
-        if b - a <= 1e-14 * (b if b > 1e-300 else 1e-300):
+        if b - a <= _NEWTON_RTOL * (b if b > 1e-300 else 1e-300):
             return 0.5 * (a + b)
         d = neg_W1 / (x * ln2) + inv_gvs - pc
         if d != 0.0:
@@ -373,8 +373,6 @@ class _Point:
     E: float
     delta: float
     mu: tuple[float, ...]
-    # energy-tight users plus threshold users (mu = 0) with a filled slot
-    members: frozenset[int]
 
 
 class _Draw:
@@ -593,9 +591,7 @@ class _Level:
         K = self.draw.K
         if not self.duals(0.0)[0]:
             # Nobody worth scheduling at this q: the zero allocation.
-            return _Point(
-                zero_allocation(K), B=0.0, E=0.0, delta=0.0, mu=(0.0,) * K, members=frozenset()
-            )
+            return _Point(zero_allocation(K), B=0.0, E=0.0, delta=0.0, mu=(0.0,) * K)
         if self._base_at(0.0) <= self.draw.par.Tmax:
             return self._assemble(0.0, 0.0, free={})
         return self._solve_time_bound(0.0)
@@ -664,7 +660,6 @@ class _Level:
             E=energy_total(alloc, draw.scen),
             delta=delta,
             mu=tuple(mu_vec),
-            members=frozenset(tight) | frozenset(free),
         )
 
 
@@ -719,8 +714,9 @@ def _fill_to_floor(scen: Scenario, lo: _Point, hi: _Point, rmin: float) -> _Poin
     multipliers.  Both maximize the same concave Lagrangian, so every
     convex mix of their (tau0, tau_k, user energy) does too, and B is
     linear along that segment: the mix at theta = (rmin - B_lo)/(B_hi - B_lo)
-    lands on the floor.  Users that join or leave the schedule across
-    the flip sit at the threshold, so their energy multiplier is zero.
+    lands on the floor.  A user keeps hi's energy multiplier where its lo
+    one is positive (energy-tight on both sides); every other user joins
+    at the flip or sits at the threshold, so its multiplier is zero.
     """
     par = scen.params
     theta = (rmin - lo.B) / (hi.B - lo.B)
@@ -741,14 +737,12 @@ def _fill_to_floor(scen: Scenario, lo: _Point, hi: _Point, rmin: float) -> _Poin
     alloc = Allocation(
         P0=par.Pmax, tau0=mix(lo.alloc.tau0, hi.alloc.tau0), p=tuple(p), tau=tuple(tau)
     )
-    flipped = lo.members ^ hi.members
     return _Point(
         alloc=alloc,
         B=throughput(alloc, scen),
         E=energy_total(alloc, scen),
         delta=hi.delta,
-        mu=tuple(0.0 if k in flipped else m for k, m in enumerate(hi.mu)),
-        members=lo.members | hi.members,
+        mu=tuple(m if m_lo > 0.0 else 0.0 for m_lo, m in zip(lo.mu, hi.mu)),
     )
 
 
@@ -767,9 +761,11 @@ def _solve_q(draw: _Draw, q: float, rmin: float | None) -> tuple[_Point, float, 
     neighbouring multipliers share a W1: the draw solves each W1 once,
     across this solve and every other floor of the draw.
 
-    A Dinkelbach solve calls this only until the floor binds (vartheta
-    > 0); later iterates reprice that point (`_reprice`), so a solve
-    searches vartheta, and fills, at most once.
+    The search keeps only the multipliers it evaluated and reads their
+    points from the draw.  A Dinkelbach solve calls this only until the
+    floor binds (vartheta > 0); later iterates carry that point
+    (`solve_qos_detailed`), so a solve searches vartheta, and fills, at
+    most once.
     """
     p0 = draw.level(q, 0.0)
     if rmin is None or _reaches_floor(p0.B, rmin):
@@ -785,27 +781,24 @@ def _solve_q(draw: _Draw, q: float, rmin: float | None) -> tuple[_Point, float, 
         start,
         f"throughput multiplier (q={q!r})",
     )
-    # both ends were solved while doubling, so these are memo hits
+    # hi_t was solved while doubling, so this is a memo hit
     lo_t = 0.0 if hi_t == start else hi_t / 2.0
-    lo_pt, hi_pt = draw.level(q, lo_t), draw.level(q, hi_t)
+    hi_pt = draw.level(q, hi_t)
     if hi_pt.B < rmin:
         # A floor within the slack of the rate ceiling: hi meets it only
         # up to that slack, so there is no sign change for brentq to bracket.
         return hi_pt, hi_t, 0
 
-    # Keyed by t: the evaluated multipliers pick the fill's bracketing
-    # pair and the reported vartheta.
-    cache: dict[float, _Point] = {lo_t: lo_pt, hi_t: hi_pt}
+    # the evaluated multipliers pick the fill's bracketing pair
+    seen = {lo_t, hi_t}
 
-    def at(t: float) -> _Point:
-        pt = cache.get(t)
-        if pt is None:
-            pt = cache[t] = draw.level(q, t)
-        return pt
+    def gap(t: float) -> float:
+        seen.add(t)
+        return draw.level(q, t).B - rmin
 
-    # brentq returns one of the points it evaluated, so t_hat is cached
-    t_hat = brentq(lambda t: at(t).B - rmin, lo_t, hi_t, maxiter=300)
-    pt_hat = cache[t_hat]
+    # brentq returns one of the multipliers it evaluated: a memo hit
+    t_hat = brentq(gap, lo_t, hi_t, maxiter=300)
+    pt_hat = draw.level(q, t_hat)
 
     if abs(pt_hat.B - rmin) <= _FILL_TOL * max(rmin, 1.0):
         return pt_hat, t_hat, 0
@@ -813,32 +806,18 @@ def _solve_q(draw: _Draw, q: float, rmin: float | None) -> tuple[_Point, float, 
     # Discontinuity at the root: B jumps over the floor where a KKT
     # gate flips.  Recover the tightest evaluated pair on either side
     # of the floor, then bisect it down to float adjacency.
-    below = max(t for t, pt in cache.items() if not _reaches_floor(pt.B, rmin))
-    above = min(t for t, pt in cache.items() if _reaches_floor(pt.B, rmin) and t >= below)
+    below = max(t for t in seen if not _reaches_floor(draw.level(q, t).B, rmin))
+    above = min(t for t in seen if t >= below and _reaches_floor(draw.level(q, t).B, rmin))
     for _ in range(200):
         mid = 0.5 * (below + above)
         if not below < mid < above:
             break
-        if _reaches_floor(at(mid).B, rmin):
+        if _reaches_floor(draw.level(q, mid).B, rmin):
             above = mid
         else:
             below = mid
-    filled = _fill_to_floor(draw.scen, cache[below], cache[above], rmin)
+    filled = _fill_to_floor(draw.scen, draw.level(q, below), draw.level(q, above), rmin)
     return filled, above, 1
-
-
-def _reprice(pt: _Point, q_b: float, q: float) -> _Point:
-    """The point where the floor first bound, at q_b, as the inner
-    maximizer at a later q.
-
-    While the floor binds, the inner problem at any q is to meet Rmin at
-    least energy, so the allocation stays; only the multipliers move.
-    F is homogeneous in (W1, s): F_{c*W1}(c*s) = c*F_{W1}(s).  So at
-    c = q/q_b the same allocation solves the KKT system of q with
-    W1 scaled by c, delta and every mu scaled by c.
-    """
-    c = q / q_b
-    return dataclasses.replace(pt, delta=c * pt.delta, mu=tuple(c * m for m in pt.mu))
 
 
 def dinkelbach_T(q: float, scen: Scenario) -> tuple[float, Allocation]:
@@ -868,11 +847,13 @@ def solve_qos_detailed(scen: Scenario) -> tuple[SolutionReport, DualState, list[
 
     Only the iterates before the floor binds solve the inner problem.
     The first one whose floor multiplier is positive, at q_b with
-    vartheta_b, fixes the point: it maximizes B - q_eff*E with
-    q_eff = q_b/(1 + vartheta_b), and every later iterate q reports it
-    with vartheta = q/q_eff - 1 and its duals scaled by q/q_b, building
-    no KKT level.  The point is kept for this solve only, so each floor
-    of a draw is solved as it would be alone.
+    vartheta_b, fixes the point: it meets Rmin at least energy, so every
+    later iterate q carries it with vartheta = q/q_eff - 1, where
+    q_eff = q_b/(1 + vartheta_b), building no KKT level.  Its multipliers
+    scale by c = q/q_b, as F_{c*W1}(c*s) = c*F_{W1}(s); the reported
+    duals are scaled once, when the reported iterate carries that point
+    (c = 1.0, exact, at q_b).  The point is kept for this solve only, so
+    each floor of a draw is solved as it would be alone.
     """
     rmin = scen.params.Rmin
     if rmin is None:
@@ -897,8 +878,7 @@ def solve_qos_detailed(scen: Scenario) -> tuple[SolutionReport, DualState, list[
             if theta > 0.0:
                 bound = (pt, q, q / (1.0 + theta))
         else:
-            pt_b, q_b, q_eff = bound
-            pt, theta = _reprice(pt_b, q_b, q), q / q_eff - 1.0
+            pt, theta = bound[0], q / bound[2] - 1.0
         T = pt.B - q * pt.E
         trace.append((it, q, T))
         if abs(T) < _EPS or pt.E <= 0.0:
@@ -923,9 +903,13 @@ def solve_qos_detailed(scen: Scenario) -> tuple[SolutionReport, DualState, list[
         # T exactly 0; the previous iterate is the supporting maximizer and
         # its ratio equals the converged q.
         pt, theta, _ = prev
+    delta, mu = pt.delta, pt.mu
+    if bound is not None and pt is bound[0]:
+        c = q_duals / bound[1]
+        delta, mu = c * delta, tuple(c * m for m in mu)
     iterations = {"outer": len(trace), "fills": fills_total, "stop": stop}
     report = _report(pt.alloc, scen, MODE_QOS, iterations)
-    duals = DualState(q=q_duals, vartheta=theta, delta=pt.delta, mu=pt.mu)
+    duals = DualState(q=q_duals, vartheta=theta, delta=delta, mu=mu)
     return report, duals, trace
 
 

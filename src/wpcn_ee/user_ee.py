@@ -83,7 +83,8 @@ def user_ee_peaks(
     """EE-optimal powers and peak efficiencies for a sequence of gammas.
 
     Returns (p_star, ee_star) as tuples of floats, one entry per gamma.
-    Every gamma must be positive and finite, and so must gamma*pc*varsigma.
+    Every gamma must be positive and finite, and so must gamma*pc*varsigma
+    and each ee_star (a huge W can overflow it); a ValueError otherwise.
     """
     c = params.pc * params.varsigma
     p: list[float] = []
@@ -111,8 +112,11 @@ def user_ee_peaks(
                     break
                 ls = nxt
         pk = math.expm1(ls) / g
+        ek = params.W * ls / (LN2 * (pk / params.varsigma + params.pc))
+        if not math.isfinite(ek):
+            raise ValueError("ee_star must be finite")
         p.append(pk)
-        ee.append(params.W * ls / (LN2 * (pk / params.varsigma + params.pc)))
+        ee.append(ek)
     return tuple(p), tuple(ee)
 
 

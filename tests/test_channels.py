@@ -240,9 +240,10 @@ def test_draw_and_scenario_share_the_admissibility_test(seed, ref_gain, accepted
 
 
 def test_rejection_error_when_inadmissible():
-    # huge reference gain forces the harvest sum over the cap every draw
+    # huge reference gain forces the harvest sum over the cap every draw:
+    # the geometry is at fault, so a ValueError (it was a RuntimeError)
     geo = GeometryConfig(K=8, seed=0, ref_gain=1e6)
-    with pytest.raises(RuntimeError, match="in 100 attempts"):
+    with pytest.raises(ValueError, match="in 100 attempts"):
         generate_scenario(geo, stock_params())
 
 

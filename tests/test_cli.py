@@ -130,6 +130,8 @@ def test_config_errors_exit_one(tmp_path, capsys):
         # and a base seed that large used to fail only at the first draw
         ({"sweep": {"axis": "eta", "values": [0.5], "base_seed": 10**400}}, OUT_OF_RANGE),
         ({"initial_energy_J": None}, "wrong JSON type"),
+        # an inadmissible geometry used to end in a RuntimeError traceback
+        ({"geometry": {"ref_gain": 1e6}}, "no admissible channel draw in 100 attempts"),
         # strings and booleans in numeric entries used to be converted
         ({"system": {"Pmax_dBm": "30"}}, WRONG + "'Pmax_dBm' must be a number, got '30'"),
         ({"system": {"Pmax_dBm": "nan"}}, WRONG + "'Pmax_dBm' must be a number, got 'nan'"),
@@ -171,6 +173,15 @@ def test_config_errors_exit_one(tmp_path, capsys):
     k_sweep = {"sweep": {"axis": "K", "values": [2, 2.5]}, "output": str(tmp_path / "k.csv")}
     assert main(["sweep", "--config", cfg_file(tmp_path, k_sweep, "k.json")]) == 1
     assert "configuration error: 'K' must be an integer, got 2.5" in capsys.readouterr().err
+    # a sweep over an inadmissible geometry fails the same way
+    inadmissible = {
+        "geometry": {"ref_gain": 1e6},
+        "sweep": {"axis": "eta", "values": [0.9]},
+        "output": str(tmp_path / "g.csv"),
+    }
+    assert main(["sweep", "--config", cfg_file(tmp_path, inadmissible, "g.json")]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error: no admissible channel draw" in err and "Traceback" not in err
     integral = cfg_file(tmp_path, {"geometry": {"K": 2.0, "seed": 4.0}}, "integral.json")
     assert main(["solve-best-effort", "--config", integral]) == 0
 

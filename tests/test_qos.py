@@ -101,9 +101,29 @@ def test_threshold_bracket_doubles_for_a_large_time_price():
     assert score(x, q, 0.0, delta, par) == pytest.approx(0.0, abs=1e-9 * delta)
 
 
-def test_doubling_bracket_overflows_past_the_cap():
+def test_doubling_bracket_overflows_only_at_inf():
+    # no finite cap: the bracket passes 2**60 and fails only at inf
+    assert qos._double_until(lambda x: x > 2.0**1000, 1.0, "probe") == 2.0**1001
     with pytest.raises(RuntimeError, match="^probe bracket overflow$"):
         qos._double_until(lambda x: False, 1.0, "probe")
+
+
+@pytest.mark.parametrize("seed", [8700, 8701, 8702])
+def test_bandwidth_scales_the_ceiling_and_the_floor_ee(seed):
+    # B is linear in W at a fixed allocation and E does not read W, so
+    # W * 1e15 scales R* and the floor's EE by 1e15.  The WET-gate delta
+    # scales with W too: it used to pass the doubling cap of 2**60 and
+    # raise from W = 1e17 Hz on
+    par = default_system_params()
+    big = dataclasses.replace(par, W=par.W * 1e15)
+    base = generate_scenario(default_geometry(K=5, seed=seed), par)
+    wide = generate_scenario(default_geometry(K=5, seed=seed), big)
+    r_star, r_wide = max_throughput(base).R_star, max_throughput(wide).R_star
+    assert r_wide == pytest.approx(1e15 * r_star, rel=1e-12)
+    floor, floor_wide = with_floor(base, 0.8 * r_star), with_floor(wide, 0.8 * r_wide)
+    rep = solve_qos(floor_wide)
+    assert rep.ee == pytest.approx(1e15 * solve_qos(floor).ee, rel=1e-12)
+    assert check_constraints(rep.alloc, floor_wide).feasible
 
 
 def test_threshold_requires_positive_q():
@@ -640,6 +660,64 @@ def test_binding_floor_builds_no_level_after_it_binds(monkeypatch):
     forget_draws()
     T, _ = dinkelbach_T(rep.ee, scen)
     assert abs(T) <= 1e-8
+
+
+def solve_with_binding_rows(monkeypatch, scen):
+    # solve_qos_detailed from a cold draw record, with the floor
+    # multiplier of every row that ran the inner solve
+    thetas = []
+    solve_q = qos._solve_q
+
+    def recording_solve_q(draw, q, rmin):
+        out = solve_q(draw, q, rmin)
+        thetas.append(out[1])
+        return out
+
+    monkeypatch.setattr(qos, "_solve_q", recording_solve_q)
+    forget_draws()
+    return solve_qos_detailed(scen), thetas
+
+
+def test_binding_floor_duals_are_pinned(monkeypatch):
+    # seed 8700, K = 10, Rmin = 220 kbit: the floor binds at row 4
+    # (vartheta 0.6468...), and row 5 reports that point at its own q,
+    # with vartheta, delta and every mu rescaled to it
+    base = generate_scenario(default_geometry(K=10, seed=8700), default_system_params())
+    (rep, duals, trace), thetas = solve_with_binding_rows(monkeypatch, with_floor(base, 220e3))
+    assert thetas == [0.0, 0.0, 0.0, 0.6468278985137993] and len(trace) == 5
+    assert rep.iterations == {"outer": 5, "fills": 0, "stop": "converged"}
+    assert duals == DualState(
+        q=2491843.2797021857,
+        vartheta=0.6796522978507049,
+        delta=149523.50552715507,
+        mu=(
+            41380366.342015095, 37476674.92665029, 29566829.580947828, 52208205.86094641,
+            45611322.37774731, 33759822.996004924, 42955863.28780983, 48573596.36582151,
+            41096922.762995206, 33506768.37657845,
+        ),
+    )
+
+
+def test_filled_floor_duals_are_pinned(monkeypatch):
+    # seed 8709, K = 10, Rmin = 0.999 R*: the floor binds at row 2 on a
+    # boundary fill, across which user 5 joins the schedule, and row 3
+    # reports the fill at its own q.  User 5's multiplier is 0; every
+    # other user keeps hi's, rescaled with delta to row 3's q
+    base = generate_scenario(default_geometry(K=10, seed=8709), default_system_params())
+    scen = with_floor(base, 0.999 * max_throughput(base).R_star)
+    (rep, duals, trace), thetas = solve_with_binding_rows(monkeypatch, scen)
+    assert thetas == [0.0, 102.54055844676382] and len(trace) == 3
+    assert rep.iterations == {"outer": 3, "fills": 1, "stop": "converged"}
+    assert duals == DualState(
+        q=402287.9145523922,
+        vartheta=122.86309303109674,
+        delta=53184234.10966782,
+        mu=(
+            2077574.698120688, 16584916.400170507, 5231033.44794865, 8532314.647625597,
+            550662.1518221357, 0.0, 7887141.858234521, 3976085.285377244,
+            1805657.472147252, 894988.522883484,
+        ),
+    )
 
 
 def test_sweep_floors_solved_cold_match_the_sweep():

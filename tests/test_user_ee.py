@@ -147,6 +147,10 @@ def test_edge_cases():
     # ee_star = nan
     with pytest.raises(ValueError, match="gamma\\*pc\\*varsigma must be finite"):
         max_user_ee(1e308, stock_params(pc=10.0))
+    # ee_star overflows at a huge W: this used to return ee_star = inf,
+    # which solve_best_effort then rejected with an internal message
+    with pytest.raises(ValueError, match="ee_star must be finite"):
+        max_user_ee(1e9, stock_params(W=1e308))
 
 
 def sweep_gammas(params, lo=1e-6, hi=1e7, n=261):
