@@ -23,6 +23,15 @@ vartheta is discontinuous exactly where a gate flips; at such a root
 the optimal face is a segment between the two bracketing maximizers,
 and the solver mixes them to land on the floor exactly.
 
+A level at (q, vartheta) is the W1 = W maximizer at the price
+q/(1 + vartheta), so a binding floor is searched along one of two
+parametrisations of that family.  Where the charging slot is on at q
+and at the rate ceiling, the search runs over the WET-gate multiplier
+delta: at W1 = W the roots s_k(delta) do not read the price, and the
+price at which the gate closes at delta is a closed form in them, so a
+probe costs one dual record.  Otherwise it runs over vartheta, a KKT
+level per probe.
+
 The rate ceiling R* (`max_throughput`) is the q = 0 case of the inner
 problem: with no energy price every user is scheduled and spends its
 whole energy stock, and the charging slot stays on until its marginal
@@ -380,13 +389,11 @@ class _Draw:
     the points solved on it so far, keyed by (q, W1).
 
     A level reads neither Rmin nor the floor multiplier t except through
-    W1 = W*(1 + t).  A level at W1 = W (an anchor) is built from scratch;
-    a level at W1 != W starts its WET-gate climb at a rung read from its
-    anchor, the level at (q, W), if the anchor charges (its delta is then
-    its gate's root), and at 1 otherwise (`_start_rung`).  So each point
+    W1 = W*(1 + t), and every level is built from scratch.  So each point
     depends only on (draw, q, W1) and is the same to the bit whichever
     solve first asked for it: every floor of a draw, and the rate ceiling,
-    share its levels, and no anchor reads a level at another W1.
+    share its levels.  The gate search of a binding floor (`_gate_search`)
+    keeps its probes to itself.
 
     The rate ceiling also climbs the draw's WET-gate ladder, its dual
     records at delta = 0, 1, 2, 4, ... (`_Level.point`).  At q = 0 those
@@ -403,6 +410,11 @@ class _Draw:
         self.gammas = tuple(u.gamma for u in scen.users)
         self.Q = [u.Q for u in scen.users]
         self.harvest, self.wet_cost = _charging(scen)
+        cln = _w1_cln(par, 0.0)[1]
+        if not all(math.isfinite(g * cln) for g in self.gammas):
+            raise ValueError(
+                f"W = {par.W!r} overflows a user's rate constant gamma*W*varsigma/ln 2"
+            )
         self.points: dict[tuple[float, float], _Point] = {}
         # everything a q = 0 root reads
         self.roots = (par.W, self.vs, self.pc, self.gammas)
@@ -414,14 +426,7 @@ class _Draw:
         W1 = _w1_cln(self.par, t)[0]
         pt = self.points.get((q, W1))
         if pt is None:
-            start = 1.0
-            if W1 != self.par.W:
-                # the anchor, which _solve_q builds before any floor search;
-                # its delta is its gate's root only where it charges
-                anchor = self.level(q, 0.0)
-                if anchor.alloc.tau0 > 0.0:
-                    start = _start_rung(W1 / self.par.W * anchor.delta)
-            pt = self.points[q, W1] = _Level(self, q, t, start).point()
+            pt = self.points[q, W1] = _Level(self, q, t).point()
         return pt
 
     def reaches(self, rmin: float) -> bool:
@@ -439,22 +444,6 @@ class _Draw:
 # on one point both build it and store equal points, and two that
 # extend one ladder store equal rungs.
 _latest_draw: tuple[tuple, _Draw | None] = ((), None)
-
-
-def _start_rung(delta: float) -> float:
-    """The smallest power of two at or above max(1, delta): the first
-    WET-gate rung a level at W1 != W tests, delta being its anchor's
-    delta scaled by W1/W.
-
-    F_{c*W1}(c*s) = c*F_{W1}(s), so the gate of (q, c*W) closes at
-    c times that of (q/c, W), which is at least c times that of (q, W):
-    where the anchor's delta is its gate's root (the anchor charges),
-    the climb starts at or below its closing rung and doubles up to it.
-    """
-    if not delta > 1.0:
-        return 1.0
-    m, e = math.frexp(delta)
-    return math.ldexp(1.0, e - 1 if m == 0.5 else e)
 
 
 def _draw(scen: Scenario) -> _Draw:
@@ -479,10 +468,9 @@ class _Level:
     """KKT solve of a draw at fixed (q, vartheta): picks delta and
     assembles the point."""
 
-    def __init__(self, draw: _Draw, q: float, vartheta: float, start: float = 1.0):
+    def __init__(self, draw: _Draw, q: float, vartheta: float):
         self.draw = draw
         self.q = q
-        self.start = start  # the WET-gate rung the climb tests first
         self.W1, self.cln = _w1_cln(draw.par, vartheta)
         self.heads = [_score(g, q, self.cln, self.W1, draw.vs, draw.pc) for g in draw.gammas]
         # each tight user's last root, the next root's warm start (0 at first)
@@ -553,34 +541,35 @@ class _Level:
 
         The charging gate is open at delta = 0 and tested on the WET-gate
         ladder delta = 1, 2, 4, ...: brentq finds its root in [0, hi],
-        hi being the first rung where the gate is shut.  The climb starts
-        at rung `start` (`_Draw.level`), at or below the rung a climb
-        from 1 stops at, and doubles while the gate is open.  Each
-        record's roots are warm-started from the record solved before it.
+        hi being the first rung where the gate is shut.  Each record's
+        roots are warm-started from the record solved before it.
 
-        An anchor (W1 = W) starts at 1.  At q = 0 its roots read neither
-        Pmax, eta, h nor Q (`_Draw`), so a ceiling copies the rungs an
-        earlier ceiling of the same roots solved and tests only their f0
-        signs; it stops at the rung a cold climb stops at, with the same
-        memo and warm starts, so brentq and the assembly read the same
-        doubles.
+        At q = 0 the roots read neither Pmax, eta, h nor Q (`_Draw`), so
+        a ceiling copies the rungs an earlier ceiling of the same roots
+        solved and tests only their f0 signs; it stops at the rung a cold
+        climb stops at, with the same memo and warm starts, so brentq and
+        the assembly read the same doubles.
         """
         if self._climb(0.0) <= 0.0:
             return self.uncharged_point()
 
         # Charging pays at delta = 0: find where its gate closes.
-        Tmax, harvest = self.draw.par.Tmax, self.draw.harvest
-        hi = _double_until(lambda d: self._climb(d) <= 0.0, self.start, "WET gate delta")
+        hi = _double_until(lambda d: self._climb(d) <= 0.0, 1.0, "WET gate delta")
         delta_w = brentq(self._f0_at, 0.0, hi, maxiter=200)
-        base_w = self._base_at(delta_w)
-        if base_w <= Tmax:
-            # Charging on; block exactly filled by the tau0 scale.
-            tight_w, s_w = self.duals(delta_w)
-            slope = 1.0 + math.fsum(
-                harvest[k] / self.D_of_s(k, sk) for k, sk in zip(tight_w, s_w)
-            )
-            return self._assemble(delta_w, (Tmax - base_w) / slope, free={})
-        return self._solve_time_bound(delta_w)
+        pt = self.charged_point(delta_w)
+        return pt if pt is not None else self._solve_time_bound(delta_w)
+
+    def charged_point(self, delta: float) -> _Point | None:
+        """The maximizer with the charging slot on, its gate closing at
+        delta: the block exactly filled by the tau0 scale.  None where
+        the battery drains alone overfill the block (tau0 < 0)."""
+        Tmax, harvest = self.draw.par.Tmax, self.draw.harvest
+        base = self._base_at(delta)
+        if base > Tmax:
+            return None
+        tight, s = self.duals(delta)
+        slope = 1.0 + math.fsum(harvest[k] / self.D_of_s(k, sk) for k, sk in zip(tight, s))
+        return self._assemble(delta, (Tmax - base) / slope, free={})
 
     def uncharged_point(self) -> _Point:
         """The maximizer with the charging slot held off.
@@ -746,30 +735,165 @@ def _fill_to_floor(scen: Scenario, lo: _Point, hi: _Point, rmin: float) -> _Poin
     )
 
 
+def _bracketed(
+    scen: Scenario, at: Callable[[float], _Point], lo: float, hi: float, rmin: float
+) -> tuple[float, _Point, int]:
+    """The floor's point on a bracket of a parametrisation along which B
+    is nondecreasing: returns (x, point, fill count).
+
+    at(x) is the memoised point at x; at(lo) falls short of the floor and
+    at(hi) meets it, up to the slack of `_reaches_floor`.  A floor within
+    that slack of at(hi).B has no sign change to bracket, and hi's point
+    is the answer.  Otherwise brentq finds the crossing.  Where B jumps
+    over the floor (a KKT gate flips), the tightest evaluated pair on
+    either side of it is bisected down to float adjacency and filled
+    (`_fill_to_floor`); x is then the pair's upper end.
+    """
+    hi_pt = at(hi)
+    if hi_pt.B < rmin:
+        return hi, hi_pt, 0
+
+    # the evaluated points pick the fill's bracketing pair
+    seen = {lo, hi}
+
+    def gap(x: float) -> float:
+        seen.add(x)
+        return at(x).B - rmin
+
+    # brentq returns one of the points it evaluated: a memo hit
+    x_hat = brentq(gap, lo, hi, maxiter=300)
+    pt_hat = at(x_hat)
+    if abs(pt_hat.B - rmin) <= _FILL_TOL * max(rmin, 1.0):
+        return x_hat, pt_hat, 0
+
+    below = max(x for x in seen if not _reaches_floor(at(x).B, rmin))
+    above = min(x for x in seen if x >= below and _reaches_floor(at(x).B, rmin))
+    for _ in range(200):
+        mid = 0.5 * (below + above)
+        if not below < mid < above:
+            break
+        if _reaches_floor(at(mid).B, rmin):
+            above = mid
+        else:
+            below = mid
+    return above, _fill_to_floor(scen, at(below), at(above), rmin), 1
+
+
+def _gate_price(
+    s: Sequence[float], harvest: Sequence[float], wet_cost: float, delta: float
+) -> float:
+    """The price q at which the WET gate closes at delta, given every
+    user's root s_k(delta) at W1 = W: the root of
+
+        sum_k (s_k - q)^+ * harvest_k - q*wet_cost = delta.
+
+    The left side is continuous, strictly decreasing and linear between
+    consecutive s_k, so walking the roots down from the largest, q is the
+    first segment's root that does not fall below the next s_k.  The root
+    is negative where even q = 0 leaves the gate shut at delta."""
+    order = sorted(range(len(s)), key=s.__getitem__, reverse=True)
+    num, den = -delta, wet_cost
+    for i, k in enumerate(order):
+        num += s[k] * harvest[k]
+        den += harvest[k]
+        if i + 1 == len(order) or num / den >= s[order[i + 1]]:
+            break
+    return num / den
+
+
+class _GateMiss(Exception):
+    """A gate search that cannot answer its floor: a bracket end short of
+    its side of the floor, a probe off the charging face, or an answer at
+    a price that is not positive."""
+
+
+def _gate_search(draw: _Draw, q: float, rmin: float, anchor: _Point) -> tuple[_Point, float, int]:
+    """`_solve_q`'s floor search over the WET-gate multiplier delta, for
+    an anchor (the level at (q, W)) and a rate ceiling that both charge.
+
+    The probe at delta reads every user's root s_k(delta) at W1 = W from
+    one dual record of a q = 0 level, takes the price q' at which the gate
+    closes at delta (`_gate_price`), and hands the users with s_k > q' to
+    a level at (q', W), which assembles the charging point at q'.  That
+    point is the level at (q, W*q/q'), so vartheta = q/q' - 1, and its
+    delta and mu are rescaled by q/q' to that level's scale.  q' falls as
+    delta rises, so B is nondecreasing over [anchor.delta, ceiling.delta],
+    whose ends are the gate roots at q and at 0.
+
+    The records come from a level built for this search alone, so the
+    answer does not depend on what the draw solved before.  Raises
+    `_GateMiss` where a bracket end falls short of its side of the floor,
+    a probe's drains overfill the block, or the answer's price is not
+    positive.
+    """
+    rec = _Level(draw, 0.0, 0.0)  # read through duals only: no ladder rung
+    K, harvest, wet_cost = draw.K, draw.harvest, draw.wet_cost
+    probes: dict[float, tuple[_Point, float]] = {}
+
+    def at(delta: float) -> _Point:
+        got = probes.get(delta)
+        if got is None:
+            s = rec.duals(delta)[1]  # at q = 0 every user is tight
+            price = _gate_price(s, harvest, wet_cost, delta)
+            lvl = _Level(draw, price, 0.0)
+            tight = [k for k in range(K) if s[k] > price]
+            lvl._duals[delta] = (tight, [s[k] for k in tight])
+            pt = lvl.charged_point(delta)
+            if pt is None:
+                raise _GateMiss
+            got = probes[delta] = (pt, price)
+        return got[0]
+
+    lo, hi = anchor.delta, draw.level(0.0, 0.0).delta
+    # A floor within the slack of the ceiling end (rmin "reaches" its B)
+    # may have no sign change to bracket, and that end prices at about 0
+    # with a sign that rounding picks: the t-search, which meets such a
+    # floor at a finite vartheta, takes every one of them.
+    if _reaches_floor(at(lo).B, rmin) or _reaches_floor(rmin, at(hi).B):
+        raise _GateMiss
+    delta, pt, fills = _bracketed(draw.scen, at, lo, hi, rmin)
+    price = probes[delta][1]
+    c = q / price if price > 0.0 else math.inf
+    if c == math.inf:  # no positive price, or q/price overflows
+        raise _GateMiss
+    pt = dataclasses.replace(pt, delta=c * pt.delta, mu=tuple(c * m for m in pt.mu))
+    return pt, c - 1.0, fills
+
+
 def _solve_q(draw: _Draw, q: float, rmin: float | None) -> tuple[_Point, float, int]:
     """Inner maximizer at fixed q: returns (point, vartheta, fill count).
 
+    Where the anchor (the level at (q, W)) meets the floor, vartheta = 0.
+    Otherwise the floor binds, and where the anchor and the rate ceiling
+    both charge, `_gate_search` finds it.  Everywhere else, and where
+    the gate search misses, the search runs over the floor multiplier t
+    itself, one KKT level at W1 = W*(1 + t) per probe.
+
     B as a function of the floor multiplier is nondecreasing (it is a
     subgradient selection of a convex dual function), so a bisection
-    invariant B(lo) < Rmin <= B(hi) is safe even across jumps.  In
-    floating point B can dip within a few ulps of W1 where the WET gate
-    f0 rounds about 0; the fill pair then depends on the search path,
-    which moves the answer by at most a few ulps.
+    invariant B(lo) < Rmin <= B(hi) is safe even across jumps
+    (`_bracketed`).  In floating point B can dip within a few ulps of W1
+    where the WET gate f0 rounds about 0; the fill pair then depends on
+    the search path, which moves the answer by at most a few ulps.
 
     Near t = 0 distinct multipliers round to one or two W1, and the
     bisection of a fill halves its pair down to float adjacency, where
     neighbouring multipliers share a W1: the draw solves each W1 once,
     across this solve and every other floor of the draw.
 
-    The search keeps only the multipliers it evaluated and reads their
-    points from the draw.  A Dinkelbach solve calls this only until the
-    floor binds (vartheta > 0); later iterates carry that point
+    A Dinkelbach solve calls this only until the floor binds
+    (vartheta > 0); later iterates carry that point
     (`solve_qos_detailed`), so a solve searches vartheta, and fills, at
     most once.
     """
     p0 = draw.level(q, 0.0)
     if rmin is None or _reaches_floor(p0.B, rmin):
         return p0, 0.0, 0
+    if p0.alloc.tau0 > 0.0 and draw.level(0.0, 0.0).alloc.tau0 > 0.0:
+        try:
+            return _gate_search(draw, q, rmin, p0)
+        except _GateMiss:
+            pass
 
     # At the zero point (no bits: empty batteries, q at the best-effort
     # EE, charging gate shut) the floor is crossed within a few ulps of
@@ -783,41 +907,8 @@ def _solve_q(draw: _Draw, q: float, rmin: float | None) -> tuple[_Point, float, 
     )
     # hi_t was solved while doubling, so this is a memo hit
     lo_t = 0.0 if hi_t == start else hi_t / 2.0
-    hi_pt = draw.level(q, hi_t)
-    if hi_pt.B < rmin:
-        # A floor within the slack of the rate ceiling: hi meets it only
-        # up to that slack, so there is no sign change for brentq to bracket.
-        return hi_pt, hi_t, 0
-
-    # the evaluated multipliers pick the fill's bracketing pair
-    seen = {lo_t, hi_t}
-
-    def gap(t: float) -> float:
-        seen.add(t)
-        return draw.level(q, t).B - rmin
-
-    # brentq returns one of the multipliers it evaluated: a memo hit
-    t_hat = brentq(gap, lo_t, hi_t, maxiter=300)
-    pt_hat = draw.level(q, t_hat)
-
-    if abs(pt_hat.B - rmin) <= _FILL_TOL * max(rmin, 1.0):
-        return pt_hat, t_hat, 0
-
-    # Discontinuity at the root: B jumps over the floor where a KKT
-    # gate flips.  Recover the tightest evaluated pair on either side
-    # of the floor, then bisect it down to float adjacency.
-    below = max(t for t in seen if not _reaches_floor(draw.level(q, t).B, rmin))
-    above = min(t for t in seen if t >= below and _reaches_floor(draw.level(q, t).B, rmin))
-    for _ in range(200):
-        mid = 0.5 * (below + above)
-        if not below < mid < above:
-            break
-        if _reaches_floor(draw.level(q, mid).B, rmin):
-            above = mid
-        else:
-            below = mid
-    filled = _fill_to_floor(draw.scen, draw.level(q, below), draw.level(q, above), rmin)
-    return filled, above, 1
+    t, pt, fills = _bracketed(draw.scen, lambda t: draw.level(q, t), lo_t, hi_t, rmin)
+    return pt, t, fills
 
 
 def dinkelbach_T(q: float, scen: Scenario) -> tuple[float, Allocation]:
@@ -849,8 +940,11 @@ def solve_qos_detailed(scen: Scenario) -> tuple[SolutionReport, DualState, list[
     The first one whose floor multiplier is positive, at q_b with
     vartheta_b, fixes the point: it meets Rmin at least energy, so every
     later iterate q carries it with vartheta = q/q_eff - 1, where
-    q_eff = q_b/(1 + vartheta_b), building no KKT level.  Its multipliers
-    scale by c = q/q_b, as F_{c*W1}(c*s) = c*F_{W1}(s); the reported
+    q_eff = q_b/(1 + vartheta_b), building no KKT level.  Its delta and
+    mu are those of the level at (q_b, W*(1 + vartheta_b)), whichever
+    parametrisation `_solve_q` searched (the gate search found it at
+    W1 = W and rescaled them).  They scale by c = q/q_b, as
+    F_{c*W1}(c*s) = c*F_{W1}(s); the reported
     duals are scaled once, when the reported iterate carries that point
     (c = 1.0, exact, at q_b).  The point is kept for this solve only, so
     each floor of a draw is solved as it would be alone.

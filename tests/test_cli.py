@@ -182,6 +182,14 @@ def test_config_errors_exit_one(tmp_path, capsys):
     assert main(["sweep", "--config", cfg_file(tmp_path, inadmissible, "g.json")]) == 1
     err = capsys.readouterr().err
     assert "configuration error: no admissible channel draw" in err and "Traceback" not in err
+    # a bandwidth whose rate constants overflow used to end in the floor
+    # solver's RuntimeError traceback
+    huge_w = cfg_file(tmp_path, {"system": {"bandwidth_Hz": 1e305, "Rmin_bits": 1000}}, "w.json")
+    for command in ("feasibility", "solve-qos"):
+        assert main([command, "--config", huge_w]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error: W = 1e+305 overflows a user's rate constant" in err
+        assert "Traceback" not in err
     integral = cfg_file(tmp_path, {"geometry": {"K": 2.0, "seed": 4.0}}, "integral.json")
     assert main(["solve-best-effort", "--config", integral]) == 0
 

@@ -323,9 +323,9 @@ def test_near_ceiling_floor_converges_on_its_binding_point():
     assert abs(trace[-1][2]) <= 1e-8
     assert rep.iterations == {"outer": 3, "fills": 0, "stop": "converged"}
     # row 2's allocation, to the bit
-    assert rep.alloc.tau0 == 0.14132575951551885
-    assert rep.alloc.p == (0.005090612790046864, 0.031600172178278985)
-    assert rep.alloc.tau == (0.20962923945506065, 0.6490450010294203)
+    assert rep.alloc.tau0 == 0.14132575951546897
+    assert rep.alloc.p == (0.005090612790045177, 0.031600172178261055)
+    assert rep.alloc.tau == (0.20962923945502174, 0.6490450010295092)
     assert rep.ee == qs[-1]
     assert check_constraints(rep.alloc, scen, tol=1e-7).feasible
     # its duals, rescaled to the last q: each tight user's root
@@ -644,7 +644,8 @@ def test_second_floor_of_a_draw_builds_only_new_levels(monkeypatch):
 
 
 def test_binding_floor_builds_no_level_after_it_binds(monkeypatch):
-    # seed 8700, K = 10, Rmin = 220 kbit: the floor first binds at row 4.
+    # seed 8700, K = 10, Rmin = 220 kbit: the floor first binds at row 4,
+    # where the anchor charges, so its search builds no level off W1 = W.
     # Row 5 reads row 4's point, rescaled to its q, and builds no level;
     # the loop still takes 5 rows.  The answer agrees with a cold inner
     # solve at the reported EE
@@ -654,7 +655,7 @@ def test_binding_floor_builds_no_level_after_it_binds(monkeypatch):
     rep, duals, trace = solve_qos_detailed(scen)
     qs = [row[1] for row in trace]
     assert rep.iterations == {"outer": 5, "fills": 0, "stop": "converged"}
-    assert any(q == qs[-2] and W1 > base.params.W for q, W1 in built)
+    assert {W1 for _, W1 in built} == {base.params.W}
     assert {q for q, _ in built} <= set(qs[:-1])
     assert duals.q == qs[-1] and duals.vartheta > 0.0
     forget_draws()
@@ -684,40 +685,115 @@ def test_binding_floor_duals_are_pinned(monkeypatch):
     # with vartheta, delta and every mu rescaled to it
     base = generate_scenario(default_geometry(K=10, seed=8700), default_system_params())
     (rep, duals, trace), thetas = solve_with_binding_rows(monkeypatch, with_floor(base, 220e3))
-    assert thetas == [0.0, 0.0, 0.0, 0.6468278985137993] and len(trace) == 5
+    assert thetas == [0.0, 0.0, 0.0, 0.6468278985138016] and len(trace) == 5
     assert rep.iterations == {"outer": 5, "fills": 0, "stop": "converged"}
     assert duals == DualState(
-        q=2491843.2797021857,
-        vartheta=0.6796522978507049,
-        delta=149523.50552715507,
+        q=2491843.279702185,
+        vartheta=0.6796522978507071,
+        delta=149523.50552715562,
         mu=(
-            41380366.342015095, 37476674.92665029, 29566829.580947828, 52208205.86094641,
-            45611322.37774731, 33759822.996004924, 42955863.28780983, 48573596.36582151,
-            41096922.762995206, 33506768.37657845,
+            41380366.34201511, 37476674.92665029, 29566829.58094781, 52208205.86094641,
+            45611322.37774733, 33759822.99600492, 42955863.28780982, 48573596.36582153,
+            41096922.76299521, 33506768.37657843,
         ),
     )
+
+
+FILLED_FLOORS = [
+    # seed 8709, Rmin = 0.999 R*: the floor binds at row 2 on a boundary
+    # fill, across which user 5 joins the schedule
+    (
+        8709,
+        0.999,
+        102.54055844676431,
+        DualState(
+            q=402287.91455239075,
+            vartheta=122.86309303109688,
+            delta=53184234.109667875,
+            mu=(
+                2077574.698120704, 16584916.400170581, 5231033.447948677, 8532314.647625642,
+                550662.1518221413, 0.0, 7887141.8582345415, 3976085.2853772733,
+                1805657.4721472599, 894988.5228834876,
+            ),
+        ),
+    ),
+    # seed 8747, Rmin = 0.99 R*: likewise, with user 8 joining
+    (
+        8747,
+        0.99,
+        17.556661025144905,
+        DualState(
+            q=370616.4684272576,
+            vartheta=28.90477575544185,
+            delta=10507220.985618223,
+            mu=(
+                13218756.705463592, 18840898.952701982, 4534820.215349094, 27803567.52362768,
+                28206563.342192657, 4429623.232285128, 21811349.664393164, 7630389.661651615,
+                0.0, 28797317.069404315,
+            ),
+        ),
+    ),
+]
 
 
 def test_filled_floor_duals_are_pinned(monkeypatch):
-    # seed 8709, K = 10, Rmin = 0.999 R*: the floor binds at row 2 on a
-    # boundary fill, across which user 5 joins the schedule, and row 3
-    # reports the fill at its own q.  User 5's multiplier is 0; every
-    # other user keeps hi's, rescaled with delta to row 3's q
-    base = generate_scenario(default_geometry(K=10, seed=8709), default_system_params())
-    scen = with_floor(base, 0.999 * max_throughput(base).R_star)
-    (rep, duals, trace), thetas = solve_with_binding_rows(monkeypatch, scen)
-    assert thetas == [0.0, 102.54055844676382] and len(trace) == 3
-    assert rep.iterations == {"outer": 3, "fills": 1, "stop": "converged"}
-    assert duals == DualState(
-        q=402287.9145523922,
-        vartheta=122.86309303109674,
-        delta=53184234.10966782,
-        mu=(
-            2077574.698120688, 16584916.400170507, 5231033.44794865, 8532314.647625597,
-            550662.1518221357, 0.0, 7887141.858234521, 3976085.285377244,
-            1805657.472147252, 894988.522883484,
-        ),
-    )
+    # K = 10 floors that bind at row 2 on a boundary fill, the anchor
+    # charging, so the gate search fills them.  Row 3 reports the fill at
+    # its own q: the joining user's multiplier is 0, and every other user
+    # keeps hi's, rescaled with delta to row 3's q.  Row 3's q is the EE
+    for seed, frac, theta, want in FILLED_FLOORS:
+        base = generate_scenario(default_geometry(K=10, seed=seed), default_system_params())
+        scen = with_floor(base, frac * max_throughput(base).R_star)
+        (rep, duals, trace), thetas = solve_with_binding_rows(monkeypatch, scen)
+        assert thetas == [0.0, theta] and len(trace) == 3
+        assert rep.iterations == {"outer": 3, "fills": 1, "stop": "converged"}
+        assert duals == want
+        assert rep.ee == want.q
+
+
+@pytest.mark.parametrize("batteries", ["empty", "mixed", "charged"])
+def test_gate_search_matches_the_t_search(monkeypatch, batteries):
+    # where the anchor at the binding iterate charges, the search over the
+    # WET-gate multiplier and the search over vartheta itself, which the
+    # gate search falls back to, land on one floor point: EE within 1e-12
+    # relative, and both allocations within every constraint at 1e-9.
+    # Batteries of 1-50 mJ leave charging worth its time on most draws
+    gate_search, searched = qos._gate_search, []
+
+    def recording_gate_search(*args):
+        out = gate_search(*args)  # a miss raises before it is recorded
+        searched.append(out)
+        return out
+
+    def missing_gate_search(*args):
+        raise qos._GateMiss
+
+    rng = np.random.default_rng(30)
+    compared = 0
+    for _ in range(8):
+        K = int(rng.integers(1, 21))
+        Q = rng.uniform(1e-3, 0.05, size=K)
+        if batteries != "charged":
+            Q[:: 1 if batteries == "empty" else 2] = 0.0
+        base = random_scenario(rng, K)
+        base = scenario_from_values(base.params, base.h, base.gamma, Q)
+        r_star = max_throughput(base).R_star
+        for frac in (0.3, 0.6, 0.9, 0.99, 0.999):
+            scen = with_floor(base, frac * r_star)
+            searched.clear()
+            monkeypatch.setattr(qos, "_gate_search", recording_gate_search)
+            forget_draws()
+            gate = solve_qos(scen)
+            if not searched:
+                continue
+            monkeypatch.setattr(qos, "_gate_search", missing_gate_search)
+            forget_draws()
+            ref = solve_qos(scen)
+            assert abs(gate.ee - ref.ee) <= 1e-12 * ref.ee, (batteries, K, frac)
+            for rep in (gate, ref):
+                assert check_constraints(rep.alloc, scen, tol=1e-9).feasible
+            compared += 1
+    assert compared >= 20
 
 
 def test_sweep_floors_solved_cold_match_the_sweep():
@@ -737,78 +813,15 @@ SWEEP_FLOORS = (50e3, 120e3, 190e3, 220e3, 245e3, 255e3)
 
 
 def sweep_trial():
-    """The seed-8700 K = 10 draw of the rmin sweep and its six floors."""
+    """The six floors of the seed-8700 K = 10 draw of the rmin sweep."""
     base = generate_scenario(default_geometry(K=10, seed=8700), default_system_params())
-    return base, [with_floor(base, rmin) for rmin in SWEEP_FLOORS]
-
-
-def mixed_battery_floor():
-    """K = 5 with mixed batteries at 0.6 R*: some anchors are time-bound,
-    their delta above their gate's root, so their floor levels climb
-    from 1."""
-    base = random_scenario(np.random.default_rng(2), 5, q_mode="mixed")
-    return base, [with_floor(base, 0.6 * max_throughput(base).R_star)]
-
-
-@pytest.mark.parametrize("case", [sweep_trial, mixed_battery_floor])
-def test_floor_levels_close_the_gate_on_the_rung_a_climb_from_one_finds(monkeypatch, case):
-    # each level off W1 = W whose anchor, the level at (q, W), charges
-    # starts its WET-gate climb at a rung read from the anchor's delta,
-    # and any other at 1.  It must hand brentq the bracket a climb from 1
-    # on a fresh draw hands it, and agree with that level within 1e-12
-    base, floors = case()
-    W = base.params.W
-    brackets, asked = {}, {}
-    brentq, level = qos.brentq, qos._Draw.level
-
-    def recording_brentq(f, a, b, **kw):
-        if getattr(f, "__func__", None) is qos._Level._f0_at:
-            brackets[f.__self__.q, f.__self__.W1] = (f.__self__.start, b)
-        return brentq(f, a, b, **kw)
-
-    def recording_level(self, q, t):
-        asked.setdefault((q, qos._w1_cln(self.par, t)[0]), t)
-        return level(self, q, t)
-
-    monkeypatch.setattr(qos, "brentq", recording_brentq)
-    monkeypatch.setattr(qos._Draw, "level", recording_level)
-    forget_draws()
-    for scen in floors:
-        solve_qos(scen)
-    draw = qos._latest_draw[1]
-    seeded = unseeded = 0  # levels that climbed from a rung above 1, and
-    # levels of an uncharged anchor whose scaled delta exceeds 1
-    for q, W1 in [key for key in asked if key[1] != W]:
-        got = brackets.pop((q, W1), None)
-        cold = qos._Level(qos._Draw(base), q, asked[q, W1]).point()
-        want = brackets.pop((q, W1), None)
-        assert (got and got[1]) == (want and want[1])
-        anchor = draw.points[q, W]
-        if got is not None:
-            start, rung = got
-            assert start <= rung
-            seeded += start > 1.0
-            if anchor.alloc.tau0 == 0.0:
-                assert start == 1.0
-                unseeded += W1 / W * anchor.delta > 1.0
-        pt = draw.points[q, W1]
-        assert abs(pt.B - cold.B) <= 1e-12 * max(cold.B, 1.0)
-        assert abs(pt.E - cold.E) <= 1e-12 * cold.E
-    if case is sweep_trial:
-        assert seeded >= 10
-    else:
-        assert unseeded >= 1
-
-
-def test_start_rung_is_the_power_of_two_at_or_above_max_1_delta():
-    deltas = (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 2.0**40 + 1.0)
-    assert [qos._start_rung(d) for d in deltas] == [1.0, 1.0, 1.0, 2.0, 2.0, 4.0, 4.0, 2.0**41]
+    return [with_floor(base, rmin) for rmin in SWEEP_FLOORS]
 
 
 def test_multipliers_sharing_a_w1_share_one_point():
-    # two floor multipliers near 2**-52 that round to one W1: the level's
-    # start rung reads W1, not the multiplier, so whichever is asked
-    # first, both get one point, to the bit
+    # two floor multipliers near 2**-52 that round to one W1: the level
+    # reads W1, not the multiplier, so whichever is asked first, both get
+    # one point, to the bit
     base = generate_scenario(default_geometry(K=10, seed=8700), default_system_params())
     q = 0.5 * solve_best_effort(base).ee
     t1 = 2.0**-52
@@ -819,22 +832,25 @@ def test_multipliers_sharing_a_w1_share_one_point():
         draw = qos._Draw(base)
         first, second = (draw.level(q, t) for t in order)
         assert first is second
-        assert qos._start_rung(draw.level(q, 0.0).delta) > 1.0
         got.append(repr(first))
     assert got[0] == got[1]
 
 
 def test_sweep_trial_solves_fewer_roots_on_the_same_levels(monkeypatch):
     # the seed-8700 K = 10 trial's six floors from a cold draw record:
-    # 6,969 roots when every level climbed its WET gate from 1, at most
-    # 3,700 with floor levels starting at their anchor's rung; the 28
-    # levels stay
+    # 6,969 roots when every level climbed its WET gate from 1, 3,569 on
+    # 28 levels when floor levels started at their anchor's rung, and
+    # 1,760 on 8 levels now that the three floors whose anchors charge
+    # (220, 245 and 255 kbit) search the WET-gate multiplier with one dual
+    # record per probe; only levels of an uncharged anchor lie off W1 = W
     levels = record_levels(monkeypatch)
     roots = count_roots(monkeypatch)
-    for scen in sweep_trial()[1]:
+    for scen in sweep_trial():
         solve_qos(scen)
-    assert len(levels) == len(set(levels)) == 28
-    assert len(roots) <= 3700
+    assert len(levels) == len(set(levels)) == 8
+    W, points = scen.params.W, qos._latest_draw[1].points
+    assert all(points[q, W].alloc.tau0 == 0.0 for q, W1 in levels if W1 != W)
+    assert len(roots) <= 1800
 
 
 def read_by_levels(scen):

@@ -183,6 +183,15 @@ def test_feasibility_thresholds():
     assert is_feasible(zero)
 
 
+def test_overflowing_rate_constants_are_a_value_error():
+    # from W ~ 1e301 Hz gamma*W*varsigma/ln 2 overflows to inf, and the
+    # ceiling used to fail bracketing its roots with a RuntimeError
+    par = dataclasses.replace(default_system_params(), W=1e305)
+    scen = generate_scenario(default_geometry(K=5, seed=0), par)
+    with pytest.raises(ValueError, match="rate constant"):
+        max_throughput(scen)
+
+
 def pinned_20dbm_scenario():
     # A K=5 draw on which a golden-section search over tau0 lands on the
     # wrong side of a jump in R(tau0) and reports 31815.39.
