@@ -90,18 +90,31 @@ def select_pwpcn_set(
     for h_i, ee_i in candidates:
         if not (math.isfinite(h_i) and h_i >= 0.0 and math.isfinite(ee_i) and ee_i >= 0.0):
             raise ValueError(f"candidate (h, ee) = {(h_i, ee_i)!r} must be finite and nonnegative")
-    order = sorted(range(len(candidates)), key=lambda i: (-candidates[i][1], i))
-    num = 0.0
-    den = c_val
+    ee, h = [ee_i for _, ee_i in candidates], [h_i for h_i, _ in candidates]
+    return tuple(sorted(_admission_walk(ee, h, 0.0, c_val)[0]))
+
+
+def _admission_walk(
+    values: Sequence[float], weights: Sequence[float], num: float, den: float
+) -> tuple[list[int], float, float]:
+    """The greedy walk behind the PWPCN admission and the WET-gate price.
+
+    Admits indices on descending value, ties in index order, while the
+    next value beats the running ratio num/den, each admission adding
+    value*weight to num and weight to den.  Returns the admitted indices
+    in walk order and the final (num, den).  With den positive and the
+    weights nonnegative, an admission never lowers the ratio, so the walk
+    stops at its maximum over the prefixes of the order.
+    """
     taken: list[int] = []
-    for i in order:
-        h_i, ee_i = candidates[i]
-        if ee_i * den <= num:  # ee_i <= EE(S): stop, all following are weaker
+    for i in sorted(range(len(values)), key=values.__getitem__, reverse=True):
+        v = values[i]
+        if v * den <= num:  # v <= num/den: stop, all following are weaker
             break
-        num += h_i * ee_i
-        den += h_i
+        num += v * weights[i]
+        den += weights[i]
         taken.append(i)
-    return tuple(sorted(taken))
+    return taken, num, den
 
 
 def _pwpcn(scen: Scenario, peaks: Peaks) -> Branch:

@@ -29,8 +29,9 @@ parametrisations of that family.  Where the charging slot is on at q
 and at the rate ceiling, the search runs over the WET-gate multiplier
 delta: at W1 = W the roots s_k(delta) do not read the price, and the
 price at which the gate closes at delta is a closed form in them, so a
-probe costs one dual record.  Otherwise it runs over vartheta, a KKT
-level per probe.
+probe costs one dual record, its roots solved in one call
+(`_record_roots`), and the arithmetic of its B, with no KKT level.
+Otherwise it runs over vartheta, a KKT level per probe.
 
 The rate ceiling R* (`max_throughput`) is the q = 0 case of the inner
 problem: with no energy price every user is scheduled and spends its
@@ -45,10 +46,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from .best_effort import _admission_walk
 from .model import (
     LN2,
     MODE_INFEASIBLE,
@@ -158,7 +159,10 @@ def multiplier_mu(gamma_k: float, q: float, vartheta: float, delta: float, param
     vs, pc = params.varsigma, params.pc
     if not _score(gamma_k, q, cln, W1, vs, pc) > delta:
         raise ValueError("user is outside the energy-tight region (score <= delta)")
-    return _s_root(gamma_k, q, delta, cln, W1, vs, pc, warm=0.0) - q
+    (s,) = _record_roots(
+        [0], q, delta, W1, cln, vs, pc, [gamma_k], [gamma_k * cln], [1.0 / (gamma_k * vs)], [0.0]
+    )
+    return s - q
 
 
 def power_from_duals(gamma_k: float, mu_k: float, q: float, vartheta: float, params: SystemParams) -> float:
@@ -210,7 +214,7 @@ def newton_bisect(
     leaves the bracket or fails to shrink it.  f must be monotone
     enough that the bracket stays valid (callers guarantee strict
     monotonicity).  The bracket shrinks to a relative width of 1e-14,
-    within 100 iterations.  The tests' reference for `_s_root`.
+    within 100 iterations.  The tests' reference for `_record_roots`.
     """
     a, b = lo, hi
     fa = f(a)
@@ -308,65 +312,82 @@ def brentq(f: Callable[[float], float], a: float, b: float, maxiter: int) -> flo
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
-def _s_root(
-    gamma: float,
+def _record_roots(
+    tight: Sequence[int],
     q: float,
     delta: float,
-    cln: float,
     W1: float,
+    cln: float,
     vs: float,
     pc: float,
-    warm: float,
-) -> float:
-    """Unique s in (q, cln*gamma) with F(s) = delta, for a tight user.
+    gammas: Sequence[float],
+    his: Sequence[float],
+    inv_gvs: Sequence[float],
+    warm: list[float],
+) -> list[float]:
+    """The roots of one dual record: for each tight user k, in the order
+    given, the unique s in (q, his[k]) with F(s) = delta.  Each root is
+    warm-started from warm[k], which it then replaces.
 
-    The caller tests tightness: for q > 0 the user's score, F(q) as
-    `_score` computes it, must exceed delta (`_Level.duals` reads it
-    from the level's heads, `multiplier_mu` evaluates it).  Then F(q) is
-    the bracket's positive end; at q = 0 the score is +inf and the left
-    end shrinks until F exceeds delta.
+    his[k] = gammas[k]*cln and inv_gvs[k] = 1/(gammas[k]*vs) are the
+    user's constants, taken once per level.  The caller tests tightness:
+    for q > 0 the user's score, F(q) as `_score` computes it, must exceed
+    delta (`_Level.duals` reads it from the level's heads, `multiplier_mu`
+    evaluates it).  Then F(q) is the bracket's positive end; at q = 0 the
+    score is +inf and the left end shrinks until F exceeds delta.
 
-    The root is `newton_bisect` (_NEWTON_RTOL) on F(s) - delta with
-    F and F' written out inline: the same operations in the same order,
-    so the same doubles, without two Python calls per iteration.
+    Each root is `newton_bisect` (_NEWTON_RTOL) on F(s) - delta with F
+    and F' written out inline: the same operations in the same order, so
+    the same doubles, without two Python calls per iteration.
     """
-    log2 = math.log2
-    hi = gamma * cln
-    if q > 0.0:
-        lo = q
-    else:
-        lo = hi * 1e-20
-        for _ in range(60):
-            if _stationarity(lo, gamma, cln, W1, vs, pc) > delta:
-                break
-            lo *= 1e-6
-        else:  # pragma: no cover - F blows up as s -> 0+
-            raise RuntimeError("failed to bracket the stationarity root")
-
-    # F(lo) > delta, so the bracket's left end is its positive side; and
-    # 0 < lo <= a <= b <= hi throughout, so newton_bisect's tolerance
-    # scale max(|a|, |b|, 1e-300) is max(b, 1e-300).
-    a, b = lo, hi
-    x = warm if lo < warm < hi else min(max(math.sqrt(lo * hi), lo), hi)
-    neg_W1, ln2, inv_gvs = -W1, LN2, 1.0 / (gamma * vs)
-    for _ in range(_NEWTON_MAX_ITER):
-        fx = W1 * log2(hi / x) - (cln - x / gamma) / vs - x * pc - delta
-        if fx == 0.0:
-            return x
-        if fx > 0.0:
-            a = x
+    log2, sqrt = math.log2, math.sqrt
+    neg_W1, ln2, rtol = -W1, LN2, _NEWTON_RTOL
+    out = []
+    for k in tight:
+        gamma, hi = gammas[k], his[k]
+        if q > 0.0:
+            lo = q
         else:
-            b = x
-        if b - a <= _NEWTON_RTOL * (b if b > 1e-300 else 1e-300):
-            return 0.5 * (a + b)
-        d = neg_W1 / (x * ln2) + inv_gvs - pc
-        if d != 0.0:
-            xn = x - fx / d
-            if a < xn < b:
-                x = xn
-                continue
-        x = 0.5 * (a + b)
-    return 0.5 * (a + b)
+            lo = hi * 1e-20
+            for _ in range(60):
+                # F(lo) as `_stationarity` forms it: gamma*cln is hi
+                if W1 * log2(hi / lo) - (cln - lo / gamma) / vs - lo * pc > delta:
+                    break
+                lo *= 1e-6
+            else:  # pragma: no cover - F blows up as s -> 0+
+                raise RuntimeError("failed to bracket the stationarity root")
+
+        # F(lo) > delta, so the bracket's left end is its positive side;
+        # and 0 < lo <= a <= b <= hi throughout, so newton_bisect's
+        # tolerance scale max(|a|, |b|, 1e-300) is max(b, 1e-300).
+        a, b = lo, hi
+        x = warm[k]
+        if not lo < x < hi:
+            x = min(max(sqrt(lo * hi), lo), hi)
+        g_inv = inv_gvs[k]
+        for _ in range(_NEWTON_MAX_ITER):
+            fx = W1 * log2(hi / x) - (cln - x / gamma) / vs - x * pc - delta
+            if fx == 0.0:
+                break
+            if fx > 0.0:
+                a = x
+            else:
+                b = x
+            if b - a <= rtol * (b if b > 1e-300 else 1e-300):
+                x = 0.5 * (a + b)
+                break
+            d = neg_W1 / (x * ln2) + g_inv - pc
+            if d != 0.0:
+                xn = x - fx / d
+                if a < xn < b:
+                    x = xn
+                    continue
+            x = 0.5 * (a + b)
+        else:
+            x = 0.5 * (a + b)
+        warm[k] = x
+        out.append(x)
+    return out
 
 
 @dataclass(frozen=True)
@@ -393,7 +414,8 @@ class _Draw:
     depends only on (draw, q, W1) and is the same to the bit whichever
     solve first asked for it: every floor of a draw, and the rate ceiling,
     share its levels.  The gate search of a binding floor (`_gate_search`)
-    keeps its probes to itself.
+    keeps its probes to itself; a probe builds no level, only a dual
+    record of the search's own q = 0 level.
 
     The rate ceiling also climbs the draw's WET-gate ladder, its dual
     records at delta = 0, 1, 2, 4, ... (`_Level.point`).  At q = 0 those
@@ -408,6 +430,7 @@ class _Draw:
         self.scen, self.par, self.K = scen, par, scen.K
         self.vs, self.pc = par.varsigma, par.pc
         self.gammas = tuple(u.gamma for u in scen.users)
+        self.inv_gvs = [1.0 / (g * self.vs) for g in self.gammas]
         self.Q = [u.Q for u in scen.users]
         self.harvest, self.wet_cost = _charging(scen)
         cln = _w1_cln(par, 0.0)[1]
@@ -473,8 +496,10 @@ class _Level:
         self.q = q
         self.W1, self.cln = _w1_cln(draw.par, vartheta)
         self.heads = [_score(g, q, self.cln, self.W1, draw.vs, draw.pc) for g in draw.gammas]
+        # each user's gamma*cln, the right end of its root's bracket
+        self._his = [g * self.cln for g in draw.gammas]
         # each tight user's last root, the next root's warm start (0 at first)
-        self._warm: defaultdict[int, float] = defaultdict(float)
+        self._warm = [0.0] * draw.K
         # dual record memo keyed on delta: repeat evaluations at one
         # delta must agree bit for bit or boundary sign tests can flip
         self._duals: dict[float, tuple[list[int], list[float]]] = {}
@@ -495,14 +520,12 @@ class _Level:
         rec = self._duals.get(delta)
         if rec is not None:
             return rec
-        heads, warm, draw = self.heads, self._warm, self.draw
-        gammas, vs, pc = draw.gammas, draw.vs, draw.pc
-        q, cln, W1 = self.q, self.cln, self.W1
+        heads, draw = self.heads, self.draw
         tight = [k for k in range(draw.K) if heads[k] > delta]
-        s = []
-        for k in tight:
-            sk = warm[k] = _s_root(gammas[k], q, delta, cln, W1, vs, pc, warm[k])
-            s.append(sk)
+        s = _record_roots(
+            tight, self.q, delta, self.W1, self.cln, draw.vs, draw.pc,
+            draw.gammas, self._his, draw.inv_gvs, self._warm,
+        )
         rec = self._duals[delta] = (tight, s)
         return rec
 
@@ -736,43 +759,48 @@ def _fill_to_floor(scen: Scenario, lo: _Point, hi: _Point, rmin: float) -> _Poin
 
 
 def _bracketed(
-    scen: Scenario, at: Callable[[float], _Point], lo: float, hi: float, rmin: float
+    scen: Scenario,
+    bits: Callable[[float], float],
+    at: Callable[[float], _Point],
+    lo: float,
+    hi: float,
+    rmin: float,
 ) -> tuple[float, _Point, int]:
     """The floor's point on a bracket of a parametrisation along which B
     is nondecreasing: returns (x, point, fill count).
 
-    at(x) is the memoised point at x; at(lo) falls short of the floor and
-    at(hi) meets it, up to the slack of `_reaches_floor`.  A floor within
-    that slack of at(hi).B has no sign change to bracket, and hi's point
-    is the answer.  Otherwise brentq finds the crossing.  Where B jumps
-    over the floor (a KKT gate flips), the tightest evaluated pair on
-    either side of it is bisected down to float adjacency and filled
-    (`_fill_to_floor`); x is then the pair's upper end.
+    bits(x) is the memoised B at x, and at(x) the point at an x that
+    bits has evaluated; bits(lo) falls short of the floor and bits(hi)
+    meets it, up to the slack of `_reaches_floor`.  A floor within that
+    slack of bits(hi) has no sign change to bracket, and hi's point is
+    the answer.  Otherwise brentq finds the crossing.  Where B jumps over
+    the floor (a KKT gate flips), the tightest evaluated pair on either
+    side of it is bisected down to float adjacency and filled
+    (`_fill_to_floor`); x is then the pair's upper end.  The search reads
+    only B: at is called for the answer, or for the fill's pair.
     """
-    hi_pt = at(hi)
-    if hi_pt.B < rmin:
-        return hi, hi_pt, 0
+    if bits(hi) < rmin:
+        return hi, at(hi), 0
 
     # the evaluated points pick the fill's bracketing pair
     seen = {lo, hi}
 
     def gap(x: float) -> float:
         seen.add(x)
-        return at(x).B - rmin
+        return bits(x) - rmin
 
     # brentq returns one of the points it evaluated: a memo hit
     x_hat = brentq(gap, lo, hi, maxiter=300)
-    pt_hat = at(x_hat)
-    if abs(pt_hat.B - rmin) <= _FILL_TOL * max(rmin, 1.0):
-        return x_hat, pt_hat, 0
+    if abs(bits(x_hat) - rmin) <= _FILL_TOL * max(rmin, 1.0):
+        return x_hat, at(x_hat), 0
 
-    below = max(x for x in seen if not _reaches_floor(at(x).B, rmin))
-    above = min(x for x in seen if x >= below and _reaches_floor(at(x).B, rmin))
+    below = max(x for x in seen if not _reaches_floor(bits(x), rmin))
+    above = min(x for x in seen if x >= below and _reaches_floor(bits(x), rmin))
     for _ in range(200):
         mid = 0.5 * (below + above)
         if not below < mid < above:
             break
-        if _reaches_floor(at(mid).B, rmin):
+        if _reaches_floor(bits(mid), rmin):
             above = mid
         else:
             below = mid
@@ -789,15 +817,10 @@ def _gate_price(
 
     The left side is continuous, strictly decreasing and linear between
     consecutive s_k, so walking the roots down from the largest, q is the
-    first segment's root that does not fall below the next s_k.  The root
-    is negative where even q = 0 leaves the gate shut at delta."""
-    order = sorted(range(len(s)), key=s.__getitem__, reverse=True)
-    num, den = -delta, wet_cost
-    for i, k in enumerate(order):
-        num += s[k] * harvest[k]
-        den += harvest[k]
-        if i + 1 == len(order) or num / den >= s[order[i + 1]]:
-            break
+    first segment's root that does not fall below the next s_k: best
+    effort's admission walk, from num = -delta over den = wet_cost.  The
+    root is negative where even q = 0 leaves the gate shut at delta."""
+    _, num, den = _admission_walk(s, harvest, -delta, wet_cost)
     return num / den
 
 
@@ -812,13 +835,18 @@ def _gate_search(draw: _Draw, q: float, rmin: float, anchor: _Point) -> tuple[_P
     an anchor (the level at (q, W)) and a rate ceiling that both charge.
 
     The probe at delta reads every user's root s_k(delta) at W1 = W from
-    one dual record of a q = 0 level, takes the price q' at which the gate
-    closes at delta (`_gate_price`), and hands the users with s_k > q' to
-    a level at (q', W), which assembles the charging point at q'.  That
-    point is the level at (q, W*q/q'), so vartheta = q/q' - 1, and its
-    delta and mu are rescaled by q/q' to that level's scale.  q' falls as
-    delta rises, so B is nondecreasing over [anchor.delta, ceiling.delta],
-    whose ends are the gate roots at q and at 0.
+    one dual record of a q = 0 level, and takes the price q' at which the
+    gate closes at delta (`_gate_price`).  The users with s_k > q' are the
+    tight ones of the charging point at (q', W), and the probe forms that
+    point's drains, tau0 and B in the operation order of
+    `_Level.charged_point`, `_Level._assemble` and `model._bits`: the same
+    doubles, with no level, allocation or E per probe.  The answer, and a
+    fill's pair, are assembled by a level at (q', W) that is handed the
+    probe's record.  That point is the level at (q, W*q/q'), so
+    vartheta = q/q' - 1, and its delta and mu are rescaled by q/q' to that
+    level's scale.  q' falls as delta rises, so B is nondecreasing over
+    [anchor.delta, ceiling.delta], whose ends are the gate roots at q and
+    at 0.
 
     The records come from a level built for this search alone, so the
     answer does not depend on what the draw solved before.  Raises
@@ -827,31 +855,48 @@ def _gate_search(draw: _Draw, q: float, rmin: float, anchor: _Point) -> tuple[_P
     positive.
     """
     rec = _Level(draw, 0.0, 0.0)  # read through duals only: no ladder rung
-    K, harvest, wet_cost = draw.K, draw.harvest, draw.wet_cost
-    probes: dict[float, tuple[_Point, float]] = {}
+    K, harvest, wet_cost, Q = draw.K, draw.harvest, draw.wet_cost, draw.Q
+    gammas, vs, pc, cln = draw.gammas, draw.vs, draw.pc, rec.cln
+    W, Tmax = draw.par.W, draw.par.Tmax
+    log2, fsum = math.log2, math.fsum
+    # delta -> (B, price, tight users, their roots)
+    probes: dict[float, tuple[float, float, list[int], list[float]]] = {}
 
-    def at(delta: float) -> _Point:
+    def bits(delta: float) -> float:
         got = probes.get(delta)
         if got is None:
             s = rec.duals(delta)[1]  # at q = 0 every user is tight
             price = _gate_price(s, harvest, wet_cost, delta)
-            lvl = _Level(draw, price, 0.0)
             tight = [k for k in range(K) if s[k] > price]
-            lvl._duals[delta] = (tight, [s[k] for k in tight])
-            pt = lvl.charged_point(delta)
-            if pt is None:
+            st = [s[k] for k in tight]
+            D = [(cln / sk - 1.0 / gammas[k]) / vs + pc for k, sk in zip(tight, st)]
+            base = fsum(Q[k] / Dk for k, Dk in zip(tight, D))
+            if base > Tmax:
                 raise _GateMiss
-            got = probes[delta] = (pt, price)
+            tau0 = (Tmax - base) / (1.0 + fsum(harvest[k] / Dk for k, Dk in zip(tight, D)))
+            B = 0.0
+            for k, sk, Dk in zip(tight, st, D):
+                tau = (harvest[k] * tau0 + Q[k]) / Dk
+                if tau > 0.0:
+                    p = max(0.0, cln / sk - 1.0 / gammas[k])
+                    B += tau * W * log2(1.0 + p * gammas[k])
+            got = probes[delta] = (B, price, tight, st)
         return got[0]
+
+    def at(delta: float) -> _Point:
+        _, price, tight, st = probes[delta]
+        lvl = _Level(draw, price, 0.0)
+        lvl._duals[delta] = (tight, st)
+        return lvl.charged_point(delta)  # not None: the probe's drains fit
 
     lo, hi = anchor.delta, draw.level(0.0, 0.0).delta
     # A floor within the slack of the ceiling end (rmin "reaches" its B)
     # may have no sign change to bracket, and that end prices at about 0
     # with a sign that rounding picks: the t-search, which meets such a
     # floor at a finite vartheta, takes every one of them.
-    if _reaches_floor(at(lo).B, rmin) or _reaches_floor(rmin, at(hi).B):
+    if _reaches_floor(bits(lo), rmin) or _reaches_floor(rmin, bits(hi)):
         raise _GateMiss
-    delta, pt, fills = _bracketed(draw.scen, at, lo, hi, rmin)
+    delta, pt, fills = _bracketed(draw.scen, bits, at, lo, hi, rmin)
     price = probes[delta][1]
     c = q / price if price > 0.0 else math.inf
     if c == math.inf:  # no positive price, or q/price overflows
@@ -882,7 +927,7 @@ def _solve_q(draw: _Draw, q: float, rmin: float | None) -> tuple[_Point, float, 
     across this solve and every other floor of the draw.
 
     A Dinkelbach solve calls this only until the floor binds
-    (vartheta > 0); later iterates carry that point
+    (vartheta > 0); the row after carries that point
     (`solve_qos_detailed`), so a solve searches vartheta, and fills, at
     most once.
     """
@@ -907,7 +952,9 @@ def _solve_q(draw: _Draw, q: float, rmin: float | None) -> tuple[_Point, float, 
     )
     # hi_t was solved while doubling, so this is a memo hit
     lo_t = 0.0 if hi_t == start else hi_t / 2.0
-    t, pt, fills = _bracketed(draw.scen, lambda t: draw.level(q, t), lo_t, hi_t, rmin)
+    t, pt, fills = _bracketed(
+        draw.scen, lambda t: draw.level(q, t).B, lambda t: draw.level(q, t), lo_t, hi_t, rmin
+    )
     return pt, t, fills
 
 
@@ -936,18 +983,20 @@ def solve_qos_detailed(scen: Scenario) -> tuple[SolutionReport, DualState, list[
     meets is relative, |T| <= 1e-12*B (at most 2.5e-13*B over 523
     binding floors, K = 2 to 20).
 
-    Only the iterates before the floor binds solve the inner problem.
-    The first one whose floor multiplier is positive, at q_b with
-    vartheta_b, fixes the point: it meets Rmin at least energy, so every
-    later iterate q carries it with vartheta = q/q_eff - 1, where
-    q_eff = q_b/(1 + vartheta_b), building no KKT level.  Its delta and
-    mu are those of the level at (q_b, W*(1 + vartheta_b)), whichever
-    parametrisation `_solve_q` searched (the gate search found it at
-    W1 = W and rescaled them).  They scale by c = q/q_b, as
-    F_{c*W1}(c*s) = c*F_{W1}(s); the reported
-    duals are scaled once, when the reported iterate carries that point
-    (c = 1.0, exact, at q_b).  The point is kept for this solve only, so
-    each floor of a draw is solved as it would be alone.
+    Only the iterates up to the one where the floor binds solve the
+    inner problem.  The first whose floor multiplier is positive, at q_b
+    with vartheta_b, fixes the point: it meets Rmin at least energy, so
+    the next row, at its ratio q = B/E, carries it with
+    vartheta = q/q_eff - 1, where q_eff = q_b/(1 + vartheta_b), and is
+    the last: its T rounds about 0, so it converges, or it stalls, q
+    having stopped rising.  That row is formed here, building no KKT
+    level.  The point's delta and mu are those of the level at
+    (q_b, W*(1 + vartheta_b)), whichever parametrisation `_solve_q`
+    searched (the gate search found it at W1 = W and rescaled them).
+    They scale by c = q_duals/q_b, as F_{c*W1}(c*s) = c*F_{W1}(s), where
+    q_duals is the reported q (c = 1.0, exact, on a stall).  The point is
+    kept for this solve only, so each floor of a draw is solved as it
+    would be alone.
     """
     rmin = scen.params.Rmin
     if rmin is None:
@@ -960,19 +1009,12 @@ def solve_qos_detailed(scen: Scenario) -> tuple[SolutionReport, DualState, list[
     q = 0.0
     trace: list[tuple[int, float, float]] = []
     fills_total = 0
-    pt, theta = None, 0.0
     prev: tuple[_Point, float, float] | None = None  # (point, vartheta, q) of the last iterate
-    bound: tuple[_Point, float, float] | None = None  # (point, q, q_eff) where the floor first bound
     stop = "cap"
     for it in range(1, _MAX_OUTER + 1):
-        if bound is None:
-            # at q = 0 this is the memoised rate ceiling, which meets the floor
-            pt, theta, fills = _solve_q(draw, q, rmin)
-            fills_total += fills
-            if theta > 0.0:
-                bound = (pt, q, q / (1.0 + theta))
-        else:
-            pt, theta = bound[0], q / bound[2] - 1.0
+        # at q = 0 this is the memoised rate ceiling, which meets the floor
+        pt, theta, fills = _solve_q(draw, q, rmin)
+        fills_total += fills
         T = pt.B - q * pt.E
         trace.append((it, q, T))
         if abs(T) < _EPS or pt.E <= 0.0:
@@ -987,9 +1029,10 @@ def solve_qos_detailed(scen: Scenario) -> tuple[SolutionReport, DualState, list[
             break
         prev = (pt, theta, q)
         q = pt.B / pt.E
+        if theta > 0.0:
+            break  # the floor binds: the next row carries this point
 
-    assert pt is not None
-    q_duals = q
+    q_duals, c = q, 1.0
     if stop == "stalled":
         pt, theta, q_duals = prev
     elif pt.E <= 0.0 and prev is not None:
@@ -997,13 +1040,25 @@ def solve_qos_detailed(scen: Scenario) -> tuple[SolutionReport, DualState, list[
         # T exactly 0; the previous iterate is the supporting maximizer and
         # its ratio equals the converged q.
         pt, theta, _ = prev
-    delta, mu = pt.delta, pt.mu
-    if bound is not None and pt is bound[0]:
-        c = q_duals / bound[1]
-        delta, mu = c * delta, tuple(c * m for m in mu)
+    elif stop == "cap" and theta > 0.0:
+        # The floor bound at the last iterate, q_b.  Unless the cap ended
+        # the loop there, one more row carries its point at q = B/E; a
+        # stall there keeps that same point, so the row's T stands.
+        q_b = prev[2]
+        if len(trace) < _MAX_OUTER:
+            T = pt.B - q * pt.E
+            trace.append((len(trace) + 1, q, T))
+            if abs(T) < _EPS:
+                stop = "converged"
+                theta = q / (q_b / (1.0 + theta)) - 1.0
+            else:
+                stop = "stalled"
+                q_duals = q_b
+        c = q_duals / q_b
     iterations = {"outer": len(trace), "fills": fills_total, "stop": stop}
     report = _report(pt.alloc, scen, MODE_QOS, iterations)
-    duals = DualState(q=q_duals, vartheta=theta, delta=delta, mu=mu)
+    mu = tuple(c * m for m in pt.mu)
+    duals = DualState(q=q_duals, vartheta=theta, delta=c * pt.delta, mu=mu)
     return report, duals, trace
 
 

@@ -36,13 +36,13 @@ from wpcn_ee import (
 )
 from wpcn_ee import qos
 from wpcn_ee.model import LN2
-from wpcn_ee.qos import DualState, _s_root, _stationarity, newton_bisect
+from wpcn_ee.qos import DualState, _record_roots, _stationarity, newton_bisect
 
 from conftest import cfg_file, random_scenario, stock_params, with_floor
 
 
 def _stationarity_prime(s, gamma, cln, W1, vs, pc):
-    # F'(s), the slope `_s_root` evaluates inline
+    # F'(s), the slope `_record_roots` evaluates inline
     return -W1 / (s * LN2) + 1.0 / (gamma * vs) - pc
 
 
@@ -514,12 +514,20 @@ def reference_s_root(gamma, q, delta, cln, W1, vs, pc, warm):
     )
 
 
+def record_root(gamma, q, delta, cln, W1, vs, pc, warm):
+    # the root of a one-user dual record
+    (s,) = _record_roots(
+        [0], q, delta, W1, cln, vs, pc, [gamma], [gamma * cln], [1.0 / (gamma * vs)], [warm]
+    )
+    return s
+
+
 def test_inline_root_matches_the_newton_bisect_reference():
     # bit for bit on every tight input, over gamma 1e-3..1e8, q = 0 and
     # q > 0, deltas inside the tight region, at its edge and beyond it,
     # and warm starts inside and outside the bracket.  The caller tests
     # tightness, so an input outside the region (the reference answers
-    # None) is not handed to _s_root: multiplier_mu rejects it instead.
+    # None) is not handed to _record_roots: multiplier_mu rejects it.
     # At q = 0 a delta of 1e7 puts the root far below the first bracket
     # end, 1e-20 of the right end (about 2e-96 at gamma = 1e6), so that
     # end shrinks by 1e-6 steps.
@@ -547,12 +555,32 @@ def test_inline_root_matches_the_newton_bisect_reference():
                             with pytest.raises(ValueError, match=reason):
                                 multiplier_mu(gamma, q, vartheta, delta, par)
                             continue
-                        got = _s_root(gamma, q, delta, cln, W1, vs, pc, warm)
+                        got = record_root(gamma, q, delta, cln, W1, vs, pc, warm)
                         assert got == want, (gamma, q, delta, vartheta, warm, got, want)
                         roots += 1
                         shrunk += got < 1e-20 * hi
                         assert q < got < hi or got == q
     assert roots > 1000 and nones > 100 and shrunk > 100
+
+
+def test_a_record_solves_each_tight_user_as_alone():
+    # a dual record of several users, in the order given, leaves each
+    # root and warm start as the user's own one-user record does
+    par = stock_params()
+    vs, pc = par.varsigma, par.pc
+    W1 = par.W * 1.7
+    cln = W1 * vs / LN2
+    gammas = [float(g) for g in np.logspace(-2.0, 6.0, 9)]
+    his = [g * cln for g in gammas]
+    inv_gvs = [1.0 / (g * vs) for g in gammas]
+    for q, delta in ((0.0, 0.0), (0.0, 1e5), (4e4, 0.0), (4e4, 2e3)):
+        tight = [k for k, g in enumerate(gammas) if q == 0.0 or score(g, q, 0.7, delta, par) > 0.0]
+        tight = tight[::-1]
+        warm = [0.5 * (q + hi) if k % 2 else 0.0 for k, hi in enumerate(his)]
+        want = [record_root(gammas[k], q, delta, cln, W1, vs, pc, warm[k]) for k in tight]
+        got = _record_roots(tight, q, delta, W1, cln, vs, pc, gammas, his, inv_gvs, warm)
+        assert len(tight) >= 3 and got == want
+        assert [warm[k] for k in tight] == want
 
 
 def record_levels(monkeypatch):
@@ -757,17 +785,33 @@ def test_gate_search_matches_the_t_search(monkeypatch, batteries):
     # WET-gate multiplier and the search over vartheta itself, which the
     # gate search falls back to, land on one floor point: EE within 1e-12
     # relative, and both allocations within every constraint at 1e-9.
-    # Batteries of 1-50 mJ leave charging worth its time on most draws
+    # Batteries of 1-50 mJ leave charging worth its time on most draws.
+    # Every B a gate probe forms without a level equals, bit for bit, the
+    # B of the point a level assembles from the probe's record
     gate_search, searched = qos._gate_search, []
+    bracketed, probes = qos._bracketed, []
 
     def recording_gate_search(*args):
         out = gate_search(*args)  # a miss raises before it is recorded
         searched.append(out)
         return out
 
+    def probe_checking_bracketed(scen, bits, at, lo, hi, rmin):
+        seen = {}
+
+        def recording_bits(x):
+            seen[x] = bits(x)
+            return seen[x]
+
+        out = bracketed(scen, recording_bits, at, lo, hi, rmin)
+        if bits.__qualname__.startswith("_gate_search."):
+            probes.extend((B, at(x).B) for x, B in seen.items())
+        return out
+
     def missing_gate_search(*args):
         raise qos._GateMiss
 
+    monkeypatch.setattr(qos, "_bracketed", probe_checking_bracketed)
     rng = np.random.default_rng(30)
     compared = 0
     for _ in range(8):
@@ -794,6 +838,44 @@ def test_gate_search_matches_the_t_search(monkeypatch, batteries):
                 assert check_constraints(rep.alloc, scen, tol=1e-9).feasible
             compared += 1
     assert compared >= 20
+    assert len(probes) >= 10 * compared
+    assert all(B == B_point for B, B_point in probes)
+
+
+@pytest.mark.parametrize(
+    "seed, frac, probes, fills",
+    [(8700, 0.85, 9, 0), (FILLED_FLOORS[0][0], FILLED_FLOORS[0][1], 52, 1)],
+)
+def test_gate_search_builds_no_level_per_probe(monkeypatch, seed, frac, probes, fills):
+    # a gate search builds one level for its dual records, and one more
+    # for its answer, or two for a fill's pair; its probes build none.
+    # K = 10 floors at 0.85 R* (seed 8700) and 0.999 R* (seed 8709, a
+    # fill): 10 and 53 levels when each probe built one
+    events, levels_at_search = [], []
+    init, gate_price, gate_search = qos._Level.__init__, qos._gate_price, qos._gate_search
+
+    def recording_init(self, *args):
+        events.append("level")
+        init(self, *args)
+
+    def recording_gate_price(*args):
+        events.append("probe")
+        return gate_price(*args)
+
+    def recording_gate_search(*args):
+        events.clear()
+        out = gate_search(*args)
+        levels_at_search.append((events.count("level"), events.count("probe"), out[2]))
+        return out
+
+    monkeypatch.setattr(qos._Level, "__init__", recording_init)
+    monkeypatch.setattr(qos, "_gate_price", recording_gate_price)
+    monkeypatch.setattr(qos, "_gate_search", recording_gate_search)
+    base = generate_scenario(default_geometry(K=10, seed=seed), default_system_params())
+    scen = with_floor(base, frac * max_throughput(base).R_star)
+    forget_draws()
+    solve_qos(scen)
+    assert levels_at_search == [(3 if fills else 2, probes, fills)]
 
 
 def test_sweep_floors_solved_cold_match_the_sweep():
@@ -939,15 +1021,16 @@ def ceiling(scen):
 
 
 def count_roots(monkeypatch):
-    # the (gamma, delta) of every KKT root solved, in order
+    # the (gamma, delta) of every KKT root solved, in order: each dual
+    # record adds its tight users'
     roots = []
-    s_root = qos._s_root
+    record_roots = qos._record_roots
 
-    def recording_s_root(gamma, q, delta, *rest):
-        roots.append((gamma, delta))
-        return s_root(gamma, q, delta, *rest)
+    def recording_record_roots(tight, q, delta, W1, cln, vs, pc, gammas, *rest):
+        roots.extend((gammas[k], delta) for k in tight)
+        return record_roots(tight, q, delta, W1, cln, vs, pc, gammas, *rest)
 
-    monkeypatch.setattr(qos, "_s_root", recording_s_root)
+    monkeypatch.setattr(qos, "_record_roots", recording_record_roots)
     return roots
 
 
