@@ -23,15 +23,18 @@ vartheta is discontinuous exactly where a gate flips; at such a root
 the optimal face is a segment between the two bracketing maximizers,
 and the solver mixes them to land on the floor exactly.
 
-A level at (q, vartheta) is the W1 = W maximizer at the price
-q/(1 + vartheta), so a binding floor is searched along one of two
-parametrisations of that family.  Where the charging slot is on at q
-and at the rate ceiling, the search runs over the WET-gate multiplier
-delta: at W1 = W the roots s_k(delta) do not read the price, and the
-price at which the gate closes at delta is a closed form in them, so a
-probe costs one dual record, its roots solved in one call
-(`_record_roots`), and the arithmetic of its B, with no KKT level.
-Otherwise it runs over vartheta, a KKT level per probe.
+Every KKT level is built at W1 = W and keyed on its price alone.  The
+floor multiplier vartheta enters the inner problem only through
+(1 + vartheta)*B - q*E, the W1 = W problem at the price
+q/(1 + vartheta), so a binding floor is a search over that price, along
+one of two parametrisations.  Where the charging slot is on at q and at
+the rate ceiling, the search runs over the WET-gate multiplier delta:
+the roots s_k(delta) do not read the price, and the price at which the
+gate closes at delta is a closed form in them, so a probe costs one
+dual record, its roots solved in one call (`_record_roots`), and the
+arithmetic of its B, with no KKT level.  Otherwise it runs over
+vartheta, one KKT level at the price q/(1 + vartheta) per probe.  The
+reported duals are rescaled once, from the price to the reported q.
 
 The rate ceiling R* (`max_throughput`) is the q = 0 case of the inner
 problem: with no energy price every user is scheduled and spends its
@@ -157,10 +160,13 @@ def multiplier_mu(gamma_k: float, q: float, vartheta: float, delta: float, param
     _require_nonnegative(gamma_k=gamma_k, q=q, vartheta=vartheta, delta=delta)
     W1, cln = _w1_cln(params, vartheta)
     vs, pc = params.varsigma, params.pc
+    hi = gamma_k * cln
+    if not math.isfinite(hi):
+        raise ValueError("the rate constant gamma_k*W*(1 + vartheta)*varsigma/ln 2 overflows")
     if not _score(gamma_k, q, cln, W1, vs, pc) > delta:
         raise ValueError("user is outside the energy-tight region (score <= delta)")
     (s,) = _record_roots(
-        [0], q, delta, W1, cln, vs, pc, [gamma_k], [gamma_k * cln], [1.0 / (gamma_k * vs)], [0.0]
+        [0], q, delta, W1, cln, vs, pc, [gamma_k], [hi], [1.0 / (gamma_k * vs)], [0.0]
     )
     return s - q
 
@@ -330,7 +336,7 @@ def _record_roots(
     warm-started from warm[k], which it then replaces.
 
     his[k] = gammas[k]*cln and inv_gvs[k] = 1/(gammas[k]*vs) are the
-    user's constants, taken once per level.  The caller tests tightness:
+    user's constants, taken once per draw.  The caller tests tightness:
     for q > 0 the user's score, F(q) as `_score` computes it, must exceed
     delta (`_Level.duals` reads it from the level's heads, `multiplier_mu`
     evaluates it).  Then F(q) is the bracket's positive end; at q = 0 the
@@ -395,7 +401,7 @@ class _Point:
     """One assembled inner maximizer with its duals and diagnostics.
 
     Frozen: a draw hands one point to every solve that asks for its
-    (q, W1).
+    price q.
     """
 
     alloc: Allocation
@@ -407,15 +413,17 @@ class _Point:
 
 class _Draw:
     """One channel draw: the per-user constants its KKT levels read, and
-    the points solved on it so far, keyed by (q, W1).
+    the points solved on it so far, keyed by price q.
 
-    A level reads neither Rmin nor the floor multiplier t except through
-    W1 = W*(1 + t), and every level is built from scratch.  So each point
-    depends only on (draw, q, W1) and is the same to the bit whichever
-    solve first asked for it: every floor of a draw, and the rate ceiling,
-    share its levels.  The gate search of a binding floor (`_gate_search`)
-    keeps its probes to itself; a probe builds no level, only a dual
-    record of the search's own q = 0 level.
+    Every level is at W1 = W, so its cln = W*varsigma/ln 2 and each
+    user's gamma*cln are the draw's, taken once.  A level reads neither
+    Rmin nor the floor multiplier t: a floor search asks for the price
+    q/(1 + t) (`_solve_q`), and every level is built from scratch.  So
+    each point depends only on the draw and q and is the same to the bit
+    whichever solve first asked for it: every floor of a draw, and the
+    rate ceiling, share its levels.  The gate search of a binding floor
+    (`_gate_search`) keeps its probes to itself; a probe builds no level,
+    only a dual record of the search's own q = 0 level.
 
     The rate ceiling also climbs the draw's WET-gate ladder, its dual
     records at delta = 0, 1, 2, 4, ... (`_Level.point`).  At q = 0 those
@@ -433,29 +441,29 @@ class _Draw:
         self.inv_gvs = [1.0 / (g * self.vs) for g in self.gammas]
         self.Q = [u.Q for u in scen.users]
         self.harvest, self.wet_cost = _charging(scen)
-        cln = _w1_cln(par, 0.0)[1]
-        if not all(math.isfinite(g * cln) for g in self.gammas):
+        self.W, self.cln = par.W, par.W * self.vs / LN2
+        # each user's gamma*cln, the right end of its root's bracket
+        self.his = [g * self.cln for g in self.gammas]
+        if not all(math.isfinite(hi) for hi in self.his):
             raise ValueError(
                 f"W = {par.W!r} overflows a user's rate constant gamma*W*varsigma/ln 2"
             )
-        self.points: dict[tuple[float, float], _Point] = {}
+        self.points: dict[float, _Point] = {}
         # everything a q = 0 root reads
         self.roots = (par.W, self.vs, self.pc, self.gammas)
         self.ladder: dict[float, tuple[list[int], list[float]]] = {}
 
-    def level(self, q: float, t: float) -> _Point:
-        """The inner maximizer at price q and floor multiplier t, built
-        on a miss."""
-        W1 = _w1_cln(self.par, t)[0]
-        pt = self.points.get((q, W1))
+    def level(self, q: float) -> _Point:
+        """The inner maximizer at price q, built on a miss."""
+        pt = self.points.get(q)
         if pt is None:
-            pt = self.points[q, W1] = _Level(self, q, t).point()
+            pt = self.points[q] = _Level(self, q).point()
         return pt
 
     def reaches(self, rmin: float) -> bool:
         """Feasibility of a floor: the rate ceiling, the q = 0 level,
         reaches it."""
-        return _reaches_floor(self.level(0.0, 0.0).B, rmin)
+        return _reaches_floor(self.level(0.0).B, rmin)
 
 
 # The latest draw solved, as (key, draw), the key being what a level
@@ -488,16 +496,13 @@ def _draw(scen: Scenario) -> _Draw:
 
 
 class _Level:
-    """KKT solve of a draw at fixed (q, vartheta): picks delta and
+    """KKT solve of a draw at price q and W1 = W: picks delta and
     assembles the point."""
 
-    def __init__(self, draw: _Draw, q: float, vartheta: float):
+    def __init__(self, draw: _Draw, q: float):
         self.draw = draw
         self.q = q
-        self.W1, self.cln = _w1_cln(draw.par, vartheta)
-        self.heads = [_score(g, q, self.cln, self.W1, draw.vs, draw.pc) for g in draw.gammas]
-        # each user's gamma*cln, the right end of its root's bracket
-        self._his = [g * self.cln for g in draw.gammas]
+        self.heads = [_score(g, q, draw.cln, draw.W, draw.vs, draw.pc) for g in draw.gammas]
         # each tight user's last root, the next root's warm start (0 at first)
         self._warm = [0.0] * draw.K
         # dual record memo keyed on delta: repeat evaluations at one
@@ -505,10 +510,10 @@ class _Level:
         self._duals: dict[float, tuple[list[int], list[float]]] = {}
         # the draw's WET-gate ladder, climbed by the rate ceiling only:
         # a floor level's q is a Dinkelbach iterate and never recurs
-        self._ladder = draw.ladder if q == 0.0 and vartheta == 0.0 else None
+        self._ladder = draw.ladder if q == 0.0 else None
 
     def p_of_s(self, k: int, s: float) -> float:
-        return _power(s, self.draw.gammas[k], self.cln)
+        return _power(s, self.draw.gammas[k], self.draw.cln)
 
     def D_of_s(self, k: int, s: float) -> float:
         return self.p_of_s(k, s) / self.draw.vs + self.draw.pc
@@ -523,8 +528,8 @@ class _Level:
         heads, draw = self.heads, self.draw
         tight = [k for k in range(draw.K) if heads[k] > delta]
         s = _record_roots(
-            tight, self.q, delta, self.W1, self.cln, draw.vs, draw.pc,
-            draw.gammas, self._his, draw.inv_gvs, self._warm,
+            tight, self.q, delta, draw.W, draw.cln, draw.vs, draw.pc,
+            draw.gammas, draw.his, draw.inv_gvs, self._warm,
         )
         rec = self._duals[delta] = (tight, s)
         return rec
@@ -702,13 +707,13 @@ def inner_time_allocation(tau0: float, scen: Scenario) -> tuple[tuple[float, ...
         dataclasses.replace(scen, params=dataclasses.replace(par, Tmax=par.Tmax - tau0)),
         [par.eta * par.Pmax * tau0 * u.h + u.Q for u in scen.users],
     )
-    pt = _Level(_Draw(stocked), 0.0, 0.0).uncharged_point()
+    pt = _Level(_Draw(stocked), 0.0).uncharged_point()
     return pt.alloc.tau, pt.B
 
 
 def max_throughput(scen: Scenario) -> ThroughputSolution:
     """Maximize block throughput over (tau0, tau, p) jointly."""
-    pt = _draw(scen).level(0.0, 0.0)
+    pt = _draw(scen).level(0.0)
     return ThroughputSolution(R_star=pt.B, alloc=pt.alloc)
 
 
@@ -832,19 +837,19 @@ class _GateMiss(Exception):
 
 def _gate_search(draw: _Draw, q: float, rmin: float, anchor: _Point) -> tuple[_Point, float, int]:
     """`_solve_q`'s floor search over the WET-gate multiplier delta, for
-    an anchor (the level at (q, W)) and a rate ceiling that both charge.
+    an anchor (the level at q) and a rate ceiling that both charge:
+    returns (point, price, fill count).
 
-    The probe at delta reads every user's root s_k(delta) at W1 = W from
-    one dual record of a q = 0 level, and takes the price q' at which the
-    gate closes at delta (`_gate_price`).  The users with s_k > q' are the
-    tight ones of the charging point at (q', W), and the probe forms that
+    The probe at delta reads every user's root s_k(delta) from one dual
+    record of a q = 0 level, and takes the price q' at which the gate
+    closes at delta (`_gate_price`).  The users with s_k > q' are the
+    tight ones of the charging point at q', and the probe forms that
     point's drains, tau0 and B in the operation order of
     `_Level.charged_point`, `_Level._assemble` and `model._bits`: the same
     doubles, with no level, allocation or E per probe.  The answer, and a
-    fill's pair, are assembled by a level at (q', W) that is handed the
-    probe's record.  That point is the level at (q, W*q/q'), so
-    vartheta = q/q' - 1, and its delta and mu are rescaled by q/q' to that
-    level's scale.  q' falls as delta rises, so B is nondecreasing over
+    fill's pair, are assembled by a level at q' that is handed the
+    probe's record, and returned with its price q' and its duals at that
+    price.  q' falls as delta rises, so B is nondecreasing over
     [anchor.delta, ceiling.delta], whose ends are the gate roots at q and
     at 0.
 
@@ -852,12 +857,12 @@ def _gate_search(draw: _Draw, q: float, rmin: float, anchor: _Point) -> tuple[_P
     answer does not depend on what the draw solved before.  Raises
     `_GateMiss` where a bracket end falls short of its side of the floor,
     a probe's drains overfill the block, or the answer's price is not
-    positive.
+    positive or so small that q/q' overflows.
     """
-    rec = _Level(draw, 0.0, 0.0)  # read through duals only: no ladder rung
+    rec = _Level(draw, 0.0)  # read through duals only: no ladder rung
     K, harvest, wet_cost, Q = draw.K, draw.harvest, draw.wet_cost, draw.Q
-    gammas, vs, pc, cln = draw.gammas, draw.vs, draw.pc, rec.cln
-    W, Tmax = draw.par.W, draw.par.Tmax
+    gammas, vs, pc, cln = draw.gammas, draw.vs, draw.pc, draw.cln
+    W, Tmax = draw.W, draw.par.Tmax
     log2, fsum = math.log2, math.fsum
     # delta -> (B, price, tight users, their roots)
     probes: dict[float, tuple[float, float, list[int], list[float]]] = {}
@@ -885,11 +890,11 @@ def _gate_search(draw: _Draw, q: float, rmin: float, anchor: _Point) -> tuple[_P
 
     def at(delta: float) -> _Point:
         _, price, tight, st = probes[delta]
-        lvl = _Level(draw, price, 0.0)
+        lvl = _Level(draw, price)
         lvl._duals[delta] = (tight, st)
         return lvl.charged_point(delta)  # not None: the probe's drains fit
 
-    lo, hi = anchor.delta, draw.level(0.0, 0.0).delta
+    lo, hi = anchor.delta, draw.level(0.0).delta
     # A floor within the slack of the ceiling end (rmin "reaches" its B)
     # may have no sign change to bracket, and that end prices at about 0
     # with a sign that rounding picks: the t-search, which meets such a
@@ -898,64 +903,63 @@ def _gate_search(draw: _Draw, q: float, rmin: float, anchor: _Point) -> tuple[_P
         raise _GateMiss
     delta, pt, fills = _bracketed(draw.scen, bits, at, lo, hi, rmin)
     price = probes[delta][1]
-    c = q / price if price > 0.0 else math.inf
-    if c == math.inf:  # no positive price, or q/price overflows
+    if not price > 0.0 or q / price == math.inf:
         raise _GateMiss
-    pt = dataclasses.replace(pt, delta=c * pt.delta, mu=tuple(c * m for m in pt.mu))
-    return pt, c - 1.0, fills
+    return pt, price, fills
 
 
 def _solve_q(draw: _Draw, q: float, rmin: float | None) -> tuple[_Point, float, int]:
-    """Inner maximizer at fixed q: returns (point, vartheta, fill count).
+    """Inner maximizer at fixed q: returns (point, q_eff, fill count).
 
-    Where the anchor (the level at (q, W)) meets the floor, vartheta = 0.
-    Otherwise the floor binds, and where the anchor and the rate ceiling
-    both charge, `_gate_search` finds it.  Everywhere else, and where
-    the gate search misses, the search runs over the floor multiplier t
-    itself, one KKT level at W1 = W*(1 + t) per probe.
+    The point is the W1 = W maximizer at the price q_eff, with its duals
+    at that price.  Where the anchor (the level at q) meets the floor,
+    q_eff = q.  Otherwise the floor binds, q_eff < q, and the floor
+    multiplier is q/q_eff - 1: where the anchor and the rate ceiling both
+    charge, `_gate_search` finds it.  Everywhere else, and where the gate
+    search misses, the search runs over the floor multiplier t itself,
+    one KKT level at the price q/(1 + t) per probe.
 
     B as a function of the floor multiplier is nondecreasing (it is a
     subgradient selection of a convex dual function), so a bisection
     invariant B(lo) < Rmin <= B(hi) is safe even across jumps
-    (`_bracketed`).  In floating point B can dip within a few ulps of W1
-    where the WET gate f0 rounds about 0; the fill pair then depends on
-    the search path, which moves the answer by at most a few ulps.
+    (`_bracketed`).  In floating point B can dip within a few ulps of
+    q/(1 + t) = q where the WET gate f0 rounds about 0; the fill pair then
+    depends on the search path, which moves the answer by at most a few
+    ulps.
 
-    Near t = 0 distinct multipliers round to one or two W1, and the
-    bisection of a fill halves its pair down to float adjacency, where
-    neighbouring multipliers share a W1: the draw solves each W1 once,
-    across this solve and every other floor of the draw.
+    Near t = 0 distinct multipliers round 1 + t to one or two values, and
+    the bisection of a fill halves its pair down to float adjacency,
+    where neighbouring multipliers share a price: the draw solves each
+    price once, across this solve and every other floor of the draw.
 
     A Dinkelbach solve calls this only until the floor binds
-    (vartheta > 0); the row after carries that point
-    (`solve_qos_detailed`), so a solve searches vartheta, and fills, at
-    most once.
+    (q_eff < q); the row after carries that point (`solve_qos_detailed`),
+    so a solve searches the floor multiplier, and fills, at most once.
     """
-    p0 = draw.level(q, 0.0)
+    p0 = draw.level(q)
     if rmin is None or _reaches_floor(p0.B, rmin):
-        return p0, 0.0, 0
-    if p0.alloc.tau0 > 0.0 and draw.level(0.0, 0.0).alloc.tau0 > 0.0:
+        return p0, q, 0
+    if p0.alloc.tau0 > 0.0 and draw.level(0.0).alloc.tau0 > 0.0:
         try:
             return _gate_search(draw, q, rmin, p0)
         except _GateMiss:
             pass
 
+    def level(t: float) -> _Point:
+        return draw.level(q / (1.0 + t))
+
     # At the zero point (no bits: empty batteries, q at the best-effort
     # EE, charging gate shut) the floor is crossed within a few ulps of
-    # W1 = W, so the doubling starts at 2**-52, the smallest power of two
-    # that moves W1 off W, rather than halving down from 1.
+    # q/(1 + t) = q, so the doubling starts at 2**-52, the smallest power
+    # of two that moves 1 + t off 1, rather than halving down from 1.
     start = 2.0**-52 if p0.B == 0.0 else 1.0
     hi_t = _double_until(
-        lambda t: _reaches_floor(draw.level(q, t).B, rmin),
-        start,
-        f"throughput multiplier (q={q!r})",
+        lambda t: _reaches_floor(level(t).B, rmin), start, f"throughput multiplier (q={q!r})"
     )
     # hi_t was solved while doubling, so this is a memo hit
     lo_t = 0.0 if hi_t == start else hi_t / 2.0
-    t, pt, fills = _bracketed(
-        draw.scen, lambda t: draw.level(q, t).B, lambda t: draw.level(q, t), lo_t, hi_t, rmin
-    )
-    return pt, t, fills
+    t, pt, fills = _bracketed(draw.scen, lambda t: level(t).B, level, lo_t, hi_t, rmin)
+    return pt, q / (1.0 + t), fills
 
 
 def dinkelbach_T(q: float, scen: Scenario) -> tuple[float, Allocation]:
@@ -984,19 +988,17 @@ def solve_qos_detailed(scen: Scenario) -> tuple[SolutionReport, DualState, list[
     binding floors, K = 2 to 20).
 
     Only the iterates up to the one where the floor binds solve the
-    inner problem.  The first whose floor multiplier is positive, at q_b
-    with vartheta_b, fixes the point: it meets Rmin at least energy, so
-    the next row, at its ratio q = B/E, carries it with
-    vartheta = q/q_eff - 1, where q_eff = q_b/(1 + vartheta_b), and is
-    the last: its T rounds about 0, so it converges, or it stalls, q
+    inner problem.  The first whose point is priced below its q
+    (`_solve_q`'s q_eff < q), at q_b, fixes the point: it meets Rmin at
+    least energy, so the next row, at its ratio q = B/E, carries it and
+    is the last: its T rounds about 0, so it converges, or it stalls, q
     having stopped rising.  That row is formed here, building no KKT
-    level.  The point's delta and mu are those of the level at
-    (q_b, W*(1 + vartheta_b)), whichever parametrisation `_solve_q`
-    searched (the gate search found it at W1 = W and rescaled them).
-    They scale by c = q_duals/q_b, as F_{c*W1}(c*s) = c*F_{W1}(s), where
-    q_duals is the reported q (c = 1.0, exact, on a stall).  The point is
-    kept for this solve only, so each floor of a draw is solved as it
-    would be alone.
+    level.  The point's delta and mu are those of the W1 = W level at
+    q_eff, whichever parametrisation `_solve_q` searched, and they are
+    scaled once, here: by c = q_duals/q_eff, as F_{c*W}(c*s) = c*F_W(s),
+    where q_duals is the reported q, and vartheta = c - 1.  An unbound
+    point is reported as solved (c = 1.0).  The point is kept for this
+    solve only, so each floor of a draw is solved as it would be alone.
     """
     rmin = scen.params.Rmin
     if rmin is None:
@@ -1009,11 +1011,11 @@ def solve_qos_detailed(scen: Scenario) -> tuple[SolutionReport, DualState, list[
     q = 0.0
     trace: list[tuple[int, float, float]] = []
     fills_total = 0
-    prev: tuple[_Point, float, float] | None = None  # (point, vartheta, q) of the last iterate
+    prev: tuple[_Point, float, float] | None = None  # (point, q_eff, q) of the last iterate
     stop = "cap"
     for it in range(1, _MAX_OUTER + 1):
         # at q = 0 this is the memoised rate ceiling, which meets the floor
-        pt, theta, fills = _solve_q(draw, q, rmin)
+        pt, q_eff, fills = _solve_q(draw, q, rmin)
         fills_total += fills
         T = pt.B - q * pt.E
         trace.append((it, q, T))
@@ -1027,38 +1029,31 @@ def solve_qos_detailed(scen: Scenario) -> tuple[SolutionReport, DualState, list[
             stop = "stalled"
             trace[-1] = (it, q, prev[0].B - q * prev[0].E)
             break
-        prev = (pt, theta, q)
+        prev = (pt, q_eff, q)
         q = pt.B / pt.E
-        if theta > 0.0:
+        if q_eff < prev[2]:
             break  # the floor binds: the next row carries this point
 
-    q_duals, c = q, 1.0
-    if stop == "stalled":
-        pt, theta, q_duals = prev
-    elif pt.E <= 0.0 and prev is not None:
-        # At the fixed point a zero floor admits the empty allocation with
-        # T exactly 0; the previous iterate is the supporting maximizer and
-        # its ratio equals the converged q.
-        pt, theta, _ = prev
-    elif stop == "cap" and theta > 0.0:
-        # The floor bound at the last iterate, q_b.  Unless the cap ended
-        # the loop there, one more row carries its point at q = B/E; a
-        # stall there keeps that same point, so the row's T stands.
-        q_b = prev[2]
-        if len(trace) < _MAX_OUTER:
-            T = pt.B - q * pt.E
-            trace.append((len(trace) + 1, q, T))
-            if abs(T) < _EPS:
-                stop = "converged"
-                theta = q / (q_b / (1.0 + theta)) - 1.0
-            else:
-                stop = "stalled"
-                q_duals = q_b
-        c = q_duals / q_b
+    q_at = q  # the q the reported point was solved at
+    if stop != "converged" or (pt.E <= 0.0 and prev is not None):
+        # A stall keeps the previous iterate, and the cap the last one.  So
+        # does a zero floor at its fixed point, where the empty allocation
+        # has T exactly 0: that iterate is the supporting maximizer and its
+        # ratio equals the converged q.
+        pt, q_eff, q_at = prev
+    if stop == "cap" and q_eff < q_at and len(trace) < _MAX_OUTER:
+        # The floor bound at the last iterate: one more row carries its
+        # point at q = B/E; a stall there keeps that same point, so the
+        # row's T stands.
+        T = pt.B - q * pt.E
+        trace.append((len(trace) + 1, q, T))
+        stop = "converged" if abs(T) < _EPS else "stalled"
+    q_duals = q_at if stop == "stalled" else q
+    c = q_duals / q_eff if q_eff < q_at else 1.0
     iterations = {"outer": len(trace), "fills": fills_total, "stop": stop}
     report = _report(pt.alloc, scen, MODE_QOS, iterations)
     mu = tuple(c * m for m in pt.mu)
-    duals = DualState(q=q_duals, vartheta=theta, delta=c * pt.delta, mu=mu)
+    duals = DualState(q=q_duals, vartheta=c - 1.0, delta=c * pt.delta, mu=mu)
     return report, duals, trace
 
 

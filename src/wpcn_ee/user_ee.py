@@ -19,11 +19,13 @@ so p_star = expm1(L) / gamma for L = ln s, the positive root of
 f(0) = -x < 0 and f'(L) = L * e^L, so f is increasing and convex on
 L > 0, and Newton's method started above the root stays above it: each
 step lands on a tangent's zero, between the root and the iterate.  The
-iterates fall monotonically, so the iteration stops at the first step
-that does not decrease the iterate and needs no tolerance.  The start
-L0 = 1 + log1p(x / (1 + log1p(x))) lies above the root by 0.25 to 1 over
-all doubles, far more than its rounding error: for x <= 1, L0 >= 1 and
-f(1) = 1 - x >= 0, and for larger x the tests check f(L0) > 0 exactly.
+iterates fall monotonically and their steps shrink until the residual's
+rounding noise takes over, so the iteration stops at the first step that
+is not both positive and shorter than the one before, and needs no
+tolerance.  The start L0 = 1 + log1p(x / (1 + log1p(x))) lies above the
+root by 0.25 to 1 over all doubles, far more than its rounding error:
+for x <= 1, L0 >= 1 and f(1) = 1 - x >= 0, and for larger x the tests
+check f(L0) > 0 exactly.
 
 The residual is evaluated as expm1(L) * (L - 1) + L - x.  It never forms
 x - 1, which rounds away the low bits of a small x, nor e^L * (L - 1) + 1,
@@ -104,13 +106,14 @@ def user_ee_peaks(
             # Residual and slope at a quarter of their size: exact, and
             # finite where the start's e^L * L overflows (x above ~6e307).
             ls = 1.0 + math.log1p(x / (1.0 + math.log1p(x)))
-            x4 = 0.25 * x
+            x4, last = 0.25 * x, math.inf
             while True:
                 e4 = 0.25 * math.expm1(ls)
                 nxt = ls - (e4 * (ls - 1.0) + 0.25 * ls - x4) / ((e4 + 0.25) * ls)
-                if not nxt < ls:
+                step = ls - nxt
+                if not 0.0 < step < last:
                     break
-                ls = nxt
+                ls, last = nxt, step
         pk = math.expm1(ls) / g
         ek = params.W * ls / (LN2 * (pk / params.varsigma + params.pc))
         if not math.isfinite(ek):

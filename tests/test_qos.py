@@ -1,5 +1,6 @@
 """Rate-floor solver: duals, Dinkelbach behavior, reductions, fills."""
 
+import copy
 import dataclasses
 import math
 import random
@@ -211,16 +212,43 @@ def test_public_helpers_return_the_levels_doubles():
             Q = 0.0 if seed % 2 == 0 else [0.05 * (k % 2) for k in range(K)]
             scen = generate_scenario(default_geometry(K=K, seed=seed), par, Q=Q)
             for q in (1e3, 3e4, 1e5):
-                for vartheta in (0.0, 0.3):
-                    lvl = qos._Level(qos._Draw(scen), q, vartheta)
-                    pt = lvl.point()
-                    assert f0_wet_gate(pt.mu, q, pt.delta, scen) == lvl._f0_at(pt.delta)
-                    for k in lvl.duals(pt.delta)[0]:
-                        mu_k = pt.mu[k]
-                        p = power_from_duals(scen.users[k].gamma, mu_k, q, vartheta, par)
-                        assert p == max(0.0, lvl.p_of_s(k, q + mu_k))
-                        tight += 1
-    assert tight > 3000  # 3,780 tight users on this grid
+                lvl = qos._Level(qos._Draw(scen), q)
+                pt = lvl.point()
+                assert f0_wet_gate(pt.mu, q, pt.delta, scen) == lvl._f0_at(pt.delta)
+                for k in lvl.duals(pt.delta)[0]:
+                    mu_k = pt.mu[k]
+                    p = power_from_duals(scen.users[k].gamma, mu_k, q, 0.0, par)
+                    assert p == max(0.0, lvl.p_of_s(k, q + mu_k))
+                    tight += 1
+    assert tight > 1500  # 1,890 tight users on this grid
+
+
+def test_public_helpers_at_a_floor_multiplier_are_the_level_at_its_price():
+    # homogeneity, F_{c*W}(c*s) = c*F_W(s): at (q, vartheta) the helpers
+    # solve the W1 = W level at the price q/(1 + vartheta), with delta and
+    # mu scaled by 1 + vartheta.  On the grid above at vartheta = 0.3 they
+    # hold to 1e-14 relative in the root s = q + mu (5.8e-15 seen; mu
+    # alone, the difference of s and q, to 8.3e-13) and to 1e-15 relative
+    # in the power (2.5e-16 seen)
+    par = default_system_params()
+    vartheta, tight = 0.3, 0
+    c = 1.0 + vartheta
+    for seed in range(8700, 8740):
+        for K in (2, 5, 10):
+            Q = 0.0 if seed % 2 == 0 else [0.05 * (k % 2) for k in range(K)]
+            scen = generate_scenario(default_geometry(K=K, seed=seed), par, Q=Q)
+            for q in (1e3, 3e4, 1e5):
+                lvl = qos._Level(qos._Draw(scen), q / c)
+                pt = lvl.point()
+                for k in lvl.duals(pt.delta)[0]:
+                    gamma, mu_k = scen.users[k].gamma, c * pt.mu[k]
+                    mu = multiplier_mu(gamma, q, vartheta, c * pt.delta, par)
+                    assert abs(mu - mu_k) <= 1e-14 * (q + mu_k)
+                    p = power_from_duals(gamma, mu_k, q, vartheta, par)
+                    p_lvl = max(0.0, lvl.p_of_s(k, q / c + pt.mu[k]))
+                    assert abs(p - p_lvl) <= 1e-15 * p_lvl
+                    tight += 1
+    assert tight > 1500  # 1,907 tight users
 
 
 def test_loose_floor_reduces_to_best_effort():
@@ -357,13 +385,15 @@ def test_dinkelbach_keeps_the_previous_iterate_when_q_stalls(monkeypatch):
 
     def stalling_solve_q(draw, q, rmin):
         solved.append(solve_q(draw, q, rmin))
-        return solved[0] if len(solved) == 3 else solved[-1]
+        # row 3 gets the rate ceiling, unbound at row 3's own price
+        return (solved[0][0], q, 0) if len(solved) == 3 else solved[-1]
 
     monkeypatch.setattr(qos, "_solve_q", stalling_solve_q)
     rep, duals, trace = solve_qos_detailed(scen)
     qs = [row[1] for row in trace]
     assert rep.iterations == {"outer": 3, "fills": 0, "stop": "stalled"}
-    assert len(solved) == 3 and all(theta == 0.0 for _, theta, _ in solved)
+    # no row binds: each point is priced at its row's q
+    assert [q_eff for _, q_eff, _ in solved] == qs
     kept = solved[1][0]
     assert rep.alloc == kept.alloc and rep.ee == qs[-1] == kept.B / kept.E
     assert trace[-1] == (3, qs[-1], kept.B - qs[-1] * kept.E)
@@ -584,15 +614,15 @@ def test_a_record_solves_each_tight_user_as_alone():
 
 
 def record_levels(monkeypatch):
-    # the (q, W1) key of every KKT level the solver builds, in order,
-    # from an empty draw record: the counts must not depend on what an
-    # earlier test solved on the same draw
+    # the price q of every KKT level the solver builds, in order, from an
+    # empty draw record: the counts must not depend on what an earlier
+    # test solved on the same draw
     forget_draws()
     built = []
     point = qos._Level.point
 
     def recording_point(self):
-        built.append((self.q, self.W1))
+        built.append(self.q)
         return point(self)
 
     monkeypatch.setattr(qos._Level, "point", recording_point)
@@ -611,9 +641,8 @@ def test_loose_floor_builds_each_level_once(monkeypatch):
     built = record_levels(monkeypatch)
     rep = solve_qos(scen)
     assert len(built) == len(set(built))
-    assert (0.0, base.params.W) in built
-    # the answer of the solver that rebuilt levels (94 builds, 40 distinct)
-    assert rep.ee == 2550733.306713835
+    assert 0.0 in built
+    assert rep.ee == 2550733.3067138353
     assert rep.throughput == 50000.00000000001
     assert rep.iterations == {"outer": 7, "fills": 1, "stop": "converged"}
 
@@ -621,9 +650,9 @@ def test_loose_floor_builds_each_level_once(monkeypatch):
 def test_zero_point_floor_search_brackets_from_the_smallest_multiplier(monkeypatch):
     # seed 8700, K = 10, empty batteries, Rmin = 120 kbit: a loose floor
     # whose last Dinkelbach step starts at the zero point and crosses the
-    # floor within a few ulps of W1 = W.  The bracket doubles up from
-    # 2**-52, so the solve builds 8 levels (60 when it halved down from 1)
-    # and keeps the answer to the bit.
+    # floor within a few ulps of the price q/(1 + t) = q.  The bracket
+    # doubles up from 2**-52, so the solve builds 8 levels (60 when it
+    # halved down from 1) and keeps the answer to the bit.
     built = record_levels(monkeypatch)
     base = generate_scenario(default_geometry(K=10, seed=8700), default_system_params())
     rep = solve_qos(with_floor(base, 120e3))
@@ -635,16 +664,17 @@ def test_zero_point_floor_search_brackets_from_the_smallest_multiplier(monkeypat
 
 def test_k2_probe_fill_keeps_its_multiplier(monkeypatch):
     # the K = 2 layer probe of the benchmark: seed 8700, Rmin = 0.8 R*.
-    # Its one boundary fill lies a few ulps above W1 = W: the solve
-    # builds 10 levels (60 when the bracket halved down from 1) and
-    # reports the same vartheta.
+    # Its one boundary fill lies at a price q/(1 + t) a few ulps below q:
+    # the solve builds 10 levels (60 when the bracket halved down from 1)
+    # and reports the multiplier its price carries: the search's t is 2.5
+    # ulps of 1, and 1 + t rounds to 1 + 2 ulps
     built = record_levels(monkeypatch)
     base = generate_scenario(default_geometry(K=2, seed=8700), default_system_params())
     scen = with_floor(base, 0.8 * max_throughput(base).R_star)
     built.clear()
     rep, duals, _ = solve_qos_detailed(scen)
     assert len(built) <= 10
-    assert duals.vartheta == 5.551115123125784e-16
+    assert duals.vartheta == 2.0**-51
     assert rep.iterations["fills"] == 1
     assert rep.throughput >= scen.params.Rmin * (1.0 - 1e-12)
 
@@ -673,18 +703,17 @@ def test_second_floor_of_a_draw_builds_only_new_levels(monkeypatch):
 
 def test_binding_floor_builds_no_level_after_it_binds(monkeypatch):
     # seed 8700, K = 10, Rmin = 220 kbit: the floor first binds at row 4,
-    # where the anchor charges, so its search builds no level off W1 = W.
-    # Row 5 reads row 4's point, rescaled to its q, and builds no level;
-    # the loop still takes 5 rows.  The answer agrees with a cold inner
-    # solve at the reported EE
+    # where the anchor charges, so its search builds no level of its own:
+    # every level built is a row's anchor.  Row 5 reads row 4's point,
+    # rescaled to its q, and builds no level; the loop still takes 5
+    # rows.  The answer agrees with a cold inner solve at the reported EE
     built = record_levels(monkeypatch)
     base = generate_scenario(default_geometry(K=10, seed=8700), default_system_params())
     scen = with_floor(base, 220e3)
     rep, duals, trace = solve_qos_detailed(scen)
     qs = [row[1] for row in trace]
     assert rep.iterations == {"outer": 5, "fills": 0, "stop": "converged"}
-    assert {W1 for _, W1 in built} == {base.params.W}
-    assert {q for q, _ in built} <= set(qs[:-1])
+    assert len(built) == len(set(built)) and set(built) <= set(qs[:-1])
     assert duals.q == qs[-1] and duals.vartheta > 0.0
     forget_draws()
     T, _ = dinkelbach_T(rep.ee, scen)
@@ -693,13 +722,13 @@ def test_binding_floor_builds_no_level_after_it_binds(monkeypatch):
 
 def solve_with_binding_rows(monkeypatch, scen):
     # solve_qos_detailed from a cold draw record, with the floor
-    # multiplier of every row that ran the inner solve
+    # multiplier q/q_eff - 1 of every row that ran the inner solve
     thetas = []
     solve_q = qos._solve_q
 
     def recording_solve_q(draw, q, rmin):
         out = solve_q(draw, q, rmin)
-        thetas.append(out[1])
+        thetas.append(q / out[1] - 1.0 if out[1] < q else 0.0)
         return out
 
     monkeypatch.setattr(qos, "_solve_q", recording_solve_q)
@@ -718,11 +747,11 @@ def test_binding_floor_duals_are_pinned(monkeypatch):
     assert duals == DualState(
         q=2491843.279702185,
         vartheta=0.6796522978507071,
-        delta=149523.50552715562,
+        delta=149523.50552715565,
         mu=(
-            41380366.34201511, 37476674.92665029, 29566829.58094781, 52208205.86094641,
-            45611322.37774733, 33759822.99600492, 42955863.28780982, 48573596.36582153,
-            41096922.76299521, 33506768.37657843,
+            41380366.34201512, 37476674.9266503, 29566829.580947816, 52208205.860946424,
+            45611322.377747335, 33759822.996004924, 42955863.28780983, 48573596.36582154,
+            41096922.76299522, 33506768.37657844,
         ),
     )
 
@@ -757,7 +786,7 @@ FILLED_FLOORS = [
             mu=(
                 13218756.705463592, 18840898.952701982, 4534820.215349094, 27803567.52362768,
                 28206563.342192657, 4429623.232285128, 21811349.664393164, 7630389.661651615,
-                0.0, 28797317.069404315,
+                0.0, 28797317.06940431,
             ),
         ),
     ),
@@ -777,6 +806,10 @@ def test_filled_floor_duals_are_pinned(monkeypatch):
         assert rep.iterations == {"outer": 3, "fills": 1, "stop": "converged"}
         assert duals == want
         assert rep.ee == want.q
+
+
+def missing_gate_search(*args):
+    raise qos._GateMiss
 
 
 @pytest.mark.parametrize("batteries", ["empty", "mixed", "charged"])
@@ -807,9 +840,6 @@ def test_gate_search_matches_the_t_search(monkeypatch, batteries):
         if bits.__qualname__.startswith("_gate_search."):
             probes.extend((B, at(x).B) for x, B in seen.items())
         return out
-
-    def missing_gate_search(*args):
-        raise qos._GateMiss
 
     monkeypatch.setattr(qos, "_bracketed", probe_checking_bracketed)
     rng = np.random.default_rng(30)
@@ -878,6 +908,66 @@ def test_gate_search_builds_no_level_per_probe(monkeypatch, seed, frac, probes, 
     assert levels_at_search == [(3 if fills else 2, probes, fills)]
 
 
+def gate_search_fallback(monkeypatch, scen, forced):
+    """The detailed solve of scen with `forced` in place of `_gate_search`,
+    and the one whose gate search misses at once: both from a cold draw
+    record, as reprs."""
+    got = []
+    for search in (forced, missing_gate_search):
+        monkeypatch.setattr(qos, "_gate_search", search)
+        forget_draws()
+        got.append(repr(solve_qos_detailed(scen)))
+    return got
+
+
+def gate_searched_floor():
+    """Seed 8700, K = 10, Rmin = 0.85 R*: a floor the gate search meets."""
+    base = generate_scenario(default_geometry(K=10, seed=8700), default_system_params())
+    return with_floor(base, 0.85 * max_throughput(base).R_star)
+
+
+def test_gate_search_falls_back_when_a_probe_overfills_the_block(monkeypatch):
+    # no draw was seen to reach this miss.  The gate search is handed a
+    # copy of the draw with 1 kJ batteries, whose drains overfill the
+    # block at the first probe; solve_qos then answers by the floor
+    # multiplier search on the true draw, as after any miss
+    scen, gate_search, missed = gate_searched_floor(), qos._gate_search, []
+
+    def overfilling_gate_search(draw, q, rmin, anchor):
+        heavy = copy.copy(draw)
+        heavy.Q = [1e3] * draw.K
+        try:
+            return gate_search(heavy, q, rmin, anchor)
+        except qos._GateMiss:
+            missed.append(q)
+            raise
+
+    forced, ref = gate_search_fallback(monkeypatch, scen, overfilling_gate_search)
+    assert len(missed) == 1 and forced == ref
+    assert check_constraints(solve_qos(scen).alloc, scen).feasible
+
+
+def test_gate_search_falls_back_on_an_answer_without_a_positive_price(monkeypatch):
+    # no draw was seen to reach this miss either: the answer lies between
+    # the anchor's and the rate ceiling's gate roots, where the gate
+    # prices at or above 0.  Moving it to twice the ceiling's root, where
+    # the gate stays shut even at q = 0, leaves a negative price
+    scen, bracketed, moved = gate_searched_floor(), qos._bracketed, []
+
+    def overshooting_bracketed(scen, bits, at, lo, hi, rmin):
+        x, pt, fills = bracketed(scen, bits, at, lo, hi, rmin)
+        if bits.__qualname__.startswith("_gate_search."):
+            x = 2.0 * hi
+            bits(x)
+            moved.append(x)
+        return x, pt, fills
+
+    monkeypatch.setattr(qos, "_bracketed", overshooting_bracketed)
+    forced, ref = gate_search_fallback(monkeypatch, scen, qos._gate_search)
+    assert len(moved) == 1 and forced == ref
+    assert check_constraints(solve_qos(scen).alloc, scen).feasible
+
+
 def test_sweep_floors_solved_cold_match_the_sweep():
     # the six floors of a seed-8700 rmin sweep trial, solved back to back
     # on one draw as the sweep solves them, then each from a cold process
@@ -900,22 +990,16 @@ def sweep_trial():
     return [with_floor(base, rmin) for rmin in SWEEP_FLOORS]
 
 
-def test_multipliers_sharing_a_w1_share_one_point():
-    # two floor multipliers near 2**-52 that round to one W1: the level
-    # reads W1, not the multiplier, so whichever is asked first, both get
-    # one point, to the bit
+def test_multipliers_sharing_a_price_share_one_point():
+    # two floor multipliers near 2**-52 at which 1 + t rounds to one
+    # value: a level reads only its price q/(1 + t), so both get one point
     base = generate_scenario(default_geometry(K=10, seed=8700), default_system_params())
     q = 0.5 * solve_best_effort(base).ee
     t1 = 2.0**-52
     t2 = math.nextafter(t1, 1.0)
-    assert qos._w1_cln(base.params, t1)[0] == qos._w1_cln(base.params, t2)[0] != base.params.W
-    got = []
-    for order in ((t1, t2), (t2, t1)):
-        draw = qos._Draw(base)
-        first, second = (draw.level(q, t) for t in order)
-        assert first is second
-        got.append(repr(first))
-    assert got[0] == got[1]
+    assert q / (1.0 + t1) == q / (1.0 + t2) != q
+    draw = qos._Draw(base)
+    assert draw.level(q / (1.0 + t1)) is draw.level(q / (1.0 + t2))
 
 
 def test_sweep_trial_solves_fewer_roots_on_the_same_levels(monkeypatch):
@@ -924,14 +1008,25 @@ def test_sweep_trial_solves_fewer_roots_on_the_same_levels(monkeypatch):
     # 28 levels when floor levels started at their anchor's rung, and
     # 1,760 on 8 levels now that the three floors whose anchors charge
     # (220, 245 and 255 kbit) search the WET-gate multiplier with one dual
-    # record per probe; only levels of an uncharged anchor lie off W1 = W
+    # record per probe; only the search of an uncharged anchor builds a
+    # level beside its anchor
     levels = record_levels(monkeypatch)
     roots = count_roots(monkeypatch)
+    solves = []  # (q, whether its anchor charges, the levels it built)
+    solve_q = qos._solve_q
+
+    def recording_solve_q(draw, q, rmin):
+        n = len(levels)
+        out = solve_q(draw, q, rmin)
+        solves.append((q, draw.points[q].alloc.tau0 > 0.0, levels[n:]))
+        return out
+
+    monkeypatch.setattr(qos, "_solve_q", recording_solve_q)
     for scen in sweep_trial():
         solve_qos(scen)
     assert len(levels) == len(set(levels)) == 8
-    W, points = scen.params.W, qos._latest_draw[1].points
-    assert all(points[q, W].alloc.tau0 == 0.0 for q, W1 in levels if W1 != W)
+    assert all(set(built) <= {q} for q, charges, built in solves if charges)
+    assert any(set(built) - {q} for q, charges, built in solves)
     assert len(roots) <= 1800
 
 
@@ -957,7 +1052,7 @@ def test_level_memo_holds_one_draw(monkeypatch):
         assert read_by_levels(qos._latest_draw[1].scen) == read_by_levels(scen)
     built.clear()
     max_throughput(a)
-    assert built == [(0.0, par.W)]
+    assert built == [0.0]
 
 
 def test_rebuilt_scenario_reuses_the_kept_draw(monkeypatch):
@@ -1016,7 +1111,7 @@ def test_concurrent_solves_on_different_draws_match_serial_ones():
 def ceiling(scen):
     """repr of the rate ceiling and of its q = 0 duals."""
     sol = max_throughput(scen)
-    pt = qos._draw(scen).level(0.0, 0.0)
+    pt = qos._draw(scen).level(0.0)
     return repr((sol, DualState(q=0.0, vartheta=0.0, delta=pt.delta, mu=pt.mu)))
 
 
@@ -1164,14 +1259,14 @@ def test_level_solves_each_root_once_per_delta(monkeypatch):
 
     # empty batteries, q at half the best-effort EE: the charging slot is on
     zero = random_scenario(np.random.default_rng(0), 6, q_mode="zero")
-    pt = qos._Level(qos._Draw(zero), 0.5 * solve_best_effort(zero).ee, 0.0).point()
+    pt = qos._Level(qos._Draw(zero), 0.5 * solve_best_effort(zero).ee).point()
     assert pt.alloc.tau0 > 0.0 and not time_bound
     assert roots and len(roots) == len(set(roots))
 
     # mixed batteries at a low q: the drains overfill the block
     roots.clear()
     mixed = random_scenario(np.random.default_rng(0), 6, q_mode="mixed")
-    pt = qos._Level(qos._Draw(mixed), 2e4, 0.0).point()
+    pt = qos._Level(qos._Draw(mixed), 2e4).point()
     assert pt.alloc.tau0 == 0.0 and time_bound and pt.delta > 0.0
     assert roots and len(roots) == len(set(roots))
 
@@ -1185,7 +1280,7 @@ def test_threshold_gap_solve_is_pinned():
     rep, duals, _ = solve_qos_detailed(scen)
     assert rep.alloc.tau[3] > 0.0 and duals.mu[3] == 0.0
     assert rep.ee == 302666.99567325495
-    assert rep.throughput == 71113.11594700714
+    assert rep.throughput == 71113.11594700713
     assert rep.iterations == {"outer": 4, "fills": 0, "stop": "converged"}
 
 
@@ -1272,3 +1367,15 @@ def test_dual_helpers_reject_out_of_domain_inputs(call):
     scen = random_scenario(np.random.default_rng(83), 3, q_mode="zero")
     with pytest.raises(ValueError, match="must be (positive|nonnegative)"):
         call(scen.params, scen)
+
+
+@pytest.mark.parametrize(
+    "gamma, vartheta",
+    [(1.7e308, 0.0), (1e10, 1e300)],
+    ids=["huge-gamma", "huge-vartheta"],
+)
+def test_multiplier_rejects_an_overflowing_rate_constant(gamma, vartheta):
+    # finite inputs whose gamma*W*(1 + vartheta)*varsigma/ln 2 overflows:
+    # the root's bracket has no right end, and mu used to come back inf
+    with pytest.raises(ValueError, match="rate constant .* overflows"):
+        multiplier_mu(gamma, 1e5, vartheta, 0.0, stock_params())

@@ -232,13 +232,14 @@ def test_peaks_match_the_scipy_version(par):
 def newton_log_s(x):
     """ln s for x >= _SERIES_BELOW by the module's Newton iteration, with
     the residual and slope at full size."""
-    log_s = 1.0 + math.log1p(x / (1.0 + math.log1p(x)))
+    log_s, last = 1.0 + math.log1p(x / (1.0 + math.log1p(x))), math.inf
     while True:
         em = math.expm1(log_s)
         nxt = log_s - (em * (log_s - 1.0) + log_s - x) / ((em + 1.0) * log_s)
-        if not nxt < log_s:
+        step = log_s - nxt
+        if not 0.0 < step < last:
             return log_s
-        log_s = nxt
+        log_s, last = nxt, step
 
 
 @pytest.mark.parametrize("par", [unit_params(), stock_params()])
@@ -343,10 +344,12 @@ def test_newton_starts_above_the_root_and_falls_to_it(monkeypatch):
 
 def test_newton_pass_count(monkeypatch):
     # Seven passes for most x.  Near x = 1e-3, where the residual cancels
-    # to (ln s)^2 / 2 from terms of size ln s, rounding lets the iterate
-    # creep down by a few ulps per pass before it stops.
+    # to (ln s)^2 / 2 from terms of size ln s, its rounding noise is tens
+    # of ulps of ln s; the loop stops once a step does not shrink, where
+    # it used to let the iterate creep down by a few ulps per pass (up to
+    # ~35 passes) until the noise turned negative.  13 is this grid's most
     xs = np.concatenate([np.geomspace(_SERIES_BELOW, 1.0, 3000), np.geomspace(1.0, 1e300, 3000)])
     passes = np.array([len(newton_iterates(monkeypatch, x)[0]) for x in xs.tolist()])
     assert np.median(passes) <= 7
     assert passes[xs >= 1.0].max() <= 8
-    assert passes.max() <= 40
+    assert passes.max() <= 13
