@@ -65,8 +65,16 @@ class PwpcnConstant:
 
 
 def pwpcn_constant(scen: Scenario) -> PwpcnConstant:
+    return PwpcnConstant(C=_constant(scen))
+
+
+def _constant(scen: Scenario) -> float:
+    """The PWPCN constant C as a float, checked as PwpcnConstant checks it."""
     par = scen.params
-    return PwpcnConstant(C=(par.Pc / par.Pmax + scen.wet_deficit) / par.eta)
+    C = (par.Pc / par.Pmax + scen.wet_deficit) / par.eta
+    if not (math.isfinite(C) and C > 0.0):
+        raise ValueError("C must be positive and finite for an admissible scenario")
+    return C
 
 
 def select_pwpcn_set(
@@ -119,28 +127,29 @@ def _admission_walk(
 
 def _pwpcn(scen: Scenario, peaks: Peaks) -> Branch:
     """The PWPCN allocation, its mode and iterations, from every user's
-    standalone (p_star, ee_star)."""
-    par = scen.params
+    standalone (p_star, ee_star).  The admission walk is
+    `select_pwpcn_set`'s, without its argument checks: UserChannel and
+    user_ee_peaks already guarantee finite, nonnegative h and ee_star."""
+    par, users = scen.params, scen.users
+    K = len(users)
     p_star, ee_star = peaks
-    cand_users = [k for k in range(scen.K) if scen.users[k].Q == 0.0]
+    cand_users = [k for k, u in enumerate(users) if u.Q == 0.0]
     if not cand_users:
-        return zero_allocation(scen.K), MODE_INFEASIBLE, {"outer": 0, "candidates": 0}
+        return zero_allocation(K), MODE_INFEASIBLE, {"outer": 0, "candidates": 0}
 
-    const = pwpcn_constant(scen)
-    candidates = [(scen.users[k].h, ee_star[k]) for k in cand_users]
-    chosen = select_pwpcn_set(candidates, const)
-    sched = tuple(cand_users[i] for i in chosen)
+    ee, h = [ee_star[k] for k in cand_users], [users[k].h for k in cand_users]
+    sched = [cand_users[i] for i in _admission_walk(ee, h, 0.0, _constant(scen))[0]]
 
     # Energy-exhausting times: tau_k * (p_star/vs + pc) = eta*Pmax*tau0*h_k,
     # scaled so tau0 + sum tau_k = Tmax.
     D = {k: p_star[k] / par.varsigma + par.pc for k in sched}
-    ratio = math.fsum(par.eta * par.Pmax * scen.users[k].h / D[k] for k in sched)
+    ratio = math.fsum(par.eta * par.Pmax * users[k].h / D[k] for k in sched)
     tau0 = par.Tmax / (1.0 + ratio)
-    p = [0.0] * scen.K
-    tau = [0.0] * scen.K
+    p = [0.0] * K
+    tau = [0.0] * K
     for k in sched:
         p[k] = p_star[k]
-        tau[k] = par.eta * par.Pmax * tau0 * scen.users[k].h / D[k]
+        tau[k] = par.eta * par.Pmax * tau0 * users[k].h / D[k]
     alloc = Allocation(P0=par.Pmax, tau0=tau0, p=tuple(p), tau=tuple(tau))
     return alloc, MODE_PWPCN, {"outer": 1, "candidates": len(cand_users), "scheduled": len(sched)}
 
@@ -148,19 +157,20 @@ def _pwpcn(scen: Scenario, peaks: Peaks) -> Branch:
 def _ielcn(scen: Scenario, peaks: Peaks) -> Branch:
     """The IELCN allocation, its mode and iterations, from every user's
     standalone (p_star, ee_star)."""
-    par = scen.params
+    par, users = scen.params, scen.users
+    K = len(users)
     p_star, ee_star = peaks
-    cand = [k for k in range(scen.K) if scen.users[k].Q > 0.0]
+    cand = [k for k, u in enumerate(users) if u.Q > 0.0]
     if not cand:
-        return zero_allocation(scen.K), MODE_INFEASIBLE, {"outer": 0, "candidates": 0}
+        return zero_allocation(K), MODE_INFEASIBLE, {"outer": 0, "candidates": 0}
 
     # max keeps the first maximum: ties go to the lower user index
     best = max(cand, key=ee_star.__getitem__)
     p_best = p_star[best]
     D = p_best / par.varsigma + par.pc
-    t = min(scen.users[best].Q / D, par.Tmax)
-    p = [0.0] * scen.K
-    tau = [0.0] * scen.K
+    t = min(users[best].Q / D, par.Tmax)
+    p = [0.0] * K
+    tau = [0.0] * K
     p[best] = p_best
     tau[best] = t
     alloc = Allocation(P0=0.0, tau0=0.0, p=tuple(p), tau=tuple(tau))

@@ -31,6 +31,7 @@ from .model import (
     UserChannel,
     _admissible,
     _battery_vector,
+    _harvest_sum,
     _require_integer,
     db_to_linear,
 )
@@ -386,7 +387,7 @@ def generate_scenario(
     qs = _battery_vector(Q, geo.K)
     for _, attempt in zip(range(_MAX_ATTEMPTS), _attempts(geo)):
         h, g = _gains(attempt, geo)
-        if not _admissible(params, h):
+        if not _admissible(params, _harvest_sum(params, h)):
             continue
         users = tuple(UserChannel.from_gains(hi, gi, qi, params) for hi, gi, qi in zip(h, g, qs))
         return Scenario(params=params, users=users)

@@ -30,8 +30,6 @@ from .model import (
     Scenario,
     SolutionReport,
     SystemParams,
-    _bits,
-    _joules,
     _reaches_floor,
     _report,
     _require_integer,
@@ -384,6 +382,13 @@ def baseline_fixed_proportion(scen: Scenario, rho: float) -> SolutionReport:
     budget.  Defined for fully wireless-powered users only.  The policy
     ignores a throughput floor; when its allocation falls short of one,
     the report's mode is INFEASIBLE.
+
+    The search scores each charging time with the EE of the allocation
+    reported there, to the bit, but without building it: a common power
+    that is not positive sends zero bits and scores 0.0 at once, and any
+    other is scored from per-user lists taken once per call, in the
+    operation order of the uplink split, `model._bits` and
+    `model._joules`.
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0, 1]")
@@ -391,7 +396,8 @@ def baseline_fixed_proportion(scen: Scenario, rho: float) -> SolutionReport:
         raise ValueError("fixed-proportion baseline assumes zero initial energy")
 
     par = scen.params
-    h_sum = math.fsum(scen.h)
+    hs, gammas = scen.h, scen.gamma
+    h_sum = math.fsum(hs)
 
     def uplink(tau0: float) -> tuple[tuple[float, ...], list[float]] | None:
         """The uplink (p, tau) at charging time tau0, or None where the
@@ -399,12 +405,12 @@ def baseline_fixed_proportion(scen: Scenario, rho: float) -> SolutionReport:
         residual = par.Tmax - tau0
         if rho == 0.0 or residual <= 0.0 or tau0 <= 0.0:
             return None
-        tau = [residual * u.h / h_sum for u in scen.users]
+        tau = [residual * h / h_sum for h in hs]
         spend = rho * par.eta * par.Pmax * tau0 * h_sum / residual
         p = par.varsigma * (spend - par.pc)
         if p <= 0.0:
             p = 0.0
-            budget = [rho * par.eta * par.Pmax * tau0 * u.h for u in scen.users]
+            budget = [rho * par.eta * par.Pmax * tau0 * h for h in hs]
             tau = [min(t, b / par.pc) for t, b in zip(tau, budget)]
         return (p,) * scen.K, tau
 
@@ -414,14 +420,26 @@ def baseline_fixed_proportion(scen: Scenario, rho: float) -> SolutionReport:
             return zero_allocation(scen.K)
         return Allocation(P0=par.Pmax, tau0=tau0, p=up[0], tau=tuple(up[1]))
 
+    W, Tmax, vs, pc, Pmax, Pc = par.W, par.Tmax, par.varsigma, par.pc, par.Pmax, par.Pc
+    spent, wet, log2 = rho * par.eta * Pmax, scen.wet_deficit, math.log2
+
     def ee_of(tau0: float) -> float:
-        # system_ee(build(tau0), scen) from the bookkeeping cores, without
-        # building and validating an allocation per probe
-        up = uplink(tau0)
-        if up is None:
+        # system_ee(build(tau0), scen): uplink's split and power, then
+        # model._bits and model._joules, operation for operation
+        residual = Tmax - tau0
+        if rho == 0.0 or residual <= 0.0 or tau0 <= 0.0:
             return 0.0
-        bits = _bits(scen, *up)
-        return bits / _joules(scen, par.Pmax, tau0, *up) if bits != 0.0 else 0.0
+        p = vs * (spent * tau0 * h_sum / residual - pc)
+        if p <= 0.0:  # uplink's clamp: p = 0 in every slot, so B = 0
+            return 0.0
+        drain = p / vs + pc
+        bits, joules = 0.0, Pmax * tau0 * wet + Pc * tau0
+        for h, gamma in zip(hs, gammas):
+            tau = residual * h / h_sum
+            if tau > 0.0:
+                bits += tau * W * log2(1.0 + p * gamma)
+            joules += drain * tau
+        return bits / joules if bits != 0.0 else 0.0
 
     tau0, _, n_evals = golden_section_max(ee_of, 0.0, par.Tmax)
     return _floor_blind_report(build(tau0), scen, {"outer": n_evals})
@@ -499,12 +517,6 @@ def _apply_axis(cfg: ExperimentConfig, value: float | None = None, seed: int | N
     return generate_scenario(dataclasses.replace(cfg.geometry, **geometry), params, Q=cfg.initial_energy)
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return str(x)
-
-
 def write_rows(
     path: str | Path | None, columns: Sequence[str], rows: Iterable[Sequence]
 ) -> Path | None:
@@ -518,7 +530,7 @@ def write_rows(
         writer = csv.writer(fh)
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+            writer.writerow([format(x, ".17g") if isinstance(x, float) else str(x) for x in row])
     return path
 
 

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields, replace
-from functools import cached_property
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, Sequence
 
 LN2 = math.log(2.0)
@@ -137,9 +136,10 @@ def _harvest_sum(params: SystemParams, h: Iterable[float]) -> float:
     return params.eta * math.fsum(h)
 
 
-def _admissible(params: SystemParams, h: Iterable[float]) -> bool:
-    """Admissibility of downlink gains h: their harvest sum stays below 1/xi."""
-    return _harvest_sum(params, h) < 1.0 / params.xi
+def _admissible(params: SystemParams, harvest_sum: float) -> bool:
+    """Admissibility of downlink gains by their harvest sum
+    (`_harvest_sum`): it stays below 1/xi."""
+    return harvest_sum < 1.0 / params.xi
 
 
 @dataclass(frozen=True)
@@ -148,11 +148,19 @@ class Scenario:
 
     Admissibility requires sum_k eta*h_k < 1/xi: radiating energy must
     cost net power, otherwise the charging slot would be a perpetuum
-    mobile and the energy model breaks down.
+    mobile and the energy model breaks down.  The harvest sum that test
+    takes is kept, with the net drain it leaves, outside equality, hash
+    and repr:
+
+    harvest_sum  sum_k eta * h_k, the harvested fraction of radiated power
+    wet_deficit  1/xi - harvest_sum, the net power drain per watt of
+                 downlink transmit power
     """
 
     params: SystemParams
     users: tuple[UserChannel, ...]
+    harvest_sum: float = field(init=False, repr=False, compare=False)
+    wet_deficit: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.users) < 1:
@@ -163,8 +171,11 @@ class Scenario:
             expect = u.g / denom
             if abs(u.gamma - expect) > 1e-12 * expect:
                 raise ValueError(f"user {i}: gamma inconsistent with g and noise parameters")
-        if not _admissible(p, self.h):
+        harvest_sum = _harvest_sum(p, self.h)
+        if not _admissible(p, harvest_sum):
             raise ValueError("sum eta*h must stay below 1/xi")
+        object.__setattr__(self, "harvest_sum", harvest_sum)
+        object.__setattr__(self, "wet_deficit", 1.0 / p.xi - harvest_sum)
 
     @property
     def K(self) -> int:
@@ -181,18 +192,6 @@ class Scenario:
     @property
     def Q(self) -> tuple[float, ...]:
         return tuple(u.Q for u in self.users)
-
-    # Cached on the instance, outside the fields, so equality and the
-    # hash are unchanged; a frozen Scenario never needs them recomputed.
-    @cached_property
-    def harvest_sum(self) -> float:
-        """sum_k eta * h_k, the harvested fraction of radiated power."""
-        return _harvest_sum(self.params, self.h)
-
-    @cached_property
-    def wet_deficit(self) -> float:
-        """Net power drain per watt of downlink transmit power, 1/xi - sum eta*h."""
-        return 1.0 / self.params.xi - self.harvest_sum
 
 
 def _is_charge(x) -> bool:

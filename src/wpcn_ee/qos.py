@@ -102,10 +102,14 @@ def _score(gamma: float, q: float, cln: float, W1: float, vs: float, pc: float) 
     return _stationarity(q, gamma, cln, W1, vs, pc)
 
 
-def _w1_cln(params: SystemParams, vartheta: float) -> tuple[float, float]:
-    # W1 = W*(1 + vartheta) and cln = W1*varsigma/ln 2 at floor multiplier vartheta.
+def _w1_cln(params: SystemParams, vartheta: float, gamma: float = 1.0) -> tuple[float, float]:
+    # W1 = W*(1 + vartheta) and cln = W1*varsigma/ln 2 at floor multiplier
+    # vartheta; a ValueError where the rate constant gamma*cln overflows.
     W1 = params.W * (1.0 + vartheta)
-    return W1, W1 * params.varsigma / LN2
+    cln = W1 * params.varsigma / LN2
+    if not math.isfinite(gamma * cln):
+        raise ValueError("the rate constant gamma_k*W*(1 + vartheta)*varsigma/ln 2 overflows")
+    return W1, cln
 
 
 def _power(s: float, gamma: float, cln: float) -> float:
@@ -158,11 +162,9 @@ def multiplier_mu(gamma_k: float, q: float, vartheta: float, delta: float, param
     if gamma_k <= 0.0:
         raise ValueError(f"gamma_k must be positive, got {gamma_k!r}")
     _require_nonnegative(gamma_k=gamma_k, q=q, vartheta=vartheta, delta=delta)
-    W1, cln = _w1_cln(params, vartheta)
+    W1, cln = _w1_cln(params, vartheta, gamma_k)
     vs, pc = params.varsigma, params.pc
     hi = gamma_k * cln
-    if not math.isfinite(hi):
-        raise ValueError("the rate constant gamma_k*W*(1 + vartheta)*varsigma/ln 2 overflows")
     if not _score(gamma_k, q, cln, W1, vs, pc) > delta:
         raise ValueError("user is outside the energy-tight region (score <= delta)")
     (s,) = _record_roots(
@@ -179,7 +181,7 @@ def power_from_duals(gamma_k: float, mu_k: float, q: float, vartheta: float, par
     s = q + mu_k
     if s <= 0.0:
         raise ValueError("q + mu must be positive")
-    return max(0.0, _power(s, gamma_k, _w1_cln(params, vartheta)[1]))
+    return max(0.0, _power(s, gamma_k, _w1_cln(params, vartheta, gamma_k)[1]))
 
 
 def f0_wet_gate(mu: Sequence[float], q: float, delta: float, scen: Scenario) -> float:

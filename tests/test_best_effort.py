@@ -46,6 +46,11 @@ def test_constant_by_hand():
         lambda: select_pwpcn_set([(0.1, 2.0), (0.2, math.nan)], 1.0),
         lambda: select_pwpcn_set([(0.1, 2.0), (-0.2, 1.0)], 1.0),
         lambda: select_pwpcn_set([(math.inf, 2.0), (0.2, 1.0)], 1.0),
+        # a valid station power whose Pc/Pmax overflows: C is inf, and the
+        # solver, which forms C without pwpcn_constant, must refuse it too
+        lambda: solve_best_effort(
+            scenario_from_values(stock_params(Pmax=5e-324), [0.05, 0.1], [1e8, 2e8], [0.0, 0.01])
+        ),
     ],
     ids=[
         "constant-nan",
@@ -55,6 +60,7 @@ def test_constant_by_hand():
         "select-nan-ee",
         "select-negative-h",
         "select-inf-h",
+        "solver-overflowing-C",
     ],
 )
 def test_pwpcn_helpers_reject_bad_input(call):

@@ -194,13 +194,13 @@ def test_fixed_proportion_edge_cases():
         baseline_fixed_proportion(charged, 1.0)
 
 
-def test_fixed_proportion_probe_scores_the_allocation_it_reports(monkeypatch):
-    # the golden-section probe scores tau0 from the bookkeeping cores
-    # without building an allocation; its EE must be system_ee of the
-    # allocation the baseline reports at that tau0, to the bit: at the
-    # ends (nothing sent), inside, and where the common power clamps to
-    # zero and the slots shrink to the circuit budget
-    probe = []
+def test_fixed_proportion_probe_scores_the_allocation_it_reports(monkeypatch, tmp_path):
+    # the golden-section probe scores tau0 without building an
+    # allocation; its EE must be system_ee of the allocation the baseline
+    # reports at that tau0, to the bit: at the ends (nothing sent),
+    # inside, and where the common power clamps to zero and the slots
+    # shrink to the circuit budget
+    probe, search = [], experiments.golden_section_max
 
     def stop_at(tau0):
         def search(f, lo, hi):
@@ -224,6 +224,36 @@ def test_fixed_proportion_probe_scores_the_allocation_it_reports(monkeypatch):
                     clamped += 1
                     assert ee == 0.0 and all(0.0 < t for t in rep.alloc.tau)
     assert clamped >= 12
+
+    # and at every tau0 the search itself probes on the station-power
+    # sweep's draws (K = 5, rho = 1, two seeds), recorded through its f
+    cfg = load_config(cfg_file(tmp_path, TIE_SWEEPS["Pmax_dBm"]))
+    collapsed, zero_power = [], 0
+    for seed in (8700, 8701):
+        for value in cfg.sweep.values:
+            scen = _apply_axis(cfg, value, seed)
+            probed = []
+
+            def recording(f, lo, hi):
+                probe.append(f)
+                return search(lambda x: probed.append(x) or f(x), lo, hi)
+
+            monkeypatch.setattr(experiments, "golden_section_max", recording)
+            rep = baseline_fixed_proportion(scen, 1.0)
+            ee_of = probe[-1]
+            assert len(probed) == rep.iterations["outer"] == 48
+            if rep.ee == 0.0:
+                collapsed.append((seed, value, rep.alloc.tau0))
+            for tau0 in probed:
+                monkeypatch.setattr(experiments, "golden_section_max", stop_at(tau0))
+                at = baseline_fixed_proportion(scen, 1.0)
+                assert ee_of(tau0) == system_ee(at.alloc, scen) == at.ee, (seed, value, tau0)
+                zero_power += 0.0 < tau0 < scen.params.Tmax and at.alloc.p[0] == 0.0
+    # the one draw whose search collapses onto tau0 ~ 2.4e-10 and reports
+    # EE 0 (the tie row pinned below), and probes at zero power besides
+    assert [(s, v) for s, v, _ in collapsed] == [(8701, 20.0)]
+    assert 0.0 < collapsed[0][2] < 1e-9
+    assert zero_power > 0
 
 
 def test_fixed_proportion_reports_a_missed_floor_as_infeasible(tmp_path):

@@ -1370,12 +1370,18 @@ def test_dual_helpers_reject_out_of_domain_inputs(call):
 
 
 @pytest.mark.parametrize(
-    "gamma, vartheta",
-    [(1.7e308, 0.0), (1e10, 1e300)],
-    ids=["huge-gamma", "huge-vartheta"],
+    "call",
+    [
+        lambda par: multiplier_mu(1.7e308, 1e5, 0.0, 0.0, par),
+        lambda par: multiplier_mu(1e10, 1e5, 1e300, 0.0, par),
+        lambda par: kkt_threshold_x(1e5, 1e308, 0.0, par),
+        lambda par: power_from_duals(1e6, 0.0, 2e4, 1e308, par),
+    ],
+    ids=["huge-gamma", "huge-vartheta", "threshold-huge-vartheta", "power-huge-vartheta"],
 )
-def test_multiplier_rejects_an_overflowing_rate_constant(gamma, vartheta):
+def test_multiplier_rejects_an_overflowing_rate_constant(call):
     # finite inputs whose gamma*W*(1 + vartheta)*varsigma/ln 2 overflows:
-    # the root's bracket has no right end, and mu used to come back inf
+    # mu's root bracket has no right end, and mu used to come back inf;
+    # the threshold raised ZeroDivisionError and the power returned inf
     with pytest.raises(ValueError, match="rate constant .* overflows"):
-        multiplier_mu(gamma, 1e5, vartheta, 0.0, stock_params())
+        call(stock_params())
