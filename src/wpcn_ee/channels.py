@@ -50,7 +50,7 @@ class GeometryConfig:
     alpha        path loss exponent
     rician_K_dB  Rician K-factor of the downlink, dB
     ref_gain     path gain at 1 m (linear)
-    seed         RNG seed
+    seed         RNG seed, unless generate_scenario is handed another
     """
 
     K: int
@@ -64,9 +64,7 @@ class GeometryConfig:
 
     def __post_init__(self) -> None:
         _require_integer("K", self.K)
-        _require_integer("seed", self.seed)
-        if self.seed < 0:
-            raise ValueError(f"expected non-negative integer seed, got {self.seed!r}")
+        _require_seed(self.seed)
         for f in fields(self):
             if not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite")
@@ -80,6 +78,14 @@ class GeometryConfig:
             raise ValueError("alpha must be positive")
         if self.ref_gain <= 0.0:
             raise ValueError("ref_gain must be positive")
+
+
+def _require_seed(seed) -> None:
+    """Reject a seed default_rng would not take as given: anything but a
+    nonnegative integer, numpy's included; a bool is not 1."""
+    _require_integer("seed", seed)
+    if seed < 0:
+        raise ValueError(f"expected non-negative integer seed, got {seed!r}")
 
 
 _MASK32 = 0xFFFFFFFF
@@ -321,9 +327,9 @@ Attempt = tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]
 _latest_draw: tuple[tuple, tuple[Attempt, ...], tuple[int, int]] = ((), (), (0, 0))
 
 
-def _attempts(geo: GeometryConfig) -> Iterator[Attempt]:
-    """Each draw attempt at geo.seed, in the order default_rng(geo.seed)
-    draws its variates: uniform(d_min_m, d_max_m, K) distances, then
+def _attempts(geo: GeometryConfig, seed: int) -> Iterator[Attempt]:
+    """Each draw attempt at seed, in the order default_rng(seed) draws
+    its variates: uniform(d_min_m, d_max_m, K) distances, then
     standard_normal(K) four times, the real and imaginary parts of the
     down- and uplink fading, which form the fading powers at once.
 
@@ -334,10 +340,10 @@ def _attempts(geo: GeometryConfig) -> Iterator[Attempt]:
     own, so the attempts never depend on call order.
     """
     global _latest_draw
-    key = (geo.seed, geo.K, geo.d_min_m, geo.d_max_m, geo.rician_K_dB)
+    key = (seed, geo.K, geo.d_min_m, geo.d_max_m, geo.rician_K_dB)
     latest, drawn, state = _latest_draw
     if latest != key:
-        drawn, state = (), _seed_state(geo.seed)
+        drawn, state = (), _seed_state(seed)
     yield from drawn
     rng = _PCG64(*state)
     kappa = db_to_linear(geo.rician_K_dB)
@@ -373,10 +379,18 @@ def _gains(attempt: Attempt, geo: GeometryConfig) -> tuple[list[float], list[flo
 
 
 def generate_scenario(
-    geo: GeometryConfig, params: SystemParams, *, Q: Iterable[float] | float = 0.0
+    geo: GeometryConfig,
+    params: SystemParams,
+    *,
+    Q: Iterable[float] | float = 0.0,
+    seed: int | None = None,
 ) -> Scenario:
-    """Draw one scenario; deterministic in geo.seed.
+    """Draw one scenario; deterministic in its seed.
 
+    seed is the RNG seed of the draw, geo.seed when None; a seed given
+    here is checked as GeometryConfig checks its own, and the draw
+    equals the one at a copy of geo with that seed, so a sweep draws
+    each trial at its seed without rebuilding the geometry.
     Q is the initial battery energy, one value shared by every user or
     one per user; it is checked before the draw, and each user's channel
     is built once with its charge.  Draws violating the admissibility
@@ -384,8 +398,12 @@ def generate_scenario(
     realistic gains); a ValueError after _MAX_ATTEMPTS, as the geometry
     itself is then at fault.
     """
+    if seed is None:
+        seed = geo.seed
+    else:
+        _require_seed(seed)
     qs = _battery_vector(Q, geo.K)
-    for _, attempt in zip(range(_MAX_ATTEMPTS), _attempts(geo)):
+    for _, attempt in zip(range(_MAX_ATTEMPTS), _attempts(geo, seed)):
         h, g = _gains(attempt, geo)
         if not _admissible(params, _harvest_sum(params, h)):
             continue

@@ -165,8 +165,7 @@ class ExperimentConfig:
             # each sweep value is checked as the entry it overrides would
             # be, before any point is solved
             for value in self.sweep.values:
-                block, name, v = _axis_entry(self.sweep.axis, value)
-                dataclasses.replace(self.params if block == "system" else self.geometry, **{name: v})
+                _resolve(self, value)
             # and so is the seed of the last trial
             dataclasses.replace(self.geometry, seed=self.sweep.base_seed + self.sweep.trials - 1)
         if isinstance(self.initial_energy, tuple):
@@ -496,25 +495,26 @@ def run_scheme(scheme: str, scen: Scenario) -> SolutionReport:
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def _axis_entry(axis: str, value: float) -> tuple[str, str, object]:
-    """(config block, dataclass field, converted value) of one sweep value,
-    through the key table of the entry it overrides."""
-    block, key = _AXIS_KEYS[axis]
-    name, convert = _KEY_TABLES[block][key]
-    return block, name, convert(key, value)
+def _resolve(cfg: ExperimentConfig, value: float | None = None) -> tuple[SystemParams, GeometryConfig]:
+    """The configured (params, geometry), with the sweep axis at value, if
+    given, converted through the key table of the entry it overrides and
+    checked as that entry is."""
+    params, geometry = cfg.params, cfg.geometry
+    if value is not None:
+        block, key = _AXIS_KEYS[cfg.sweep.axis]
+        name, convert = _KEY_TABLES[block][key]
+        if block == "system":
+            params = dataclasses.replace(params, **{name: convert(key, value)})
+        else:
+            geometry = dataclasses.replace(geometry, **{name: convert(key, value)})
+    return params, geometry
 
 
 def _apply_axis(cfg: ExperimentConfig, value: float | None = None, seed: int | None = None) -> Scenario:
-    """The configured scenario, with the sweep axis at value (`_axis_entry`)
-    and the geometry seed at seed, if given."""
-    params, geometry = cfg.params, {} if seed is None else {"seed": seed}
-    if value is not None:
-        block, name, v = _axis_entry(cfg.sweep.axis, value)
-        if block == "system":
-            params = dataclasses.replace(params, **{name: v})
-        else:
-            geometry[name] = v
-    return generate_scenario(dataclasses.replace(cfg.geometry, **geometry), params, Q=cfg.initial_energy)
+    """The configured scenario, with the sweep axis at value (`_resolve`)
+    and drawn at seed, if given."""
+    params, geometry = _resolve(cfg, value)
+    return generate_scenario(geometry, params, Q=cfg.initial_energy, seed=seed)
 
 
 def write_rows(
@@ -561,6 +561,10 @@ def mean_path_for(raw_path: str | Path) -> Path:
 def run_sweep(cfg: ExperimentConfig) -> tuple[Path, Path]:
     """Execute the configured sweep and write the raw and mean CSVs.
 
+    Each sweep value is resolved into its (params, geometry) once per
+    sweep, before the first trial (`_resolve`), so a point pays only for
+    its channel draw, at its trial's seed, its scheme solves, their
+    constraint checks and its rows.
     Points are solved trial by trial: every sweep value and scheme of
     one trial before the next trial, so every value reuses the trial's
     channel variates, and the floors of an Rmin sweep, which share one
@@ -578,9 +582,11 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[Path, Path]:
     values = cfg.sweep.values
     # solved[i][trial] holds the scheme reports at values[i]
     solved: list[list[list[SolutionReport]]] = [[] for _ in values]
+    resolved = [_resolve(cfg, value) for value in values]
     for trial in range(cfg.sweep.trials):
-        for value, per_trial in zip(values, solved):
-            scen = _apply_axis(cfg, value, cfg.sweep.base_seed + trial)
+        seed = cfg.sweep.base_seed + trial
+        for value, (params, geometry), per_trial in zip(values, resolved, solved):
+            scen = generate_scenario(geometry, params, Q=cfg.initial_energy, seed=seed)
             reps = []
             for scheme in schemes:
                 rep = run_scheme(scheme, scen)

@@ -143,7 +143,10 @@ def kkt_threshold_x(q: float, vartheta: float, delta: float, params: SystemParam
 
     The unique gamma at which the scheduling score crosses delta; users
     above it transmit.  Defined for q > 0 (at q = 0 every user's score
-    is +inf and no finite threshold exists).
+    is +inf and no finite threshold exists).  A ValueError naming the
+    input, before any search, where the branch boundary q/cln underflows
+    to 0 or rounding lifts the score there above delta, so that no
+    bracket starts at it.
     """
     if q <= 0.0:
         raise ValueError("threshold needs q > 0")
@@ -151,6 +154,12 @@ def kkt_threshold_x(q: float, vartheta: float, delta: float, params: SystemParam
     W1, cln = _w1_cln(params, vartheta)
     vs, pc = params.varsigma, params.pc
     lo = q / cln  # branch boundary: score = -q*pc - delta < 0
+    if lo <= 0.0 or _score(lo, q, cln, W1, vs, pc) > delta:
+        why = "underflows to 0" if lo <= 0.0 else f"= {lo!r} scores above delta"
+        raise ValueError(
+            f"no threshold bracket at q = {q!r}, vartheta = {vartheta!r}, delta = {delta!r}: "
+            f"the branch boundary q/cln {why}"
+        )
     hi = _double_until(
         lambda g: _score(g, q, cln, W1, vs, pc) > delta, 2.0 * lo, "scheduling threshold"
     )

@@ -27,6 +27,13 @@ def test_deterministic_in_seed():
     assert a.h == b.h and a.gamma == b.gamma
     c = generate_scenario(dataclasses.replace(geo, seed=124), stock_params())
     assert a.h != c.h
+    # the seed keyword draws as a copy of geo with that seed does, back
+    # to back on one geometry, and seed=None keeps geo.seed
+    assert generate_scenario(geo, stock_params(), seed=None) == a
+    seeds = (0, 124, 8700, np.int64(9300), 2**64 + 1)
+    got = [generate_scenario(geo, stock_params(), Q=0.05, seed=s) for s in seeds]
+    want = [generate_scenario(dataclasses.replace(geo, seed=s), stock_params(), Q=0.05) for s in seeds]
+    assert got == want
 
 
 def fresh_draw(geo, par, Q=0.0):
@@ -58,7 +65,8 @@ def fresh_draw(geo, par, Q=0.0):
 
 def test_draws_match_a_fresh_generator_in_any_order():
     # every call equals a fresh generator's draw to the bit, whichever
-    # seeds, alphas, user counts and distance ranges came before it
+    # seeds, alphas, user counts and distance ranges came before it; every
+    # other call hands its seed in by keyword, to a geometry at seed 0
     par = stock_params()
     geos = [
         GeometryConfig(K=K, seed=seed, alpha=alpha, d_max_m=d_max)
@@ -73,9 +81,13 @@ def test_draws_match_a_fresh_generator_in_any_order():
     ]
     q = [0.0, 0.05] * 5
     for order in orders:
-        for geo in order:
+        for i, geo in enumerate(order):
             Q = q[: geo.K]
-            assert generate_scenario(geo, par, Q=Q) == fresh_draw(geo, par, Q)[0], geo
+            if i % 2:
+                got = generate_scenario(dataclasses.replace(geo, seed=0), par, Q=Q, seed=geo.seed)
+            else:
+                got = generate_scenario(geo, par, Q=Q)
+            assert got == fresh_draw(geo, par, Q)[0], geo
 
 
 @pytest.mark.parametrize(
@@ -268,6 +280,11 @@ def test_geometry_validation():
     ):
         with pytest.raises(ValueError, match=message):
             GeometryConfig(**{"K": 2, **bad})
+    # generate_scenario checks a seed handed to it the same way
+    for bad, message in ((1.5, "seed must be an integer"), (True, "seed must be an integer"),
+                         (-1, "expected non-negative integer")):
+        with pytest.raises(ValueError, match=message):
+            generate_scenario(GeometryConfig(K=2), stock_params(), seed=bad)
     assert GeometryConfig(K=np.int64(3), seed=np.uint32(7)).K == 3
     for name in ("d_min_m", "d_max_m", "d_rx_m", "alpha", "rician_K_dB", "ref_gain"):
         for bad in (math.nan, math.inf):

@@ -400,20 +400,32 @@ def test_run_sweep_reruns_byte_identical(tmp_path):
     assert mean_a.read_bytes() == mean_b.read_bytes()
 
 
-def test_trial_major_sweep_writes_value_major_rows(tmp_path):
-    # run_sweep solves trial by trial; its CSVs must equal value-major
-    # run_scheme calls.  300 kbit binds on trials 0 and 1 and exceeds
-    # the rate ceiling of trial 2; 150 kbit is loose.
-    values = [300e3, 150e3]
-    schemes = ["ee_optimal", "throughput_optimal"]
+@pytest.mark.parametrize(
+    "axis, values, energy, schemes, counts",
+    [
+        # 300 kbit binds on trials 0 and 1 and exceeds the rate ceiling
+        # of trial 2; 150 kbit is loose
+        ("Rmin", [300e3, 150e3], 0.0, ["ee_optimal", "throughput_optimal"], {(3, 1), (3, 0)}),
+        # a geometry axis with per-user batteries, so best effort
+        ("alpha", [3.2, 2.4], [0.0, 0.05, 0.02], ["ee_optimal", "throughput_optimal"], {(3, 0)}),
+        # the user count, with one battery charge for every user
+        ("K", [4, 2], 0.01, ["ee_optimal", "throughput_optimal"], {(3, 0)}),
+    ],
+    ids=["Rmin", "alpha-battery-vector", "K-scalar-battery"],
+)
+def test_trial_major_sweep_writes_value_major_rows(tmp_path, axis, values, energy, schemes, counts):
+    # run_sweep resolves each value once and solves trial by trial; its
+    # CSVs must equal value-major _apply_axis and run_scheme calls
     payload = {
         "geometry": {"K": 3},
-        "sweep": {"axis": "Rmin", "values": values, "trials": 3, "base_seed": 11},
+        "initial_energy_J": energy,
+        "sweep": {"axis": axis, "values": values, "trials": 3, "base_seed": 11},
         "schemes": schemes,
         "output": str(tmp_path / "swept.csv"),
     }
     cfg = load_config(cfg_file(tmp_path, payload))
     raw_path, mean_path = run_sweep(cfg)
+    values = cfg.sweep.values
 
     rows, groups = [], {}
     for value in values:
@@ -421,7 +433,7 @@ def test_trial_major_sweep_writes_value_major_rows(tmp_path):
             scen = _apply_axis(cfg, value, 11 + trial)
             for scheme in schemes:
                 rep = run_scheme(scheme, scen)
-                rows.append(report_to_row(rep, "Rmin", value, trial, scheme))
+                rows.append(report_to_row(rep, axis, value, trial, scheme))
                 groups.setdefault((value, scheme), []).append(rep)
     means = []
     for value in values:
@@ -429,8 +441,8 @@ def test_trial_major_sweep_writes_value_major_rows(tmp_path):
             group = groups[value, scheme]
             good = [r for r in group if r.mode != MODE_INFEASIBLE]
             m = [math.fsum(getattr(r, f) for r in good) / len(good) for f in ("ee", "throughput", "energy")]
-            means.append(("Rmin", value, scheme, len(group), len(group) - len(good), *m))
-    assert {(r[3], r[4]) for r in means} == {(3, 1), (3, 0)}
+            means.append((axis, value, scheme, len(group), len(group) - len(good), *m))
+    assert {(r[3], r[4]) for r in means} == counts
 
     want = write_rows(tmp_path / "want.csv", RAW_COLUMNS, rows)
     want_mean = write_rows(tmp_path / "want_mean.csv", MEAN_COLUMNS, means)

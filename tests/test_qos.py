@@ -4,6 +4,8 @@ import copy
 import dataclasses
 import math
 import random
+import re
+import signal
 import sys
 import threading
 
@@ -1385,3 +1387,30 @@ def test_multiplier_rejects_an_overflowing_rate_constant(call):
     # the threshold raised ZeroDivisionError and the power returned inf
     with pytest.raises(ValueError, match="rate constant .* overflows"):
         call(stock_params())
+
+
+@pytest.mark.parametrize(
+    "q, vartheta, why",
+    [
+        (1e-320, 0.0, "underflows to 0"),
+        (1e-300, 1e290, "underflows to 0"),
+        (1e-280, 0.0, "scores above delta"),
+        (1e5, 1e290, "scores above delta"),
+    ],
+    ids=["tiny-q", "tiny-q-huge-vartheta", "small-q", "huge-vartheta"],
+)
+def test_threshold_rejects_a_boundary_that_brackets_nothing(q, vartheta, why):
+    # where q/cln underflows to 0 the bracket search used to double 0
+    # forever, so an alarm turns a hang into a failure; where rounding
+    # lifts the score at q/cln above delta brentq raised its own sign error
+    def hang(signum, frame):
+        raise TimeoutError("kkt_threshold_x did not return within 5 s")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        with pytest.raises(ValueError, match=f"no threshold bracket at q = {re.escape(repr(q))}, .*{why}"):
+            kkt_threshold_x(q, vartheta, 0.0, stock_params())
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
