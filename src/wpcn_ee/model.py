@@ -259,8 +259,8 @@ class Allocation:
     """A resource allocation: downlink power, charging time, uplink powers and times.
 
     Fields are raw; feasibility against a scenario is judged by
-    check_constraints, not here.  Negative entries are rejected outright
-    because no solver legitimately produces them.
+    check_constraints, not here.  Negative and non-finite entries are
+    rejected outright because no solver legitimately produces them.
     """
 
     P0: float
@@ -271,10 +271,17 @@ class Allocation:
     def __post_init__(self) -> None:
         if len(self.p) != len(self.tau):
             raise ValueError("p and tau must have equal length")
-        if self.P0 < 0.0 or self.tau0 < 0.0:
-            raise ValueError("P0 and tau0 must be nonnegative")
-        if any(x < 0.0 for x in self.p) or any(x < 0.0 for x in self.tau):
-            raise ValueError("powers and times must be nonnegative")
+        # one pass per entry: 0 <= x < inf fails on a negative, NaN or inf
+        inf = math.inf
+        for x in (self.P0, self.tau0):
+            if not 0.0 <= x < inf:
+                why = "nonnegative" if x < 0.0 else "finite"
+                raise ValueError(f"P0 and tau0 must be {why}")
+        for xs in (self.p, self.tau):
+            for x in xs:
+                if not 0.0 <= x < inf:
+                    why = "nonnegative" if x < 0.0 else "finite"
+                    raise ValueError(f"powers and times must be {why}")
 
     @property
     def K(self) -> int:

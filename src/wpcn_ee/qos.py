@@ -144,9 +144,9 @@ def kkt_threshold_x(q: float, vartheta: float, delta: float, params: SystemParam
     The unique gamma at which the scheduling score crosses delta; users
     above it transmit.  Defined for q > 0 (at q = 0 every user's score
     is +inf and no finite threshold exists).  A ValueError naming the
-    input, before any search, where the branch boundary q/cln underflows
-    to 0 or rounding lifts the score there above delta, so that no
-    bracket starts at it.
+    input, before brentq, where the branch boundary q/cln underflows to
+    0, rounding lifts the score there above delta, or the score exceeds
+    delta only once gamma*cln overflows: no bracket holds a threshold.
     """
     if q <= 0.0:
         raise ValueError("threshold needs q > 0")
@@ -154,16 +154,20 @@ def kkt_threshold_x(q: float, vartheta: float, delta: float, params: SystemParam
     W1, cln = _w1_cln(params, vartheta)
     vs, pc = params.varsigma, params.pc
     lo = q / cln  # branch boundary: score = -q*pc - delta < 0
-    if lo <= 0.0 or _score(lo, q, cln, W1, vs, pc) > delta:
-        why = "underflows to 0" if lo <= 0.0 else f"= {lo!r} scores above delta"
-        raise ValueError(
-            f"no threshold bracket at q = {q!r}, vartheta = {vartheta!r}, delta = {delta!r}: "
-            f"the branch boundary q/cln {why}"
+    if lo <= 0.0:
+        why = "the branch boundary q/cln underflows to 0"
+    elif _score(lo, q, cln, W1, vs, pc) > delta:
+        why = f"the branch boundary q/cln = {lo!r} scores above delta"
+    else:
+        hi = _double_until(
+            lambda g: _score(g, q, cln, W1, vs, pc) > delta, 2.0 * lo, "scheduling threshold"
         )
-    hi = _double_until(
-        lambda g: _score(g, q, cln, W1, vs, pc) > delta, 2.0 * lo, "scheduling threshold"
+        if math.isfinite(hi * cln):
+            return brentq(lambda g: _score(g, q, cln, W1, vs, pc) - delta, lo, hi, maxiter=200)
+        why = f"gamma*cln overflows at the bracket's end {hi!r}"
+    raise ValueError(
+        f"no threshold bracket at q = {q!r}, vartheta = {vartheta!r}, delta = {delta!r}: {why}"
     )
-    return brentq(lambda g: _score(g, q, cln, W1, vs, pc) - delta, lo, hi, maxiter=200)
 
 
 def multiplier_mu(gamma_k: float, q: float, vartheta: float, delta: float, params: SystemParams) -> float:
@@ -420,6 +424,15 @@ class _Point:
     E: float
     delta: float
     mu: tuple[float, ...]
+
+    @classmethod
+    def build(
+        cls, scen: Scenario, tau0: float, p: Sequence[float], tau: Sequence[float],
+        delta: float, mu: Sequence[float],
+    ) -> _Point:
+        """The point of (tau0, p, tau) at P0 = Pmax, with its B and E."""
+        alloc = Allocation(P0=scen.params.Pmax, tau0=tau0, p=tuple(p), tau=tuple(tau))
+        return cls(alloc, throughput(alloc, scen), energy_total(alloc, scen), delta, tuple(mu))
 
 
 class _Draw:
@@ -681,14 +694,7 @@ class _Level:
             tau_vec[m] = t
             if t > 0.0:
                 p_vec[m] = max(0.0, self.p_of_s(m, self.q))
-        alloc = Allocation(P0=draw.par.Pmax, tau0=tau0, p=tuple(p_vec), tau=tuple(tau_vec))
-        return _Point(
-            alloc=alloc,
-            B=throughput(alloc, draw.scen),
-            E=energy_total(alloc, draw.scen),
-            delta=delta,
-            mu=tuple(mu_vec),
-        )
+        return _Point.build(draw.scen, tau0, p_vec, tau_vec, delta, mu_vec)
 
 
 @dataclass(frozen=True)
@@ -762,16 +768,8 @@ def _fill_to_floor(scen: Scenario, lo: _Point, hi: _Point, rmin: float) -> _Poin
         else 0.0
         for k, t in enumerate(tau)
     ]
-    alloc = Allocation(
-        P0=par.Pmax, tau0=mix(lo.alloc.tau0, hi.alloc.tau0), p=tuple(p), tau=tuple(tau)
-    )
-    return _Point(
-        alloc=alloc,
-        B=throughput(alloc, scen),
-        E=energy_total(alloc, scen),
-        delta=hi.delta,
-        mu=tuple(m if m_lo > 0.0 else 0.0 for m_lo, m in zip(lo.mu, hi.mu)),
-    )
+    mu = [m if m_lo > 0.0 else 0.0 for m_lo, m in zip(lo.mu, hi.mu)]
+    return _Point.build(scen, mix(lo.alloc.tau0, hi.alloc.tau0), p, tau, hi.delta, mu)
 
 
 def _bracketed(
@@ -1001,15 +999,15 @@ def solve_qos_detailed(scen: Scenario) -> tuple[SolutionReport, DualState, list[
     Only the iterates up to the one where the floor binds solve the
     inner problem.  The first whose point is priced below its q
     (`_solve_q`'s q_eff < q), at q_b, fixes the point: it meets Rmin at
-    least energy, so the next row, at its ratio q = B/E, carries it and
-    is the last: its T rounds about 0, so it converges, or it stalls, q
-    having stopped rising.  That row is formed here, building no KKT
-    level.  The point's delta and mu are those of the W1 = W level at
-    q_eff, whichever parametrisation `_solve_q` searched, and they are
-    scaled once, here: by c = q_duals/q_eff, as F_{c*W}(c*s) = c*F_W(s),
-    where q_duals is the reported q, and vartheta = c - 1.  An unbound
-    point is reported as solved (c = 1.0).  The point is kept for this
-    solve only, so each floor of a draw is solved as it would be alone.
+    least energy, so the next row, at its ratio q = B/E, is an ordinary
+    loop row that reuses it with no inner solve: its T rounds about 0,
+    so it converges, or it stalls, q having stopped rising.  The point's
+    delta and mu are those of the W1 = W level at q_eff, whichever
+    parametrisation `_solve_q` searched, and they are scaled once, here:
+    by c = q_duals/q_eff, as F_{c*W}(c*s) = c*F_W(s), where q_duals is
+    the reported q, and vartheta = c - 1.  An unbound point is reported
+    as solved (c = 1.0).  The point is kept for this solve only, so each
+    floor of a draw is solved as it would be alone.
     """
     rmin = scen.params.Rmin
     if rmin is None:
@@ -1019,15 +1017,17 @@ def solve_qos_detailed(scen: Scenario) -> tuple[SolutionReport, DualState, list[
         report = _report(zero_allocation(scen.K), scen, MODE_INFEASIBLE, {"outer": 0})
         return report, DualState(q=0.0, vartheta=0.0, delta=0.0, mu=(0.0,) * scen.K), []
 
-    q = 0.0
+    q = q_eff = q_at = 0.0  # q_at: the q the current point was solved at
     trace: list[tuple[int, float, float]] = []
     fills_total = 0
-    prev: tuple[_Point, float, float] | None = None  # (point, q_eff, q) of the last iterate
+    prev: tuple[_Point, float, float] | None = None  # (point, q_eff, q_at) of the last iterate
     stop = "cap"
     for it in range(1, _MAX_OUTER + 1):
-        # at q = 0 this is the memoised rate ceiling, which meets the floor
-        pt, q_eff, fills = _solve_q(draw, q, rmin)
-        fills_total += fills
+        if not q_eff < q_at:  # else the floor bound at the last iterate: reuse its point
+            # at q = 0 this is the memoised rate ceiling, which meets the floor
+            pt, q_eff, fills = _solve_q(draw, q, rmin)
+            fills_total += fills
+            q_at = q
         T = pt.B - q * pt.E
         trace.append((it, q, T))
         if abs(T) < _EPS or pt.E <= 0.0:
@@ -1040,25 +1040,15 @@ def solve_qos_detailed(scen: Scenario) -> tuple[SolutionReport, DualState, list[
             stop = "stalled"
             trace[-1] = (it, q, prev[0].B - q * prev[0].E)
             break
-        prev = (pt, q_eff, q)
+        prev = (pt, q_eff, q_at)
         q = pt.B / pt.E
-        if q_eff < prev[2]:
-            break  # the floor binds: the next row carries this point
 
-    q_at = q  # the q the reported point was solved at
     if stop != "converged" or (pt.E <= 0.0 and prev is not None):
         # A stall keeps the previous iterate, and the cap the last one.  So
         # does a zero floor at its fixed point, where the empty allocation
         # has T exactly 0: that iterate is the supporting maximizer and its
         # ratio equals the converged q.
         pt, q_eff, q_at = prev
-    if stop == "cap" and q_eff < q_at and len(trace) < _MAX_OUTER:
-        # The floor bound at the last iterate: one more row carries its
-        # point at q = B/E; a stall there keeps that same point, so the
-        # row's T stands.
-        T = pt.B - q * pt.E
-        trace.append((len(trace) + 1, q, T))
-        stop = "converged" if abs(T) < _EPS else "stalled"
     q_duals = q_at if stop == "stalled" else q
     c = q_duals / q_eff if q_eff < q_at else 1.0
     iterations = {"outer": len(trace), "fills": fills_total, "stop": stop}

@@ -162,6 +162,14 @@ def test_allocation_validation():
     for p, tau in (((-0.1, 0.0), (0.2, 0.2)), ((0.1, 0.1), (0.2, -1e-3))):
         with pytest.raises(ValueError, match="powers and times must be nonnegative"):
             Allocation(P0=1.0, tau0=0.1, p=p, tau=tau)
+    # NaN or inf in any field: a NaN P0 used to construct, and then pass
+    # check_constraints on a K = 2 draw while system_ee read NaN
+    ok = {"P0": 1.0, "tau0": 0.5, "p": (0.1, 0.1), "tau": (0.2, 0.2)}
+    for bad in (math.nan, math.inf):
+        for field, value in (("P0", bad), ("tau0", bad), ("p", (0.1, bad)), ("tau", (bad, 0.2))):
+            what = "powers and times" if field in ("p", "tau") else "P0 and tau0"
+            with pytest.raises(ValueError, match=f"{what} must be finite"):
+                Allocation(**{**ok, field: value})
     with pytest.raises(ValueError, match="unknown mode 'QoS'"):
         SolutionReport(
             alloc=z, ee=0.0, throughput=0.0, energy=0.0, scheduled=(), mode="QoS", iterations={}

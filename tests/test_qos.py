@@ -403,6 +403,46 @@ def test_dinkelbach_keeps_the_previous_iterate_when_q_stalls(monkeypatch):
     assert duals == DualState(q=qs[-2], vartheta=0.0, delta=kept.delta, mu=kept.mu)
 
 
+def test_iteration_cap_ends_on_its_last_row(monkeypatch):
+    # K = 5, seed 9000, empty batteries, Rmin = 0.8 R*: uncapped, the floor
+    # binds on row 3, and row 4, which reuses that point, converges.  A cap
+    # stops the loop after its last row ("cap") and reports that row's
+    # point: unbound under caps 1 and 2; under cap 3 the point that binds
+    # on the last row, with no row after it, and the uncapped solve's
+    # duals.  A cap of 4 is the uncapped solve
+    base = generate_scenario(default_geometry(K=5, seed=9000), default_system_params())
+    scen = with_floor(base, 0.8 * max_throughput(base).R_star)
+    thetas = []  # the floor multiplier of every row that ran the inner solve
+    solve_q = qos._solve_q
+
+    def recording_solve_q(draw, q, rmin):
+        out = solve_q(draw, q, rmin)
+        thetas.append(q / out[1] - 1.0 if out[1] < q else 0.0)
+        return out
+
+    monkeypatch.setattr(qos, "_solve_q", recording_solve_q)
+    forget_draws()
+    full = solve_qos_detailed(scen)
+    assert full[0].iterations == {"outer": 4, "fills": 0, "stop": "converged"}
+    assert thetas[:2] == [0.0, 0.0] and thetas[2] > 0.0 and len(thetas) == 3
+    assert full[1].vartheta == pytest.approx(2.1173, abs=1e-4)
+    for cap in (1, 2, 3, 4):
+        monkeypatch.setattr(qos, "_MAX_OUTER", cap)
+        thetas.clear()
+        forget_draws()
+        rep, duals, trace = capped = solve_qos_detailed(scen)
+        assert check_constraints(rep.alloc, scen).feasible
+        if cap == 4:
+            assert repr(capped) == repr(full)
+            continue
+        assert rep.iterations == {"outer": cap, "fills": 0, "stop": "cap"}
+        assert trace == full[2][:cap] and len(thetas) == cap
+        if cap < 3:
+            assert duals.vartheta == 0.0 and rep.ee < full[0].ee
+        else:
+            assert (rep.alloc, rep.ee, duals) == (full[0].alloc, full[0].ee, full[1])
+
+
 def test_converged_duals_satisfy_kkt():
     rng = np.random.default_rng(103)
     for _ in range(10):
@@ -1390,19 +1430,27 @@ def test_multiplier_rejects_an_overflowing_rate_constant(call):
 
 
 @pytest.mark.parametrize(
-    "q, vartheta, why",
+    "q, vartheta, delta, why",
     [
-        (1e-320, 0.0, "underflows to 0"),
-        (1e-300, 1e290, "underflows to 0"),
-        (1e-280, 0.0, "scores above delta"),
-        (1e5, 1e290, "scores above delta"),
+        (1e-320, 0.0, 0.0, "underflows to 0"),
+        (1e-300, 1e290, 0.0, "underflows to 0"),
+        (1e-280, 0.0, 0.0, "scores above delta"),
+        (1e5, 1e290, 0.0, "scores above delta"),
+        (1e308, 0.0, 0.0, "gamma\\*cln overflows"),
+        (1e300, 0.0, 0.0, "gamma\\*cln overflows"),
+        (1e5, 0.0, 1e308, "gamma\\*cln overflows"),
     ],
-    ids=["tiny-q", "tiny-q-huge-vartheta", "small-q", "huge-vartheta"],
+    ids=[
+        "tiny-q", "tiny-q-huge-vartheta", "small-q", "huge-vartheta",
+        "max-q", "huge-q", "huge-delta",
+    ],
 )
-def test_threshold_rejects_a_boundary_that_brackets_nothing(q, vartheta, why):
+def test_threshold_rejects_a_boundary_that_brackets_nothing(q, vartheta, delta, why):
     # where q/cln underflows to 0 the bracket search used to double 0
     # forever, so an alarm turns a hang into a failure; where rounding
-    # lifts the score at q/cln above delta brentq raised its own sign error
+    # lifts the score at q/cln above delta brentq raised its own sign
+    # error; where the score stays below delta until gamma*cln overflows,
+    # the overflow's jump to +inf used to be returned as the threshold
     def hang(signum, frame):
         raise TimeoutError("kkt_threshold_x did not return within 5 s")
 
@@ -1410,7 +1458,7 @@ def test_threshold_rejects_a_boundary_that_brackets_nothing(q, vartheta, why):
     signal.alarm(5)
     try:
         with pytest.raises(ValueError, match=f"no threshold bracket at q = {re.escape(repr(q))}, .*{why}"):
-            kkt_threshold_x(q, vartheta, 0.0, stock_params())
+            kkt_threshold_x(q, vartheta, delta, stock_params())
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
